@@ -4,7 +4,9 @@
 //! All three codecs in the benchmark are VLC-based (MPEG-2/-4 run-level
 //! tables, H.264 Exp-Golomb + CAVLC), so they share this crate's
 //! MSB-first [`BitWriter`] / [`BitReader`], Exp-Golomb codes and a generic
-//! canonical [`VlcTable`].
+//! canonical [`VlcTable`]. As the lowest crate every layer already
+//! depends on, it is also the home of the workspace's checksums
+//! ([`hash`]).
 //!
 //! # Example
 //!
@@ -26,6 +28,7 @@
 #![warn(rust_2018_idioms)]
 
 mod error;
+pub mod hash;
 mod reader;
 mod vlc;
 mod writer;

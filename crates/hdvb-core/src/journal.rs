@@ -20,21 +20,12 @@
 //! * Duplicate keys resolve last-record-wins: a re-run after a failure
 //!   appends a newer record that supersedes the old one.
 
+use hdvb_bits::hash::fnv1a64;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-
-/// FNV-1a 64-bit hash; used for both record checksums and cell keys.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// How a journaled attempt resolved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -281,6 +272,18 @@ mod tests {
             attempts: 1,
             words,
         }
+    }
+
+    #[test]
+    fn j1_line_format_is_pinned() {
+        // A journal written by any earlier build must keep loading: the
+        // line layout and its FNV-1a 64 checksum are a file format.
+        let r = rec(0xdead_beef, JournalOutcome::Ok, vec![1.5f64.to_bits(), 0]);
+        assert_eq!(
+            r.to_line(),
+            "J1 85a71b382ab2ca17 key=00000000deadbeef kind=table5 outcome=ok attempts=1 \
+             words=3ff8000000000000,0000000000000000"
+        );
     }
 
     #[test]

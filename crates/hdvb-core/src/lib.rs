@@ -44,10 +44,13 @@ pub use codec::{
 };
 pub use error::BenchError;
 pub use faults::{splitmix64, FaultPlan};
+/// The workspace's checksums ([`hdvb_bits::hash`]), re-exported for the
+/// crates that sit on `hdvb-core` without naming `hdvb-bits`.
+pub use hdvb_bits::hash;
+pub use hdvb_bits::hash::fnv1a64;
 pub use hdvb_bits::CorruptKind;
 pub use journal::{
-    fnv1a64, load_journal, truncate_journal, JournalLoad, JournalOutcome, JournalRecord,
-    JournalWriter,
+    load_journal, truncate_journal, JournalLoad, JournalOutcome, JournalRecord, JournalWriter,
 };
 pub use ladder::{run_ladder, FrameScaler, LadderResult, LadderSpec, RungResult};
 pub use options::{h264_qp_for_mpeg_qscale, CodingOptions};

@@ -31,13 +31,14 @@
 
 use crate::faults::{splitmix64, FaultPlan};
 use crate::journal::{
-    fnv1a64, load_journal, truncate_journal, JournalOutcome, JournalRecord, JournalWriter,
+    load_journal, truncate_journal, JournalOutcome, JournalRecord, JournalWriter,
 };
 use crate::parallel::{ExecutionReport, Figure1Part, ParallelRunner};
 use crate::runner::{
     measure_figure1_row_cancellable, measure_rd_point_cancellable, RdPoint, Throughput,
 };
 use crate::{BenchError, CodecId, CodingOptions, Figure1Row, Table5Row};
+use hdvb_bits::hash::fnv1a64;
 use hdvb_frame::Resolution;
 use hdvb_par::{CancelToken, TaskPanic, WorkerStats};
 use hdvb_seq::{Sequence, SequenceId};
@@ -871,6 +872,25 @@ mod tests {
                 budget,
             })
             .collect()
+    }
+
+    #[test]
+    fn cell_key_is_pinned() {
+        // Journals are keyed by this hash; a drifting key silently
+        // re-runs every cell of a resumed sweep.
+        let options = CodingOptions {
+            simd: hdvb_dsp::SimdLevel::Scalar,
+            ..CodingOptions::default()
+        };
+        let key = cell_key(
+            "table5",
+            Resolution::new(96, 80),
+            SequenceId::BlueSky,
+            CodecId::Mpeg2,
+            4,
+            &options,
+        );
+        assert_eq!(key, 0x320a_dc85_9352_1780);
     }
 
     fn value(i: usize) -> RdPoint {

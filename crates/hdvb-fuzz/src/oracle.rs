@@ -8,6 +8,7 @@
 //! must reconstruct bit-identical frames. Any disagreement is a bug in the
 //! dispatch layer, not in the input.
 
+use hdvb_bits::hash::{fnv1a64_update, FNV1A64_INIT};
 use hdvb_core::{create_decoder, read_stream, BenchError, CodecId, CorruptKind};
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Frame;
@@ -85,20 +86,17 @@ impl EntryOutcome {
     }
 }
 
-/// Minimal FNV-1a, kept local so outcomes hash identically across runs
-/// and processes (unlike `DefaultHasher`, which is randomly keyed).
+/// Streaming FNV-1a 64, so outcomes hash identically across runs and
+/// processes (unlike `DefaultHasher`, which is randomly keyed).
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
+        Fnv(FNV1A64_INIT)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01B3);
-        }
+        self.0 = fnv1a64_update(self.0, bytes);
     }
 
     fn write_u64(&mut self, v: u64) {

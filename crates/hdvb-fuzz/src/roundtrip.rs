@@ -19,6 +19,7 @@
 //! names both.
 
 use crate::rng::FuzzRng;
+use hdvb_bits::hash::{fnv1a64_update, FNV1A64_INIT};
 use hdvb_core::{create_decoder, create_encoder, CodecId, CodingOptions, Packet};
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Frame;
@@ -127,15 +128,12 @@ fn decode_under(
     let run = || -> Result<(usize, u64), String> {
         let mut dec = create_decoder(codec, simd);
         let mut count = 0usize;
-        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        let mut hash = FNV1A64_INIT;
         let mut absorb = |frames: &[Frame]| {
             count += frames.len();
             for f in frames {
-                for bytes in [f.y().data(), f.cb().data(), f.cr().data()] {
-                    for &b in bytes {
-                        hash ^= u64::from(b);
-                        hash = hash.wrapping_mul(0x100_0000_01B3);
-                    }
+                for plane in [f.y(), f.cb(), f.cr()] {
+                    hash = fnv1a64_update(hash, plane.data());
                 }
             }
         };

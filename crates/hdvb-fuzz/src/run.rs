@@ -5,6 +5,7 @@ use crate::corpus::{golden_vectors, load_corpus, save_entry, seed_entries};
 use crate::mutate::{mutate, Mutator};
 use crate::oracle::{differential_check, EntryOutcome};
 use crate::rng::FuzzRng;
+use hdvb_bits::hash::fnv1a64;
 use hdvb_par::ThreadPool;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -83,13 +84,10 @@ struct LiveEntry {
     score: u64,
 }
 
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
+/// Corpus file stem of a minimised failing input: stable across builds
+/// so a re-found failure overwrites its own file instead of piling up.
+fn failure_name(minimized: &[u8]) -> String {
+    format!("failure--{:016x}", fnv1a64(minimized))
 }
 
 fn pick_weighted(entries: &[LiveEntry], rng: &mut FuzzRng) -> usize {
@@ -199,7 +197,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> std::io::Result<FuzzReport> {
 
     let mut record_failure = |data: Vec<u8>, reason: String, origin: &str| {
         let minimized = minimize(&data, |candidate| classify(candidate, pool_ref).is_err());
-        let name = format!("failure--{:016x}", fnv64(&minimized));
+        let name = failure_name(&minimized);
         let saved_to = match &config.corpus_dir {
             Some(dir) => save_entry(dir, &name, &minimized).ok(),
             None => None,
@@ -269,6 +267,15 @@ pub fn run_fuzz(config: &FuzzConfig) -> std::io::Result<FuzzReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn failure_file_names_are_pinned() {
+        assert_eq!(failure_name(b""), "failure--cbf29ce484222325");
+        assert_eq!(
+            failure_name(b"HVB1\x02\x00\x7e"),
+            "failure--315aebd4b1e998fe"
+        );
+    }
 
     #[test]
     fn minimize_shrinks_while_preserving_predicate() {

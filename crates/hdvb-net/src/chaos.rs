@@ -20,6 +20,7 @@
 use crate::retry::{RetryClient, RetryPolicy, RetryStats};
 use crate::server::{NetConfig, NetServer, NetStats};
 use crate::{NetError, NetFaultPlan};
+use hdvb_core::hash::{checksum64, fnv1a64_update, FNV1A64_INIT};
 use hdvb_core::{CodecId, Priority, SessionInput, SessionSpec};
 use hdvb_frame::Resolution;
 use hdvb_seq::{Sequence, SequenceId};
@@ -82,7 +83,7 @@ struct RunDigest {
 pub struct ChaosTrial {
     /// Output matched the reference byte for byte.
     pub identical: bool,
-    /// FNV-1a digest over the output stream, in order.
+    /// 64-bit digest over the output stream, in order.
     pub digest: u64,
     /// Output packets received.
     pub packets: usize,
@@ -205,15 +206,12 @@ impl ChaosReport {
     }
 }
 
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
+/// Folds one bulk buffer (packet data, a frame plane) into the run
+/// digest through its `checksum64` (which covers the length), rather
+/// than a byte-serial walk over megabytes of samples. Digests are only
+/// ever compared within one campaign, so the function is free to change.
+fn digest_bulk(h: u64, bytes: &[u8]) -> u64 {
+    fnv1a64_update(h, &checksum64(bytes).to_le_bytes())
 }
 
 /// Runs one session to completion and reduces its output to a digest.
@@ -234,19 +232,18 @@ fn run_one(
         client.send(SessionInput::Frame(seq.frame(i)))?;
     }
     let (result, stats) = client.finish()?;
-    let mut h = FNV64_OFFSET;
+    let mut h = FNV1A64_INIT;
     for p in &result.packets {
-        h = fnv64(h, &[p.kind as u8]);
-        h = fnv64(h, &p.display_index.to_le_bytes());
-        h = fnv64(h, &(p.data.len() as u64).to_le_bytes());
-        h = fnv64(h, &p.data);
+        h = fnv1a64_update(h, &[p.kind as u8]);
+        h = fnv1a64_update(h, &p.display_index.to_le_bytes());
+        h = digest_bulk(h, &p.data);
     }
     for f in &result.frames {
-        h = fnv64(h, &(f.width() as u64).to_le_bytes());
-        h = fnv64(h, &(f.height() as u64).to_le_bytes());
-        h = fnv64(h, f.y().data());
-        h = fnv64(h, f.cb().data());
-        h = fnv64(h, f.cr().data());
+        h = fnv1a64_update(h, &(f.width() as u64).to_le_bytes());
+        h = fnv1a64_update(h, &(f.height() as u64).to_le_bytes());
+        for plane in [f.y(), f.cb(), f.cr()] {
+            h = digest_bulk(h, plane.data());
+        }
     }
     let digest = RunDigest {
         packets: result.packets.len(),

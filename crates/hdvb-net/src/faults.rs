@@ -29,7 +29,7 @@
 //!
 //! Example: `drop@4,truncate@9:11,garble@13,stall@17:40,seed=7`.
 
-use crate::wire::{MsgType, HEADER_LEN, MAGIC, TRAILER_LEN};
+use crate::wire::{wire_len, MsgType, HEADER_LEN, MAGIC};
 use hdvb_core::splitmix64;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -368,7 +368,7 @@ impl Write for FaultyStream {
             // At a message boundary: peek the header being forwarded.
             if buf.len() >= HEADER_LEN && buf[..2] == MAGIC {
                 let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-                self.msg_remaining = HEADER_LEN + len + if len > 0 { TRAILER_LEN } else { 0 };
+                self.msg_remaining = wire_len(len);
                 self.msg_written = 0;
                 let is_control = MsgType::from_u8(buf[3]).is_some_and(MsgType::is_control);
                 self.pending = if is_control {

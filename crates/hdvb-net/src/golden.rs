@@ -8,7 +8,8 @@
 //! vectors parse completely and the `err--` vectors fail with a typed
 //! [`WireError`](crate::wire::WireError) (never a panic).
 
-use crate::wire::{self, encode_header, fnv1a, DoneStats, Msg, MsgType, HEADER_LEN};
+use crate::wire::{self, encode_header, fnv1a, DoneStats, Msg, MsgType, HEADER_LEN, TRAILER_LEN};
+use hdvb_core::hash::checksum64;
 use hdvb_core::{CodecId, Packet, PacketKind, Priority, SessionSpec};
 use hdvb_frame::{Frame, Resolution};
 
@@ -39,8 +40,8 @@ fn restamp(frame: &mut [u8]) {
 /// the tampered field itself (not the payload checksum) is what the
 /// decoder rejects.
 fn restamp_payload(frame: &mut [u8]) {
-    let payload_end = frame.len() - wire::TRAILER_LEN;
-    let sum = fnv1a(&frame[HEADER_LEN..payload_end]);
+    let payload_end = frame.len() - TRAILER_LEN;
+    let sum = checksum64(&frame[HEADER_LEN..payload_end]);
     frame[payload_end..].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -195,9 +196,14 @@ pub fn golden_vectors() -> Vec<GoldenWire> {
         bytes: bad_magic,
     });
 
-    let mut bad_version = enc(&Msg::Flush, 9);
-    bad_version[2] = 0xFF;
+    // A well-formed client HELLO exactly as a version-2 peer framed it
+    // (valid header checksum, 4-byte FNV-1a-32 payload trailer): refused
+    // on the version byte, before anything after it is trusted.
+    let mut bad_version = encode_header(MsgType::Hello, 1, 0).to_vec();
+    bad_version[2] = 2;
     restamp(&mut bad_version);
+    bad_version.push(0);
+    bad_version.extend(fnv1a(&[0]).to_le_bytes());
     v.push(GoldenWire {
         name: "err--bad-version",
         valid: false,
@@ -238,6 +244,15 @@ pub fn golden_vectors() -> Vec<GoldenWire> {
         bytes: truncated,
     });
 
+    // The whole payload arrived, the trailer stops 3 bytes in.
+    let mut trunc_trailer = enc(&Msg::Packet(sample_packet()), 9);
+    trunc_trailer.truncate(trunc_trailer.len() - (TRAILER_LEN - 3));
+    v.push(GoldenWire {
+        name: "err--trunc-trailer",
+        valid: false,
+        bytes: trunc_trailer,
+    });
+
     // OPEN whose codec byte is not a registered codec: header and
     // payload trailer are pristine, the codec byte is what the decoder
     // must reject.
@@ -262,7 +277,7 @@ pub fn golden_vectors() -> Vec<GoldenWire> {
     let mut corrupt_payload = enc(&Msg::Packet(sample_packet()), 9);
     corrupt_payload[HEADER_LEN + 7] ^= 0x01;
     v.push(GoldenWire {
-        name: "err--payload-bit-flip",
+        name: "err--bad-payload-checksum",
         valid: false,
         bytes: corrupt_payload,
     });
@@ -275,7 +290,7 @@ pub fn golden_vectors() -> Vec<GoldenWire> {
         full[HEADER_LEN..HEADER_LEN + 8 + 10].to_vec()
     };
     let mut dim_mismatch = encode_header(MsgType::Frame, short_payload.len() as u32, 9).to_vec();
-    let trailer = fnv1a(&short_payload);
+    let trailer = checksum64(&short_payload);
     dim_mismatch.extend(short_payload);
     dim_mismatch.extend(trailer.to_le_bytes());
     v.push(GoldenWire {

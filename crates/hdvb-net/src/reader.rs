@@ -32,9 +32,13 @@ pub(crate) enum ReadEvent {
 /// timeouts at any byte boundary.
 pub(crate) struct MsgReader<R: Read> {
     inner: R,
-    /// Bytes of the in-flight message accumulated so far.
+    /// The message buffer the socket reads land in directly. Its length
+    /// is the largest message seen so far — it only ever grows, so a
+    /// stream of same-size frames allocates (and zero-fills) once.
     buf: Vec<u8>,
-    /// Target size of `buf` before the next parse step.
+    /// Bytes of the in-flight message received so far (`buf[..filled]`).
+    filled: usize,
+    /// Size the in-flight message must reach before the next parse step.
     need: usize,
     /// Parsed header, once `buf` held a full one.
     header: Option<Header>,
@@ -44,7 +48,8 @@ impl<R: Read> MsgReader<R> {
     pub(crate) fn new(inner: R) -> Self {
         MsgReader {
             inner,
-            buf: Vec::with_capacity(HEADER_LEN),
+            buf: vec![0; HEADER_LEN],
+            filled: 0,
             need: HEADER_LEN,
             header: None,
         }
@@ -54,12 +59,10 @@ impl<R: Read> MsgReader<R> {
     /// underlying stream's read timeout (plus one syscall).
     pub(crate) fn poll(&mut self) -> ReadEvent {
         loop {
-            while self.buf.len() < self.need {
-                let mut chunk = [0u8; 16 * 1024];
-                let want = (self.need - self.buf.len()).min(chunk.len());
-                match self.inner.read(&mut chunk[..want]) {
+            while self.filled < self.need {
+                match self.inner.read(&mut self.buf[self.filled..self.need]) {
                     Ok(0) => return ReadEvent::Gone,
-                    Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => self.filled += n,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(e)
                         if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
@@ -85,24 +88,23 @@ impl<R: Read> MsgReader<R> {
                             Err(e) => return ReadEvent::Malformed(e),
                         }
                     }
+                    // `parse_header` capped the length at MAX_PAYLOAD.
+                    if total > self.buf.len() {
+                        self.buf.reserve_exact(total - self.buf.len());
+                        self.buf.resize(total, 0);
+                    }
                     self.header = Some(header);
                     self.need = total;
                 }
                 Some(header) => {
                     let payload_end = HEADER_LEN + header.len as usize;
-                    let trailer_ok = wire::check_trailer(
-                        &self.buf[HEADER_LEN..payload_end],
-                        &self.buf[payload_end..],
-                    );
-                    let event = match trailer_ok {
+                    let payload = &self.buf[HEADER_LEN..payload_end];
+                    let trailer = &self.buf[payload_end..self.need];
+                    let event = match wire::check_trailer(payload, trailer)
+                        .and_then(|()| wire::decode_payload(header.msg_type, payload))
+                    {
+                        Ok(m) => ReadEvent::Msg(m, header.seq),
                         Err(e) => ReadEvent::Malformed(e),
-                        Ok(()) => match wire::decode_payload(
-                            header.msg_type,
-                            &self.buf[HEADER_LEN..payload_end],
-                        ) {
-                            Ok(m) => ReadEvent::Msg(m, header.seq),
-                            Err(e) => ReadEvent::Malformed(e),
-                        },
                     };
                     self.reset();
                     return event;
@@ -112,8 +114,7 @@ impl<R: Read> MsgReader<R> {
     }
 
     fn reset(&mut self) {
-        self.buf.clear();
-        self.buf.shrink_to(64 * 1024);
+        self.filled = 0;
         self.need = HEADER_LEN;
         self.header = None;
     }
@@ -191,6 +192,33 @@ mod tests {
             );
             assert!(idles > 0, "trickle reader must have reported idle");
         }
+    }
+
+    #[test]
+    fn same_size_messages_reuse_the_buffer_without_regrowing() {
+        let pkt = Packet {
+            kind: PacketKind::P,
+            display_index: 0,
+            data: (0..300_000u32).map(|i| (i * 7) as u8).collect(),
+        };
+        let mut one = Vec::new();
+        wire::encode(&Msg::Packet(pkt), 0, &mut one);
+        let stream = one.repeat(100);
+        let mut reader = MsgReader::new(&stream[..]);
+        let mut capacity = None;
+        for i in 0..100 {
+            match reader.poll() {
+                ReadEvent::Msg(Msg::Packet(p), _) => {
+                    assert_eq!(p.data.len(), 300_000);
+                    wire::recycle_msg(Msg::Packet(p));
+                }
+                _ => panic!("message {i} did not arrive"),
+            }
+            let now = reader.buf.capacity();
+            assert_eq!(*capacity.get_or_insert(now), now, "regrew at message {i}");
+        }
+        assert_eq!(capacity, Some(one.len()), "reserved exactly one message");
+        assert!(matches!(reader.poll(), ReadEvent::Gone));
     }
 
     #[test]

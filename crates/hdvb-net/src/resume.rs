@@ -22,7 +22,7 @@
 //! window is reaped by the accept loop: cancelled, drained, recycled.
 
 use crate::server::WriteHalf;
-use crate::wire::{self, Msg, HEADER_LEN, TRAILER_LEN};
+use crate::wire::{self, Msg};
 use hdvb_core::Priority;
 use hdvb_frame::BufferPool;
 use hdvb_serve::SessionHandle;
@@ -179,17 +179,8 @@ impl SessionEntry {
     /// journal sequence, so a resumed client can sanity-check ordering.
     /// Consumes the message and recycles its buffers.
     pub(crate) fn emit(&self, msg: Msg) {
-        let estimate = HEADER_LEN
-            + TRAILER_LEN
-            + match &msg {
-                Msg::Frame(f) => 8 + f.width() * f.height() * 3 / 2,
-                Msg::Packet(p) => 5 + p.data.len(),
-                _ => 48,
-            };
-        let mut bytes = BufferPool::global().take(estimate);
         let mut st = lock(self);
-        let seq = st.journal.next as u32;
-        wire::encode(&msg, seq, &mut bytes);
+        let bytes = wire::encode_pooled(&msg, st.journal.next as u32);
         if let Some(write) = st.write.clone() {
             if !write.send_raw(&bytes) {
                 // The socket died mid-stream; keep journaling. The

@@ -437,15 +437,7 @@ impl RetryClient {
     }
 
     fn send_data(&mut self, msg: Msg) -> Result<(), NetError> {
-        let estimate = wire::HEADER_LEN
-            + wire::TRAILER_LEN
-            + match &msg {
-                Msg::Frame(f) => 8 + f.width() * f.height() * 3 / 2,
-                Msg::Packet(p) => 5 + p.data.len(),
-                _ => 64,
-            };
-        let mut buf = BufferPool::global().take(estimate);
-        wire::encode(&msg, self.inputs_sent as u32, &mut buf);
+        let buf = wire::encode_pooled(&msg, self.inputs_sent as u32);
         wire::recycle_msg(msg);
         let acked = self.shared.lock().inputs_acked;
         self.trim_replay(acked);

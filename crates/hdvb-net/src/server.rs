@@ -34,6 +34,7 @@ use crate::resume::{AttachError, Registry, SessionEntry};
 use crate::wire::{self, DoneStats, ErrorCode, Msg, WireError};
 use hdvb_core::{Priority, SessionInput, SessionSpec};
 use hdvb_dsp::SimdLevel;
+use hdvb_frame::BufferPool;
 use hdvb_serve::{OpenOptions, Server, ServerConfig, SessionHandle, SessionResult};
 use hdvb_trace::LatencyHistogram;
 use std::io::{ErrorKind, Write};
@@ -295,18 +296,18 @@ impl WriteHalf {
         }
     }
 
+    /// Encodes `msg` under the connection sequence and writes it.
     pub(crate) fn send(&self, msg: &Msg) {
         if self.is_broken() {
             return;
         }
         let mut g = self.stream.lock().unwrap_or_else(|e| e.into_inner());
         let (stream, seq) = &mut *g;
-        let mut buf = Vec::new();
-        wire::encode(msg, *seq, &mut buf);
+        let bytes = wire::encode_pooled(msg, *seq);
         *seq = seq.wrapping_add(1);
-        if stream.write_all(&buf).is_err() {
-            self.broken.store(true, Ordering::Release);
-        }
+        self.write(stream, &bytes);
+        drop(g);
+        BufferPool::global().put(bytes);
     }
 
     /// Writes pre-encoded wire bytes (journaled outputs and replays,
@@ -317,11 +318,15 @@ impl WriteHalf {
             return false;
         }
         let mut g = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        if g.0.write_all(bytes).is_err() {
+        self.write(&mut g.0, bytes)
+    }
+
+    fn write(&self, stream: &mut FaultyStream, bytes: &[u8]) -> bool {
+        let ok = stream.write_all(bytes).is_ok();
+        if !ok {
             self.broken.store(true, Ordering::Release);
-            return false;
         }
-        true
+        ok
     }
 
     pub(crate) fn is_broken(&self) -> bool {

@@ -1,18 +1,18 @@
 //! The versioned, length-prefixed binary wire protocol.
 //!
 //! Every message is a 16-byte header followed by a payload and — when
-//! the payload is non-empty — a 4-byte payload checksum trailer:
+//! the payload is non-empty — an 8-byte payload checksum trailer:
 //!
 //! ```text
 //! offset  size  field
 //!      0     2  magic "HV"
-//!      2     1  protocol version (2)
+//!      2     1  protocol version (3)
 //!      3     1  message type
 //!      4     4  payload length, u32 LE (capped at 64 MiB)
 //!      8     4  sender sequence number, u32 LE (diagnostic)
 //!     12     4  FNV-1a-32 checksum over bytes 0..12, u32 LE
 //!     16   len  payload
-//!  16+len     4  FNV-1a-32 checksum over the payload, u32 LE
+//!  16+len     8  `checksum64` over the payload, u64 LE
 //!               (present only when len > 0)
 //! ```
 //!
@@ -20,12 +20,21 @@
 //! desynchronised framing (a reader that lost its place decodes garbage
 //! lengths) before any length is trusted; the payload trailer gives
 //! end-to-end integrity for the body, so a single flipped bit anywhere
-//! in a message — header or payload — is detected by the receiver
-//! (FNV-1a absorbs each byte through a bijective step, so any
-//! single-byte change is guaranteed to change the hash). That is what
-//! lets the chaos layer's `garble` fault be injected anywhere and still
-//! keep sessions bit-identical: a corrupted message is dropped with the
-//! connection and replayed from the resume journal, never consumed.
+//! in a message — header or payload — is detected by the receiver.
+//! That is a guarantee, not a probability: both sums absorb their input
+//! through steps `s' = (s ^ w) * odd`, each a bijection of the state
+//! `s` and, for a fixed state, of the absorbed `w`; a change confined
+//! to one absorbed unit (a header byte, an aligned 8-byte payload word)
+//! therefore always changes the sum, and all of its bits are carried
+//! (see [`hdvb_bits::hash::checksum64`](hdvb_core::hash::checksum64)).
+//! It is what lets the chaos layer's `garble` fault be injected
+//! anywhere and still keep sessions bit-identical: a corrupted message
+//! is dropped with the connection and replayed from the resume journal,
+//! never consumed.
+//!
+//! Both ends of this protocol live in this repository, so there is no
+//! fallback for other versions: a peer speaking one is refused with
+//! [`WireError::BadVersion`].
 //!
 //! Decoding never panics. Every malformed input — wrong magic, unknown
 //! version or type, checksum mismatch, oversized or truncated frame,
@@ -34,6 +43,7 @@
 //! `tests/corpus/wire/` and by mutation fuzzing in
 //! `tests/wire_robustness.rs`.
 
+use hdvb_core::hash::checksum64;
 use hdvb_core::{CodecId, Packet, PacketKind, Priority, SessionKind, SessionSpec};
 use hdvb_frame::{BufferPool, Frame, FramePool, Resolution};
 use std::fmt;
@@ -51,15 +61,25 @@ pub(crate) fn recycle_msg(msg: Msg) {
     }
 }
 
+/// Encodes `msg` into a buffer from the global pool sized by
+/// [`encoded_len`], so the bytes are written once and never regrow.
+/// Whoever sends (or journals) them returns the buffer with
+/// `BufferPool::global().put`.
+pub(crate) fn encode_pooled(msg: &Msg, seq: u32) -> Vec<u8> {
+    let mut bytes = BufferPool::global().take(encoded_len(msg));
+    encode(msg, seq, &mut bytes);
+    bytes
+}
+
 /// First two bytes of every message.
 pub const MAGIC: [u8; 2] = *b"HV";
 /// Current protocol version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 16;
 /// Payload checksum trailer size (present when the payload is
 /// non-empty).
-pub const TRAILER_LEN: usize = 4;
+pub const TRAILER_LEN: usize = 8;
 /// Largest accepted payload (64 MiB — an 8K I420 frame is ~48 MiB).
 pub const MAX_PAYLOAD: u32 = 1 << 26;
 /// Largest accepted frame dimension on the wire.
@@ -204,9 +224,9 @@ pub enum WireError {
     /// Payload checksum trailer mismatch (bytes corrupted in flight).
     BadPayloadChecksum {
         /// Checksum recomputed over the received payload.
-        expected: u32,
+        expected: u64,
         /// Checksum carried by the trailer.
-        found: u32,
+        found: u64,
     },
     /// Declared payload length exceeds [`MAX_PAYLOAD`].
     Oversized {
@@ -244,7 +264,7 @@ impl fmt::Display for WireError {
             WireError::BadPayloadChecksum { expected, found } => {
                 write!(
                     f,
-                    "payload checksum {found:#010x}, expected {expected:#010x}"
+                    "payload checksum {found:#018x}, expected {expected:#018x}"
                 )
             }
             WireError::Oversized { len } => {
@@ -371,15 +391,9 @@ impl Msg {
     }
 }
 
-/// FNV-1a 32-bit over `bytes` (the header and payload checksums).
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= u32::from(b);
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
+/// FNV-1a 32-bit: the header checksum. (Payloads are summed by
+/// [`checksum64`].)
+pub use hdvb_core::hash::fnv1a32 as fnv1a;
 
 /// A parsed message header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -392,21 +406,33 @@ pub struct Header {
     pub seq: u32,
 }
 
+/// On-wire size of a message with `payload` payload bytes: header,
+/// payload, and the trailer only a non-empty payload carries.
+pub(crate) fn wire_len(payload: usize) -> usize {
+    HEADER_LEN + payload + if payload > 0 { TRAILER_LEN } else { 0 }
+}
+
 /// Total on-wire size of the message this header announces, including
 /// the payload trailer when one is present.
 pub fn frame_len(header: &Header) -> usize {
-    let len = header.len as usize;
-    HEADER_LEN + len + if len > 0 { TRAILER_LEN } else { 0 }
+    wire_len(header.len as usize)
 }
 
-/// Validates a payload against its 4-byte trailer.
+/// Validates a payload against its [`TRAILER_LEN`]-byte trailer.
 ///
 /// # Errors
 ///
-/// [`WireError::BadPayloadChecksum`] on mismatch.
+/// [`WireError::BadPayloadChecksum`] on mismatch;
+/// [`WireError::Truncated`] when `trailer` is not a whole trailer.
 pub fn check_trailer(payload: &[u8], trailer: &[u8]) -> Result<(), WireError> {
-    let expected = fnv1a(payload);
-    let found = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+    let Ok(found) = <[u8; TRAILER_LEN]>::try_from(trailer) else {
+        return Err(WireError::Truncated {
+            need: TRAILER_LEN,
+            have: trailer.len(),
+        });
+    };
+    let found = u64::from_le_bytes(found);
+    let expected = checksum64(payload);
     if expected != found {
         return Err(WireError::BadPayloadChecksum { expected, found });
     }
@@ -490,11 +516,41 @@ fn kind_from_byte(b: u8) -> Option<PacketKind> {
     }
 }
 
+/// Payload bytes `msg` encodes to.
+fn payload_len(msg: &Msg) -> usize {
+    match msg {
+        Msg::Hello { .. } => 1,
+        Msg::Open { .. } => 17,
+        Msg::OpenOk { .. } => 8,
+        Msg::Frame(f) => 8 + f.y().data().len() + f.cb().data().len() + f.cr().data().len(),
+        Msg::Packet(p) => 5 + p.data.len(),
+        Msg::Flush | Msg::Close | Msg::Ping | Msg::Pong => 0,
+        Msg::Done(_) => 40,
+        Msg::Error { detail, .. } => 1 + detail.len(),
+        Msg::Resume { .. } => 12,
+        Msg::ResumeOk { .. } | Msg::AckOut { .. } | Msg::AckIn { .. } => 8,
+    }
+}
+
+/// Exact number of bytes [`encode`] appends for `msg`: what a sender
+/// reserves (or takes from a pool) before encoding, so a message is
+/// written into its buffer once and the buffer never regrows.
+pub fn encoded_len(msg: &Msg) -> usize {
+    wire_len(payload_len(msg))
+}
+
 /// Appends `msg` (header + payload + payload trailer) to `out`.
+///
+/// # Panics
+///
+/// If the payload exceeds `u32::MAX` bytes — no `Msg` the codecs or the
+/// decoder can produce comes near ([`MAX_PAYLOAD`] is 64 MiB).
 pub fn encode(msg: &Msg, seq: u32, out: &mut Vec<u8>) {
-    let start = out.len();
-    // Reserve header space; patched once the payload length is known.
-    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    let len = payload_len(msg);
+    out.reserve(wire_len(len));
+    let header_len = u32::try_from(len).expect("payload length fits the u32 header field");
+    out.extend_from_slice(&encode_header(msg.msg_type(), header_len, seq));
+    let payload_at = out.len();
     match msg {
         Msg::Hello { server } => out.push(u8::from(*server)),
         Msg::Open {
@@ -561,11 +617,13 @@ pub fn encode(msg: &Msg, seq: u32, out: &mut Vec<u8>) {
             out.extend_from_slice(&inputs_received.to_le_bytes());
         }
     }
-    let len = (out.len() - start - HEADER_LEN) as u32;
-    let header = encode_header(msg.msg_type(), len, seq);
-    out[start..start + HEADER_LEN].copy_from_slice(&header);
+    assert_eq!(
+        out.len() - payload_at,
+        len,
+        "payload_len disagrees with encode"
+    );
     if len > 0 {
-        let sum = fnv1a(&out[start + HEADER_LEN..]);
+        let sum = checksum64(&out[payload_at..]);
         out.extend_from_slice(&sum.to_le_bytes());
     }
 }
@@ -1008,9 +1066,8 @@ mod tests {
         let mut buf = Vec::new();
         encode(&Msg::Frame(Frame::new(32, 16)), 0, &mut buf);
         let restamp = |buf: &mut Vec<u8>| {
-            let end = buf.len() - TRAILER_LEN;
-            let sum = fnv1a(&buf[HEADER_LEN..end]);
             let at = buf.len() - TRAILER_LEN;
+            let sum = checksum64(&buf[HEADER_LEN..at]);
             buf[at..].copy_from_slice(&sum.to_le_bytes());
         };
         // Flip a dimension without fixing the payload size (re-stamping

@@ -4,7 +4,9 @@
 //! The thread-leak assertions read the process-wide OS thread count, so
 //! every test in this file serialises on [`LOCK`] — a neighbour test's
 //! short-lived connection threads would otherwise show up as phantom
-//! leaks.
+//! leaks. The neighbour's own harness thread, parked on that lock, is
+//! subtracted by [`thread_count`]: whether the harness spawns it before
+//! or after the running test takes its baseline is a race.
 
 use hdvb_core::{encode_sequence, CodecId, Priority, SessionInput, SessionSpec};
 use hdvb_dsp::SimdLevel;
@@ -14,17 +16,25 @@ use hdvb_net::{NetClient, NetConfig, NetFaultPlan, NetServer, RetryClient, Retry
 use hdvb_seq::{Sequence, SequenceId};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 static LOCK: Mutex<()> = Mutex::new(());
+/// Test threads currently blocked in [`serialise`].
+static WAITING: AtomicUsize = AtomicUsize::new(0);
 
 fn serialise() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    WAITING.fetch_add(1, Ordering::SeqCst);
+    let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    WAITING.fetch_sub(1, Ordering::SeqCst);
+    guard
 }
 
+/// OS threads of this process, not counting tests queued on [`LOCK`].
 fn thread_count() -> usize {
-    hdvb_serve::os_thread_count().expect("/proc/self/status")
+    let os = hdvb_serve::os_thread_count().expect("/proc/self/status");
+    os - WAITING.load(Ordering::SeqCst)
 }
 
 fn qcif() -> Resolution {

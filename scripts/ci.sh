@@ -131,6 +131,15 @@ grep -Eq "live +admitted 1" "$tmpdir/net.log" || {
 }
 echo "loopback smoke ok: remote.hvb == local.hvb"
 
+echo "==> repo benchmark (its own unit tests, then the toy-size smoke of all four workloads)"
+# The smoke asserts every BENCHMARK.json metric name prints once and
+# finite, and runs each workload's correctness checks against the
+# current wire. CARGO_TARGET_DIR stays at run.sh's default
+# (.bench_build, git-ignored) so repeated CI runs reuse the build.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
+    cargo test --offline -q --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke
+
 echo "==> serve-load smoke (TCP saturation sweep, loadcurve schema check)"
 (cd "$tmpdir" && "$OLDPWD/target/release/hdvb" serve-load --codec mpeg2 \
     --sessions 1,2 --fps 20 --duration 1 --resolution 96x80 \

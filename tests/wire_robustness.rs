@@ -8,9 +8,10 @@
 //! every `err--` vector must fail with a typed `WireError`, and no
 //! input — golden or fuzzed — may ever panic the decoder.
 
+use hd_videobench::bits::hash::checksum64;
 use hd_videobench::fuzz::{mutate, FuzzRng, Mutator};
 use hd_videobench::net::golden::golden_vectors;
-use hd_videobench::net::wire;
+use hd_videobench::net::wire::{self, WireError, HEADER_LEN, TRAILER_LEN};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -83,6 +84,82 @@ fn golden_vectors_decode_as_tagged_without_panicking() {
             g.name,
             g.valid
         );
+    }
+}
+
+fn golden(name: &str) -> Vec<u8> {
+    golden_vectors()
+        .into_iter()
+        .find(|g| g.name == name)
+        .unwrap_or_else(|| panic!("no golden vector {name}"))
+        .bytes
+}
+
+/// The `err--` vectors that exist to pin one specific refusal fail for
+/// that reason and no other.
+#[test]
+fn error_vectors_fail_for_the_reason_they_are_named_for() {
+    // A version-2 peer is told so, not misread as corruption.
+    assert_eq!(
+        decode_all(&golden("err--bad-version")),
+        Err(WireError::BadVersion(2))
+    );
+    assert!(matches!(
+        decode_all(&golden("err--bad-payload-checksum")),
+        Err(WireError::BadPayloadChecksum { .. })
+    ));
+    let cut = golden("err--trunc-trailer");
+    assert_eq!(
+        decode_all(&cut),
+        Err(WireError::Truncated {
+            need: cut.len() + TRAILER_LEN - 3,
+            have: cut.len()
+        })
+    );
+}
+
+/// `encoded_len` is exact for every message the corpus holds, and
+/// re-encoding a decoded message reproduces its bytes.
+#[test]
+fn encoded_len_is_exact_for_every_golden_message() {
+    let mut checked = 0usize;
+    for g in golden_vectors().into_iter().filter(|g| g.valid) {
+        let mut buf = &g.bytes[..];
+        while !buf.is_empty() {
+            let (msg, seq, used) = wire::decode(buf).expect("ok-- vector");
+            assert_eq!(wire::encoded_len(&msg), used, "{}: {msg:?}", g.name);
+            let mut again = Vec::new();
+            wire::encode(&msg, seq, &mut again);
+            assert_eq!(again, &buf[..used], "{}: {msg:?}", g.name);
+            buf = &buf[used..];
+            checked += 1;
+        }
+    }
+    assert!(checked >= 15, "only {checked} messages checked");
+}
+
+/// Every single-bit flip anywhere in the golden 16x16 FRAME — header,
+/// each payload lane and tail byte, trailer — is refused; and over the
+/// payload alone the checksum itself moves.
+#[test]
+fn every_bit_flip_in_the_golden_frame_is_detected() {
+    let clean = golden("ok--frame-16x16");
+    let payload_end = clean.len() - TRAILER_LEN;
+    let sum = checksum64(&clean[HEADER_LEN..payload_end]);
+    assert_eq!(
+        sum.to_le_bytes(),
+        clean[payload_end..],
+        "trailer is checksum64"
+    );
+    let mut flipped = clean.clone();
+    for bit in 0..clean.len() * 8 {
+        let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+        flipped[byte] ^= mask;
+        assert!(decode_all(&flipped).is_err(), "bit {bit} went undetected");
+        if (HEADER_LEN..payload_end).contains(&byte) {
+            assert_ne!(checksum64(&flipped[HEADER_LEN..payload_end]), sum);
+        }
+        flipped[byte] ^= mask;
     }
 }
 
