@@ -7,7 +7,9 @@
 //! dependencies and runs inside the CLI, so the perf trajectory file can
 //! be regenerated on any host with one command.
 
-use hdvb_dsp::{Block8, Dsp, SimdLevel, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_dsp::{Block8, Dsp, SimdLevel, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_frame::{PaddedPlane, Plane};
+use hdvb_me::{refine_qpel, BlockRef, Mv, SubpelTarget};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -72,7 +74,7 @@ fn coeff_block(seed: u32, range: i16) -> Block8 {
 }
 
 /// The kernels measured per tier, in report order.
-pub const KERNEL_NAMES: [&str; 14] = [
+pub const KERNEL_NAMES: [&str; 17] = [
     "sad_16x16",
     "satd_16x16",
     "ssd_16x16",
@@ -82,6 +84,9 @@ pub const KERNEL_NAMES: [&str; 14] = [
     "sixtap_h_16x16",
     "sixtap_v_16x16",
     "sixtap_hv_16x16",
+    "qpel_window_16x16",
+    "qpel_window_8x8",
+    "refine_qpel_16x16_satd",
     "fdct8",
     "idct8",
     "quant8",
@@ -109,6 +114,25 @@ pub fn measure_tier(level: SimdLevel) -> Vec<KernelMeasurement> {
     let levels = coeff_block(11, 128);
     let mut blk: Block8 = [0; 64];
     let mut deblock_data = pixels(3, 64 * 16);
+    // Sub-pel refinement: a current block and a reference that is the
+    // same texture moved a little, so the 17 candidates have a real
+    // minimum away from the centre.
+    let texture = |shift: usize| {
+        let mut p = Plane::new(64, 64);
+        for y in 0..64 {
+            for x in 0..64 {
+                p.set(
+                    x,
+                    y,
+                    a[(y + shift) * SRC_STRIDE + x + shift] / 2 + (x * 2 + y) as u8 / 2,
+                );
+            }
+        }
+        p
+    };
+    let cur = texture(0);
+    let refp = PaddedPlane::from_plane(&texture(1), 16);
+    let mut win = SubpelWindow::new();
 
     let mut out = Vec::new();
     let mut push = |kernel: &'static str, ns: f64| {
@@ -184,6 +208,43 @@ pub fn measure_tier(level: SimdLevel) -> Vec<KernelMeasurement> {
         }),
     );
     push(
+        "qpel_window_16x16",
+        ns_per_call(|| {
+            win.fill_sixtap(&dsp, black_box(&refp), 25, 23, 16, 16);
+            black_box(win.half(1, 1)[0]);
+        }),
+    );
+    push(
+        "qpel_window_8x8",
+        ns_per_call(|| {
+            win.fill_sixtap(&dsp, black_box(&refp), 25, 23, 8, 8);
+            black_box(win.half(1, 1)[0]);
+        }),
+    );
+    // Window fill plus the 17 scored candidates: one whole refinement as
+    // the H.264 encoder runs it.
+    let target = SubpelTarget {
+        cost: dsp.satd_fn(),
+        block: BlockRef {
+            plane: &cur,
+            x: 24,
+            y: 24,
+            w: 16,
+            h: 16,
+        },
+        lambda: 4,
+        pred: Mv::new(3, -2),
+    };
+    push(
+        "refine_qpel_16x16_satd",
+        ns_per_call(|| {
+            let fullpel = black_box(Mv::new(1, -1));
+            let (x, y) = target.block.displaced(fullpel);
+            win.fill_sixtap(&dsp, &refp, x, y, 16, 16);
+            black_box(refine_qpel(&dsp, &win, &target, fullpel));
+        }),
+    );
+    push(
         "fdct8",
         ns_per_call(|| {
             blk = *black_box(&fwd);
@@ -247,7 +308,7 @@ pub fn kernels_table(rows: &[KernelMeasurement]) -> String {
             .map(|r| r.ns_per_call)
     };
     let mut out = String::new();
-    out.push_str(&format!("{:<18}", "kernel"));
+    out.push_str(&format!("{:<24}", "kernel"));
     for t in &tiers {
         out.push_str(&format!("{:>12}", format!("{t} ns")));
     }
@@ -259,7 +320,7 @@ pub fn kernels_table(rows: &[KernelMeasurement]) -> String {
         let Some(base) = cell(kernel, tiers[0]) else {
             continue;
         };
-        out.push_str(&format!("{kernel:<18}"));
+        out.push_str(&format!("{kernel:<24}"));
         for t in &tiers {
             match cell(kernel, t) {
                 Some(ns) => out.push_str(&format!("{ns:>12.1}")),

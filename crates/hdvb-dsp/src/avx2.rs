@@ -13,6 +13,7 @@
 #![allow(unsafe_code)]
 
 use crate::dispatch::KernelTable;
+use crate::interp::HV_MAX_ROWS;
 use crate::quant::QuantMatrix;
 use crate::Block8;
 use std::arch::x86_64::*;
@@ -640,8 +641,8 @@ pub(crate) unsafe fn sixtap_v_avx2(
 /// kernel (unrounded i16 horizontal pass, madd vertical pass).
 ///
 /// # Safety
-/// Requires AVX2; `w % 8 == 0`, `w ≤ 16`, `h ≤ 16`; `src` must cover
-/// `h + 5` rows of `w + 5` samples.
+/// Requires AVX2; `w % 8 == 0`, `w ≤ 16`, `h ≤ HV_MAX_ROWS`; `src` must
+/// cover `h + 5` rows of `w + 5` samples.
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn sixtap_hv_avx2(
     dst: &mut [u8],
@@ -651,14 +652,14 @@ pub(crate) unsafe fn sixtap_hv_avx2(
     w: usize,
     h: usize,
 ) {
-    debug_assert!(w.is_multiple_of(8) && w <= 16 && h <= 16);
+    debug_assert!(w.is_multiple_of(8) && w <= 16 && h <= HV_MAX_ROWS);
     if w != 16 {
         crate::sse2::sixtap_hv_sse2(dst, dst_stride, src, src_stride, w, h);
         return;
     }
     debug_assert!(h == 0 || dst.len() >= (h - 1) * dst_stride + w);
     debug_assert!(src.len() >= (h + 4) * src_stride + w + 5);
-    let mut tmp = [0i16; 16 * 21];
+    let mut tmp = [0i16; 16 * (HV_MAX_ROWS + 5)];
     let tmp_h = h + 5;
     for ty in 0..tmp_h {
         let base = src.as_ptr().add(ty * src_stride);
@@ -1106,7 +1107,7 @@ fn sixtap_hv_entry(
     h: usize,
 ) {
     assert_avx2();
-    if w.is_multiple_of(8) && w <= 16 && h <= 16 {
+    if w.is_multiple_of(8) && w <= 16 && h <= HV_MAX_ROWS {
         unsafe { sixtap_hv_avx2(dst, dst_stride, src, src_stride, w, h) }
     } else {
         crate::interp::sixtap_hv(dst, dst_stride, src, src_stride, w, h)

@@ -504,7 +504,8 @@ impl Dsp {
     ///
     /// # Panics
     ///
-    /// Panics if `w` or `h` exceeds 16.
+    /// Panics if `w` exceeds 16 or `h` exceeds 17 (a macroblock plus the
+    /// extra row of the sub-pel refinement window).
     #[inline]
     pub fn sixtap_hv(
         &self,

@@ -113,6 +113,10 @@ pub(crate) fn sixtap_v_scalar(
     }
 }
 
+/// Tallest block [`sixtap_hv`] filters in one call: a macroblock plus the
+/// one extra row of the sub-pel refinement window (`crate::qpel`).
+pub(crate) const HV_MAX_ROWS: usize = 17;
+
 /// Two-dimensional 6-tap position (the H.264 "j" sample): horizontal
 /// filter at full intermediate precision, then vertical with `>> 10`
 /// rounding. `src[0]` is 2 samples left and 2 rows above the block
@@ -125,10 +129,13 @@ pub(crate) fn sixtap_hv(
     w: usize,
     h: usize,
 ) {
-    assert!(w <= 16 && h <= 16, "6-tap 2-D blocks are at most 16x16");
+    assert!(
+        w <= 16 && h <= HV_MAX_ROWS,
+        "6-tap 2-D blocks are at most 16x17"
+    );
     let tmp_w = w;
     let tmp_h = h + 5;
-    let mut tmp = [0i32; 16 * 21];
+    let mut tmp = [0i32; 16 * (HV_MAX_ROWS + 5)];
     for ty in 0..tmp_h {
         for x in 0..w {
             let i = ty * src_stride + x;

@@ -45,6 +45,7 @@ mod sse2;
 
 pub use dct4::{chroma_dc_hadamard_2x2, chroma_dc_ihadamard_2x2};
 pub use dispatch::{Dsp, SadFn, SatdFn, ScaleHFn, ScaleVFn, SimdLevel, SsdFn};
+pub use qpel::SubpelWindow;
 pub use quant::{QuantMatrix, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA, QUANT_FLAT_16};
 pub use scale::{ScaleFilter, Scaler, SCALE_FILTER_BITS, SCALE_TAPS};
 

@@ -11,6 +11,7 @@
 
 #![allow(unsafe_code)]
 
+use crate::interp::HV_MAX_ROWS;
 use crate::quant::QuantMatrix;
 use crate::Block8;
 use std::arch::x86_64::*;
@@ -935,8 +936,8 @@ const fn pack_taps(even: i16, odd: i16) -> i32 {
 /// i16×i16→i32 multiply-adds with tap pairs (1,-5), (20,20), (-5,1).
 ///
 /// # Safety
-/// Requires SSE2; `w % 8 == 0`, `w ≤ 16`, `h ≤ 16`; `src` must cover
-/// `h + 5` rows of `w + 5` samples.
+/// Requires SSE2; `w % 8 == 0`, `w ≤ 16`, `h ≤ HV_MAX_ROWS`; `src` must
+/// cover `h + 5` rows of `w + 5` samples.
 #[target_feature(enable = "sse2")]
 pub(crate) unsafe fn sixtap_hv_sse2(
     dst: &mut [u8],
@@ -946,10 +947,10 @@ pub(crate) unsafe fn sixtap_hv_sse2(
     w: usize,
     h: usize,
 ) {
-    debug_assert!(w.is_multiple_of(8) && w <= 16 && h <= 16);
+    debug_assert!(w.is_multiple_of(8) && w <= 16 && h <= HV_MAX_ROWS);
     debug_assert!(h == 0 || dst.len() >= (h - 1) * dst_stride + w);
     debug_assert!(src.len() >= (h + 4) * src_stride + w + 5);
-    let mut tmp = [0i16; 16 * 21];
+    let mut tmp = [0i16; 16 * (HV_MAX_ROWS + 5)];
     let tmp_h = h + 5;
     for ty in 0..tmp_h {
         let mut x = 0;
@@ -1139,7 +1140,7 @@ fn sixtap_hv_entry(
     w: usize,
     h: usize,
 ) {
-    if w.is_multiple_of(8) && w <= 16 && h <= 16 {
+    if w.is_multiple_of(8) && w <= 16 && h <= HV_MAX_ROWS {
         unsafe { sixtap_hv_sse2(dst, dst_stride, src, src_stride, w, h) }
     } else {
         crate::interp::sixtap_hv(dst, dst_stride, src, src_stride, w, h)

@@ -11,11 +11,11 @@ use crate::resid::{
 use crate::tables::lambda;
 use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
 use hdvb_bits::BitWriter;
-use hdvb_dsp::Dsp;
-use hdvb_frame::{align_up, BufferPool, Frame, FramePool};
+use hdvb_dsp::{Block4, Dsp, SubpelWindow};
+use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane};
 use hdvb_me::{
-    hexagon_search, median3, mv_bits, subpel_refine, BlockRef, Mv, MvField, SearchParams,
-    SubpelStep,
+    bipred_luma, hexagon_search, median3, mv_bits, refine_qpel, BlockRef, Mv, MvField,
+    SearchParams, SubpelTarget,
 };
 use hdvb_par::CancelToken;
 use std::collections::VecDeque;
@@ -355,7 +355,7 @@ impl H264Encoder {
         for mby in 0..self.mbs_y {
             for mbx in 0..self.mbs_x {
                 let (c16, mode16) = self.intra16_cost(cur, recon, mbx, mby);
-                let c4 = self.intra4_cost_estimate(cur, ctx, mbx, mby);
+                let c4 = self.intra4_cost_estimate(cur, mbx, mby, c16);
                 if c4 < c16 {
                     w.put_ue(0);
                     self.code_intra4x4_mb(w, cur, recon, ctx, mbx, mby);
@@ -393,10 +393,18 @@ impl H264Encoder {
 
     /// Quick SATD estimate for intra 4×4 (source-neighbour prediction;
     /// the actual coding pass uses reconstruction-based prediction).
-    fn intra4_cost_estimate(&self, cur: &Frame, ctx: &PicCtx, mbx: usize, mby: usize) -> u32 {
+    ///
+    /// The estimate is only ever compared, so the caller passes the
+    /// `limit` it would have to stay under to matter and the sum stops as
+    /// soon as it reaches it: the running total only grows, so any
+    /// comparison against a value ≥ `limit` reads the same either way.
+    fn intra4_cost_estimate(&self, cur: &Frame, mbx: usize, mby: usize, limit: u32) -> u32 {
         let _z = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
         let mut total = self.lambda * 8;
         for k in 0..16 {
+            if total >= limit {
+                break;
+            }
             let bx = mbx * 16 + (k % 4) * 4;
             let by = mby * 16 + (k / 4) * 4;
             let src = &cur.y().data()[by * self.aw + bx..];
@@ -408,7 +416,6 @@ impl H264Encoder {
                 best = best.min(satd + self.lambda * 2);
             }
             total = total.saturating_add(best);
-            let _ = ctx;
         }
         total
     }
@@ -586,50 +593,33 @@ impl H264Encoder {
 
     // ------------------------------------------------------------ inter --
 
-    /// SATD-based quarter-pel refinement for one luma block.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_qpel_satd(
+    /// SATD-based quarter-pel refinement of `block` around `fullpel` on
+    /// reference plane `refp`; `win` is filled there and left holding the
+    /// candidates' predictions.
+    fn refine_satd(
         &self,
-        cur: &Frame,
-        r: &RefPicture,
-        bx: usize,
-        by: usize,
-        bw: usize,
-        bh: usize,
+        win: &mut SubpelWindow,
+        refp: &PaddedPlane,
+        block: BlockRef<'_>,
         fullpel: Mv,
         pred_qpel: Mv,
     ) -> (Mv, u32) {
-        let mut tmp = [0u8; 256];
-        let src = &cur.y().data()[by * self.aw + bx..];
-        let _z = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
-        let mut cost_at = |qmv: Mv| -> u32 {
-            let ix = bx as isize + isize::from(qmv.x >> 2) - 2;
-            let iy = by as isize + isize::from(qmv.y >> 2) - 2;
-            self.dsp.qpel_luma(
-                &mut tmp,
-                bw,
-                r.y.row_from(ix, iy),
-                r.y.stride(),
-                (qmv.x & 3) as u8,
-                (qmv.y & 3) as u8,
-                bw,
-                bh,
-            );
-            self.dsp.satd(src, self.aw, &tmp, bw, bw, bh) + self.lambda * mv_bits(qmv, pred_qpel)
+        let (x, y) = block.displaced(fullpel);
+        win.fill_sixtap(&self.dsp, refp, x, y, block.w, block.h);
+        let target = SubpelTarget {
+            cost: self.dsp.satd_fn(),
+            block,
+            lambda: self.lambda,
+            pred: pred_qpel,
         };
-        let center_h = fullpel.scaled(2);
-        let initial = cost_at(center_h.scaled(2));
-        let (best_h, cost_h) = subpel_refine(center_h, initial, SubpelStep::Half, |hmv| {
-            cost_at(hmv.scaled(2))
-        });
-        let center_q = best_h.scaled(2);
-        subpel_refine(center_q, cost_h, SubpelStep::Quarter, cost_at)
+        refine_qpel(&self.dsp, win, &target, fullpel)
     }
 
     fn encode_p(&self, w: &mut BitWriter, cur: &Frame, recon: &mut Frame, ctx: &mut PicCtx) {
         let nrefs = usize::from(self.config.num_refs)
             .min(self.refs.len())
             .max(1);
+        let mut win = SubpelWindow::new();
         for mby in 0..self.mbs_y {
             for mbx in 0..self.mbs_x {
                 // One motion-estimation zone spans the 16x16 reference
@@ -655,8 +645,7 @@ impl H264Encoder {
                         Mv::new(median.x >> 2, median.y >> 2),
                         &params,
                     );
-                    let (qmv, qcost) =
-                        self.refine_qpel_satd(cur, r, mbx * 16, mby * 16, 16, 16, fp.mv, median);
+                    let (qmv, qcost) = self.refine_satd(&mut win, &r.y, block16, fp.mv, median);
                     let ref_bits = 2 * (32 - (ri as u32 + 1).leading_zeros()) - 1;
                     let total = qcost + self.lambda * ref_bits;
                     if best16.is_none_or(|(_, _, c)| total < c) {
@@ -671,60 +660,12 @@ impl H264Encoder {
                 // Skip test: 16x16, reference 0, motion equal to the
                 // median predictor, empty residual.
                 if ref_idx == 0 && mv16 == median {
-                    let (py, pcb, pcr) =
+                    let pred =
                         self.build_inter_pred(rp, mbx, mby, Partitioning::P16x16, &[mv16; 4]);
-                    let (lb, lf) =
-                        transform_luma_mb(&self.dsp, self.config.qp, false, cur.y(), mbx, mby, &py);
-                    let (cbb, cbf) = transform_chroma_plane(
-                        &self.dsp,
-                        self.config.qp,
-                        false,
-                        cur.cb(),
-                        mbx,
-                        mby,
-                        &pcb,
-                    );
-                    let (crb, crf) = transform_chroma_plane(
-                        &self.dsp,
-                        self.config.qp,
-                        false,
-                        cur.cr(),
-                        mbx,
-                        mby,
-                        &pcr,
-                    );
-                    if lf == 0 && cbf == 0 && crf == 0 {
+                    let res = self.transform_inter_mb(cur, mbx, mby, &pred);
+                    if res.is_empty() {
                         w.put_bit(true);
-                        recon_luma_mb(
-                            &self.dsp,
-                            self.config.qp,
-                            recon.y_mut(),
-                            mbx,
-                            mby,
-                            &py,
-                            &lb,
-                            0,
-                        );
-                        recon_chroma_plane(
-                            &self.dsp,
-                            self.config.qp,
-                            recon.cb_mut(),
-                            mbx,
-                            mby,
-                            &pcb,
-                            &cbb,
-                            0,
-                        );
-                        recon_chroma_plane(
-                            &self.dsp,
-                            self.config.qp,
-                            recon.cr_mut(),
-                            mbx,
-                            mby,
-                            &pcr,
-                            &crb,
-                            0,
-                        );
+                        self.recon_inter_mb(recon, mbx, mby, &pred, &res);
                         ctx.qfield.set(mbx, mby, median);
                         ctx.clear_mb_modes(mbx, mby);
                         continue;
@@ -755,16 +696,7 @@ impl H264Encoder {
                             Mv::new(mv16.x >> 2, mv16.y >> 2),
                             &params,
                         );
-                        let (qmv, qcost) = self.refine_qpel_satd(
-                            cur,
-                            rp,
-                            mbx * 16 + ox,
-                            mby * 16 + oy,
-                            pw,
-                            ph,
-                            fp.mv,
-                            pred_mv,
-                        );
+                        let (qmv, qcost) = self.refine_satd(&mut win, &rp.y, sub, fp.mv, pred_mv);
                         mvs[pi] = qmv;
                         total = total.saturating_add(qcost);
                     }
@@ -776,7 +708,9 @@ impl H264Encoder {
 
                 // Intra alternatives.
                 let (c16, mode16) = self.intra16_cost(cur, recon, mbx, mby);
-                let c4 = self.intra4_cost_estimate(cur, ctx, mbx, mby);
+                // c4 matters only while `c4 < inter_cost && c4 <= c16`.
+                let c4_limit = inter_cost.min(c16.saturating_add(1));
+                let c4 = self.intra4_cost_estimate(cur, mbx, mby, c4_limit);
                 drop(me_zone);
                 w.put_bit(false); // not skipped
                 if c4 < inter_cost && c4 <= c16 {
@@ -806,65 +740,43 @@ impl H264Encoder {
                         pred_mv = mvs[pi];
                     }
                 }
-                let (py, pcb, pcr) = self.build_inter_pred(rp, mbx, mby, part, &mvs);
-                let (lb, lf) =
-                    transform_luma_mb(&self.dsp, self.config.qp, false, cur.y(), mbx, mby, &py);
-                let (cbb, cbf) = transform_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    false,
-                    cur.cb(),
-                    mbx,
-                    mby,
-                    &pcb,
-                );
-                let (crb, crf) = transform_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    false,
-                    cur.cr(),
-                    mbx,
-                    mby,
-                    &pcr,
-                );
-                write_luma_residual(w, &lb, lf);
-                write_chroma_residual(w, &cbb, cbf);
-                write_chroma_residual(w, &crb, crf);
-                recon_luma_mb(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.y_mut(),
-                    mbx,
-                    mby,
-                    &py,
-                    &lb,
-                    lf,
-                );
-                recon_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.cb_mut(),
-                    mbx,
-                    mby,
-                    &pcb,
-                    &cbb,
-                    cbf,
-                );
-                recon_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.cr_mut(),
-                    mbx,
-                    mby,
-                    &pcr,
-                    &crb,
-                    crf,
-                );
+                let pred = self.build_inter_pred(rp, mbx, mby, part, &mvs);
+                let res = self.transform_inter_mb(cur, mbx, mby, &pred);
+                write_inter_residual(w, &res);
+                self.recon_inter_mb(recon, mbx, mby, &pred, &res);
                 ctx.qfield.set(mbx, mby, mvs[0]);
                 ctx.clear_mb_modes(mbx, mby);
             }
             w.byte_align();
         }
+    }
+
+    /// Transforms and quantises the residual of one inter macroblock
+    /// against `pred`.
+    fn transform_inter_mb(&self, cur: &Frame, mbx: usize, mby: usize, pred: &MbPred) -> MbResidual {
+        let (dsp, qp) = (&self.dsp, self.config.qp);
+        MbResidual {
+            luma: transform_luma_mb(dsp, qp, false, cur.y(), mbx, mby, &pred.0),
+            cb: transform_chroma_plane(dsp, qp, false, cur.cb(), mbx, mby, &pred.1),
+            cr: transform_chroma_plane(dsp, qp, false, cur.cr(), mbx, mby, &pred.2),
+        }
+    }
+
+    /// Reconstructs one inter macroblock as `pred + res` (the prediction
+    /// alone when `res` is empty, i.e. for skipped macroblocks).
+    fn recon_inter_mb(
+        &self,
+        recon: &mut Frame,
+        mbx: usize,
+        mby: usize,
+        pred: &MbPred,
+        res: &MbResidual,
+    ) {
+        let (dsp, qp) = (&self.dsp, self.config.qp);
+        let MbResidual { luma, cb, cr } = res;
+        recon_luma_mb(dsp, qp, recon.y_mut(), mbx, mby, &pred.0, &luma.0, luma.1);
+        recon_chroma_plane(dsp, qp, recon.cb_mut(), mbx, mby, &pred.1, &cb.0, cb.1);
+        recon_chroma_plane(dsp, qp, recon.cr_mut(), mbx, mby, &pred.2, &cr.0, cr.1);
     }
 
     /// Builds the full inter prediction buffers for a partitioned MB.
@@ -875,7 +787,7 @@ impl H264Encoder {
         mby: usize,
         part: Partitioning,
         mvs: &[Mv; 4],
-    ) -> ([u8; 256], [u8; 64], [u8; 64]) {
+    ) -> MbPred {
         let (mut py, mut pcb, mut pcr) = ([0u8; 256], [0u8; 64], [0u8; 64]);
         let _z = hdvb_trace::zone!(hdvb_trace::Stage::MotionComp);
         for (pi, &(ox, oy, pw, ph)) in part.rects().iter().enumerate() {
@@ -902,6 +814,7 @@ impl H264Encoder {
         // refs[1] = past anchor (forward).
         let bwd = &self.refs[0];
         let fwd = &self.refs[1];
+        let (mut win_f, mut win_b) = (SubpelWindow::new(), SubpelWindow::new());
         for mby in 0..self.mbs_y {
             let mut row = BState::new();
             for mbx in 0..self.mbs_x {
@@ -934,30 +847,22 @@ impl H264Encoder {
                     &pb,
                 );
                 let (mv_f, cost_f) =
-                    self.refine_qpel_satd(cur, fwd, mbx * 16, mby * 16, 16, 16, f.mv, row.mv_pred);
-                let (mv_b, cost_b) = self.refine_qpel_satd(
-                    cur,
-                    bwd,
-                    mbx * 16,
-                    mby * 16,
-                    16,
-                    16,
-                    b.mv,
-                    row.mv_pred_bwd,
-                );
+                    self.refine_satd(&mut win_f, &fwd.y, block16, f.mv, row.mv_pred);
+                let (mv_b, cost_b) =
+                    self.refine_satd(&mut win_b, &bwd.y, block16, b.mv, row.mv_pred_bwd);
 
-                let (fy, _, _) =
-                    self.build_inter_pred(fwd, mbx, mby, Partitioning::P16x16, &[mv_f; 4]);
-                let (by_, _, _) =
-                    self.build_inter_pred(bwd, mbx, mby, Partitioning::P16x16, &[mv_b; 4]);
-                let mut bi = [0u8; 256];
-                self.dsp.avg_block(&mut bi, 16, &fy, 16, &by_, 16, 16, 16);
+                // Bi-prediction trial: both winners' luma predictions are
+                // candidates of the windows just refined over.
+                let bi = bipred_luma(
+                    &self.dsp,
+                    (&win_f, mv_f - f.mv.scaled(4)),
+                    (&win_b, mv_b - b.mv.scaled(4)),
+                );
                 let src = &cur.y().data()[mby * 16 * self.aw + mbx * 16..];
                 let bi_cost = self.dsp.satd(src, self.aw, &bi, 16, 16, 16)
                     + self.lambda * (mv_bits(mv_f, row.mv_pred) + mv_bits(mv_b, row.mv_pred_bwd));
 
                 let (c16, mode16) = self.intra16_cost(cur, recon, mbx, mby);
-                let c4 = self.intra4_cost_estimate(cur, ctx, mbx, mby);
                 let (mode, best_cost) = [cost_f, cost_b, bi_cost]
                     .iter()
                     .copied()
@@ -965,6 +870,8 @@ impl H264Encoder {
                     .min_by_key(|&(_, c)| c)
                     .map(|(i, c)| (i as u8, c))
                     .unwrap_or((0, u32::MAX));
+                // c4 matters only while it is below both of these.
+                let c4 = self.intra4_cost_estimate(cur, mbx, mby, best_cost.min(c16));
                 drop(me_zone);
 
                 if c4.min(c16) < best_cost {
@@ -980,63 +887,15 @@ impl H264Encoder {
                     continue;
                 }
 
-                let (py, pcb, pcr) = self.build_b_pred(fwd, bwd, mbx, mby, mode, mv_f, mv_b);
-                let (lb, lf) =
-                    transform_luma_mb(&self.dsp, self.config.qp, false, cur.y(), mbx, mby, &py);
-                let (cbb, cbf) = transform_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    false,
-                    cur.cb(),
-                    mbx,
-                    mby,
-                    &pcb,
-                );
-                let (crb, crf) = transform_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    false,
-                    cur.cr(),
-                    mbx,
-                    mby,
-                    &pcr,
-                );
+                let pred = self.build_b_pred(fwd, bwd, mbx, mby, mode, mv_f, mv_b);
+                let res = self.transform_inter_mb(cur, mbx, mby, &pred);
 
                 let same_as_last = (mode, mv_f, mv_b) == row.last_b
                     || (mode == 0 && row.last_b.0 == 0 && mv_f == row.last_b.1)
                     || (mode == 1 && row.last_b.0 == 1 && mv_b == row.last_b.2);
-                if lf == 0 && cbf == 0 && crf == 0 && same_as_last {
+                if res.is_empty() && same_as_last {
                     w.put_bit(true);
-                    recon_luma_mb(
-                        &self.dsp,
-                        self.config.qp,
-                        recon.y_mut(),
-                        mbx,
-                        mby,
-                        &py,
-                        &lb,
-                        0,
-                    );
-                    recon_chroma_plane(
-                        &self.dsp,
-                        self.config.qp,
-                        recon.cb_mut(),
-                        mbx,
-                        mby,
-                        &pcb,
-                        &cbb,
-                        0,
-                    );
-                    recon_chroma_plane(
-                        &self.dsp,
-                        self.config.qp,
-                        recon.cr_mut(),
-                        mbx,
-                        mby,
-                        &pcr,
-                        &crb,
-                        0,
-                    );
+                    self.recon_inter_mb(recon, mbx, mby, &pred, &res);
                     ctx.clear_mb_modes(mbx, mby);
                     continue;
                 }
@@ -1056,39 +915,8 @@ impl H264Encoder {
                     }
                     row.last_b = (mode, mv_f, mv_b);
                 }
-                write_luma_residual(w, &lb, lf);
-                write_chroma_residual(w, &cbb, cbf);
-                write_chroma_residual(w, &crb, crf);
-                recon_luma_mb(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.y_mut(),
-                    mbx,
-                    mby,
-                    &py,
-                    &lb,
-                    lf,
-                );
-                recon_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.cb_mut(),
-                    mbx,
-                    mby,
-                    &pcb,
-                    &cbb,
-                    cbf,
-                );
-                recon_chroma_plane(
-                    &self.dsp,
-                    self.config.qp,
-                    recon.cr_mut(),
-                    mbx,
-                    mby,
-                    &pcr,
-                    &crb,
-                    crf,
-                );
+                write_inter_residual(w, &res);
+                self.recon_inter_mb(recon, mbx, mby, &pred, &res);
                 ctx.clear_mb_modes(mbx, mby);
             }
             w.byte_align();
@@ -1106,7 +934,7 @@ impl H264Encoder {
         mode: u8,
         mv_f: Mv,
         mv_b: Mv,
-    ) -> ([u8; 256], [u8; 64], [u8; 64]) {
+    ) -> MbPred {
         let _z = hdvb_trace::zone!(hdvb_trace::Stage::MotionComp);
         match mode {
             0 => self.build_inter_pred(fwd, mbx, mby, Partitioning::P16x16, &[mv_f; 4]),
@@ -1124,6 +952,31 @@ impl H264Encoder {
             }
         }
     }
+}
+
+/// One macroblock's prediction: luma, Cb, Cr.
+pub(crate) type MbPred = ([u8; 256], [u8; 64], [u8; 64]);
+
+/// One inter macroblock's quantised residual: per plane, the 4×4 blocks
+/// and their coded-block flags.
+struct MbResidual {
+    luma: ([Block4; 16], u16),
+    cb: ([Block4; 4], u8),
+    cr: ([Block4; 4], u8),
+}
+
+impl MbResidual {
+    /// No coded block in any plane.
+    fn is_empty(&self) -> bool {
+        self.luma.1 == 0 && self.cb.1 == 0 && self.cr.1 == 0
+    }
+}
+
+/// Writes one inter macroblock's residual.
+fn write_inter_residual(w: &mut BitWriter, res: &MbResidual) {
+    write_luma_residual(w, &res.luma.0, res.luma.1);
+    write_chroma_residual(w, &res.cb.0, res.cb.1);
+    write_chroma_residual(w, &res.cr.0, res.cr.1);
 }
 
 /// Writes a 4×4 intra mode with most-probable-mode prediction.

@@ -5,9 +5,9 @@
 //! for the MPEG-2 and MPEG-4 encoders, and **hexagon search**
 //! (Zhu/Lin/Chau 2002, x264's `--me hex`) for the H.264 encoder. This
 //! crate implements both, plus exhaustive full search and diamond search
-//! as baselines for the motion-search ablation bench, and a generic
-//! sub-pel refinement loop the codecs specialise with their own
-//! interpolation filters.
+//! as baselines for the motion-search ablation bench, and the one
+//! sub-pel refinement (half-pel, then quarter-pel) all three encoders
+//! run over a half-pel window filled once per full-pel winner.
 //!
 //! # Example
 //!
@@ -38,4 +38,4 @@ pub use mv::{median3, mv_bits, Mv};
 pub use search::{
     diamond_search, full_search, hexagon_search, BlockRef, SearchParams, SearchResult,
 };
-pub use subpel::{subpel_refine, SubpelStep};
+pub use subpel::{bipred_luma, mb_prefers_intra, refine_hpel, refine_qpel, SubpelTarget};

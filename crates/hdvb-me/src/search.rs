@@ -17,6 +17,17 @@ pub struct BlockRef<'a> {
     pub h: usize,
 }
 
+impl BlockRef<'_> {
+    /// Picture coordinates of the block's top-left corner displaced by
+    /// the full-pel vector `mv` — where it reads a reference plane.
+    pub fn displaced(&self, mv: Mv) -> (isize, isize) {
+        (
+            self.x as isize + isize::from(mv.x),
+            self.y as isize + isize::from(mv.y),
+        )
+    }
+}
+
 /// Search configuration: maximum displacement and the Lagrange
 /// multiplier weighting motion-vector rate against distortion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +136,7 @@ impl<'a> Evaluator<'a> {
 
     pub(crate) fn sad(&mut self, mv: Mv) -> u32 {
         self.evaluations += 1;
-        let rx = self.block.x as isize + isize::from(mv.x);
-        let ry = self.block.y as isize + isize::from(mv.y);
+        let (rx, ry) = self.block.displaced(mv);
         let refrow = self.refp.row_from(rx, ry);
         (self.sad)(
             self.cur,
@@ -191,7 +201,9 @@ const LARGE_DIAMOND: [(i16, i16); 8] = [
 ];
 const SMALL_DIAMOND: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
 const HEXAGON: [(i16, i16); 6] = [(-2, 0), (-1, -2), (1, -2), (2, 0), (1, 2), (-1, 2)];
-const SQUARE8: [(i16, i16); 8] = [
+/// The eight neighbours of a point, row by row — also the scan order of
+/// sub-pel refinement, where it decides ties.
+pub(crate) const SQUARE8: [(i16, i16); 8] = [
     (-1, -1),
     (0, -1),
     (1, -1),

@@ -2,11 +2,11 @@ use crate::blocks::write_coeffs;
 use crate::gop::{GopScheduler, Scheduled};
 use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
 use hdvb_bits::BitWriter;
-use hdvb_dsp::{Block8, Dsp, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_dsp::{Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
 use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
 use hdvb_me::{
-    epzs_search, mv_bits, subpel_refine, BlockRef, EpzsThresholds, Mv, MvField, Predictors,
-    SearchParams, SubpelStep,
+    bipred_luma, epzs_search, mb_prefers_intra, mv_bits, refine_hpel, BlockRef, EpzsThresholds, Mv,
+    MvField, Predictors, SearchParams, SubpelTarget,
 };
 use hdvb_par::CancelToken;
 
@@ -458,7 +458,8 @@ impl Mpeg2Encoder {
             .last_anchor
             .as_ref()
             .expect("P picture requires a previous anchor");
-        let lambda = u32::from(self.config.qscale).max(1);
+        let lambda = self.lambda();
+        let mut win = SubpelWindow::new();
         for mby in 0..self.mbs_y {
             let mut row = RowState::new();
             for mbx in 0..self.mbs_x {
@@ -486,22 +487,15 @@ impl Mpeg2Encoder {
                         .with_pred(Mv::new(row.mv_pred.x >> 1, row.mv_pred.y >> 1)),
                 );
                 // Half-pel refinement against the coding predictor.
-                let hpel_pred = row.mv_pred;
-                let mut luma_pred = [0u8; 256];
-                let mut cost_at = |mv: Mv| {
-                    self.mb_luma_pred_sad(cur, reference, mbx, mby, mv, &mut luma_pred)
-                        + lambda * mv_bits(mv, hpel_pred)
-                };
-                let center = fullpel.mv.scaled(2);
                 let (mv, inter_cost) =
-                    subpel_refine(center, cost_at(center), SubpelStep::Half, &mut cost_at);
+                    self.refine(&mut win, reference, block, fullpel.mv, row.mv_pred);
                 mvs.set(mbx, mby, Mv::new(mv.x >> 1, mv.y >> 1));
 
                 // Intra/inter decision: mean-removed SAD as intra
                 // activity, biased toward inter.
-                let intra_cost = self.mb_intra_activity(cur, mbx, mby);
+                let intra = mb_prefers_intra(&self.dsp, block, inter_cost);
                 drop(me_zone);
-                if intra_cost + 2048 < inter_cost {
+                if intra {
                     w.put_bit(false); // not skipped
                     w.put_bit(true); // intra
                     self.code_intra_mb(w, cur, recon, mbx, mby, &mut row.dc_pred);
@@ -575,7 +569,8 @@ impl Mpeg2Encoder {
             .last_anchor
             .as_ref()
             .expect("B picture requires two anchors");
-        let lambda = u32::from(self.config.qscale).max(1);
+        let lambda = self.lambda();
+        let (mut win_f, mut win_b) = (SubpelWindow::new(), SubpelWindow::new());
         for mby in 0..self.mbs_y {
             let mut row = RowState::new();
             for mbx in 0..self.mbs_x {
@@ -616,56 +611,23 @@ impl Mpeg2Encoder {
                 cur_mvs.set(mbx, mby, f.mv);
 
                 // Half-pel refinement per direction.
-                let mut tmp = [0u8; 256];
-                let fwd_pred_mv = row.mv_pred;
-                let mut cost_f = |mv: Mv| {
-                    self.mb_luma_pred_sad(cur, fwd, mbx, mby, mv, &mut tmp)
-                        + lambda * mv_bits(mv, fwd_pred_mv)
-                };
-                let fc = f.mv.scaled(2);
-                let (mv_f, cost_fh) = subpel_refine(fc, cost_f(fc), SubpelStep::Half, &mut cost_f);
-                let bwd_pred_mv = row.mv_pred_bwd;
-                let mut tmp2 = [0u8; 256];
-                let mut cost_b = |mv: Mv| {
-                    self.mb_luma_pred_sad(cur, bwd, mbx, mby, mv, &mut tmp2)
-                        + lambda * mv_bits(mv, bwd_pred_mv)
-                };
-                let bc = b.mv.scaled(2);
-                let (mv_b, cost_bh) = subpel_refine(bc, cost_b(bc), SubpelStep::Half, &mut cost_b);
+                let (fwd_pred_mv, bwd_pred_mv) = (row.mv_pred, row.mv_pred_bwd);
+                let (mv_f, cost_fh) = self.refine(&mut win_f, fwd, block, f.mv, fwd_pred_mv);
+                let (mv_b, cost_bh) = self.refine(&mut win_b, bwd, block, b.mv, bwd_pred_mv);
 
-                // Bi-prediction cost with both refined vectors.
-                let (mut fy_buf, mut by_buf) = ([0u8; 256], [0u8; 256]);
-                let mut pcb = [0u8; 64];
-                let mut pcr = [0u8; 64];
-                predict_mb(
+                // Bi-prediction cost with both refined vectors: their
+                // luma predictions are candidates of the two windows
+                // (offsets doubled: the windows count in quarter pels).
+                let bi_buf = bipred_luma(
                     &self.dsp,
-                    fwd,
-                    mbx,
-                    mby,
-                    mv_f,
-                    &mut fy_buf,
-                    &mut pcb,
-                    &mut pcr,
+                    (&win_f, (mv_f - f.mv.scaled(2)).scaled(2)),
+                    (&win_b, (mv_b - b.mv.scaled(2)).scaled(2)),
                 );
-                predict_mb(
-                    &self.dsp,
-                    bwd,
-                    mbx,
-                    mby,
-                    mv_b,
-                    &mut by_buf,
-                    &mut pcb,
-                    &mut pcr,
-                );
-                let mut bi_buf = [0u8; 256];
-                self.dsp
-                    .avg_block(&mut bi_buf, 16, &fy_buf, 16, &by_buf, 16, 16, 16);
                 let cur_y = &cur.y().data()[mby * 16 * self.aw + mbx * 16..];
                 let bi_sad = self.dsp.sad(cur_y, self.aw, &bi_buf, 16, 16, 16);
                 let bi_cost =
                     bi_sad + lambda * (mv_bits(mv_f, fwd_pred_mv) + mv_bits(mv_b, bwd_pred_mv));
 
-                let intra_cost = self.mb_intra_activity(cur, mbx, mby);
                 let best = [cost_fh, cost_bh, bi_cost]
                     .iter()
                     .copied()
@@ -673,8 +635,9 @@ impl Mpeg2Encoder {
                     .min_by_key(|&(_, c)| c)
                     .map(|(i, c)| (i as u8, c))
                     .unwrap_or((0, u32::MAX));
+                let intra = mb_prefers_intra(&self.dsp, block, best.1);
                 drop(me_zone);
-                if intra_cost + 2048 < best.1 {
+                if intra {
                     w.put_bit(false);
                     w.put_bits(3, 2); // intra mode
                     self.code_intra_mb(w, cur, recon, mbx, mby, &mut row.dc_pred);
@@ -748,51 +711,31 @@ impl Mpeg2Encoder {
         }
     }
 
-    /// SAD of the luma prediction at half-pel vector `mv` for macroblock
-    /// `(mbx, mby)`.
-    fn mb_luma_pred_sad(
-        &self,
-        cur: &Frame,
-        r: &RefPicture,
-        mbx: usize,
-        mby: usize,
-        mv: Mv,
-        tmp: &mut [u8; 256],
-    ) -> u32 {
-        let lx = (mbx * 16) as isize + isize::from(mv.x >> 1);
-        let ly = (mby * 16) as isize + isize::from(mv.y >> 1);
-        self.dsp.hpel_interp(
-            tmp,
-            16,
-            r.y.row_from(lx, ly),
-            r.y.stride(),
-            (mv.x & 1) as u8,
-            (mv.y & 1) as u8,
-            16,
-            16,
-        );
-        let cur_y = &cur.y().data()[mby * 16 * self.aw + mbx * 16..];
-        self.dsp.sad(cur_y, self.aw, tmp, 16, 16, 16)
+    /// λ of the motion cost `J = SAD + λ·R`: the quantiser scale.
+    fn lambda(&self) -> u32 {
+        u32::from(self.config.qscale).max(1)
     }
 
-    /// Mean-removed SAD of the luma macroblock — the intra-cost estimate.
-    fn mb_intra_activity(&self, cur: &Frame, mbx: usize, mby: usize) -> u32 {
-        let data = cur.y().data();
-        let base = mby * 16 * self.aw + mbx * 16;
-        let mut sum = 0u32;
-        for y in 0..16 {
-            for x in 0..16 {
-                sum += u32::from(data[base + y * self.aw + x]);
-            }
-        }
-        let mean = (sum / 256) as i32;
-        let mut act = 0u32;
-        for y in 0..16 {
-            for x in 0..16 {
-                act += (i32::from(data[base + y * self.aw + x]) - mean).unsigned_abs();
-            }
-        }
-        act
+    /// SAD-based half-pel refinement of macroblock `block` around
+    /// `fullpel` on `r`: fills `win` there (kept for the caller's
+    /// bi-prediction trial) and returns the best half-pel vector and cost.
+    fn refine(
+        &self,
+        win: &mut SubpelWindow,
+        r: &RefPicture,
+        block: BlockRef<'_>,
+        fullpel: Mv,
+        pred_hpel: Mv,
+    ) -> (Mv, u32) {
+        let (x, y) = block.displaced(fullpel);
+        win.fill_bilinear(&self.dsp, &r.y, x, y, 16, 16);
+        let target = SubpelTarget {
+            cost: self.dsp.sad_fn(),
+            block,
+            lambda: self.lambda(),
+            pred: pred_hpel,
+        };
+        refine_hpel(win, &target, fullpel)
     }
 
     /// Transforms and quantises the six residual blocks of one

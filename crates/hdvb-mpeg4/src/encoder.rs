@@ -2,11 +2,11 @@ use crate::blocks::write_coeffs;
 use crate::gop::{GopScheduler, Scheduled};
 use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
 use hdvb_bits::BitWriter;
-use hdvb_dsp::{Block8, Dsp, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_dsp::{Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
 use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
 use hdvb_me::{
-    diamond_search, epzs_search, median3, mv_bits, subpel_refine, BlockRef, EpzsThresholds, Mv,
-    MvField, Predictors, SearchParams, SubpelStep,
+    bipred_luma, diamond_search, epzs_search, mb_prefers_intra, median3, mv_bits, refine_qpel,
+    BlockRef, EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
 };
 use hdvb_par::CancelToken;
 
@@ -734,7 +734,8 @@ impl Mpeg4Encoder {
             .last_anchor
             .as_ref()
             .expect("P picture requires a previous anchor");
-        let lambda = u32::from(self.config.qscale).max(1);
+        let lambda = self.lambda();
+        let mut win = SubpelWindow::new();
         for mby in 0..self.mbs_y {
             for mbx in 0..self.mbs_x {
                 // One motion-estimation zone spans the full-pel search,
@@ -761,7 +762,7 @@ impl Mpeg4Encoder {
                 );
                 // Quarter-pel refinement (half-pel lattice, then quarter).
                 let (mv16, cost16) =
-                    self.refine_qpel(cur, reference, mbx, mby, 0, fullpel.mv, median, lambda);
+                    self.refine_sad(&mut win, &reference.y, block16, fullpel.mv, median);
                 mvs_full.set(mbx, mby, Mv::new(mv16.x >> 2, mv16.y >> 2));
 
                 // Four-MV candidate: refine each 8x8 around the 16x16
@@ -785,16 +786,8 @@ impl Mpeg4Encoder {
                         &SearchParams::new(self.config.search_range, lambda)
                             .with_pred(Mv::new(sub_pred.x >> 2, sub_pred.y >> 2)),
                     );
-                    let (smv, scost) = self.refine_qpel(
-                        cur,
-                        reference,
-                        mbx,
-                        mby,
-                        k + 1,
-                        sub_full.mv,
-                        sub_pred,
-                        lambda,
-                    );
+                    let (smv, scost) =
+                        self.refine_sad(&mut win, &reference.y, sub, sub_full.mv, sub_pred);
                     mv4[k] = smv;
                     cost4 += scost;
                 }
@@ -805,9 +798,9 @@ impl Mpeg4Encoder {
                     ([mv16; 4], cost16)
                 };
 
-                let intra_cost = self.mb_intra_activity(cur, mbx, mby);
+                let intra = mb_prefers_intra(&self.dsp, block16, inter_cost);
                 drop(me_zone);
-                if intra_cost + 2048 < inter_cost {
+                if intra {
                     w.put_bit(false);
                     w.put_bits(2, 2); // intra mode
                     self.code_intra_mb(w, cur, recon, mbx, mby, dc);
@@ -903,7 +896,8 @@ impl Mpeg4Encoder {
             .last_anchor
             .as_ref()
             .expect("B picture requires two anchors");
-        let lambda = u32::from(self.config.qscale).max(1);
+        let lambda = self.lambda();
+        let (mut win_f, mut win_b) = (SubpelWindow::new(), SubpelWindow::new());
         for mby in 0..self.mbs_y {
             let mut row = BRowState::new();
             for mbx in 0..self.mbs_x {
@@ -941,43 +935,22 @@ impl Mpeg4Encoder {
                 cur_full.set(mbx, mby, f.mv);
 
                 let (mv_f, cost_f) =
-                    self.refine_qpel(cur, fwd, mbx, mby, 0, f.mv, row.mv_pred, lambda);
+                    self.refine_sad(&mut win_f, &fwd.y, block16, f.mv, row.mv_pred);
                 let (mv_b, cost_b) =
-                    self.refine_qpel(cur, bwd, mbx, mby, 0, b.mv, row.mv_pred_bwd, lambda);
+                    self.refine_sad(&mut win_b, &bwd.y, block16, b.mv, row.mv_pred_bwd);
 
-                let (mut fy_buf, mut s1, mut s2) = ([0u8; 256], [0u8; 64], [0u8; 64]);
-                let mut by_buf = [0u8; 256];
-                predict_mb(
+                // Bi-prediction trial: both winners' luma predictions are
+                // candidates of the windows just refined over.
+                let bi_buf = bipred_luma(
                     &self.dsp,
-                    fwd,
-                    mbx,
-                    mby,
-                    &[mv_f; 4],
-                    false,
-                    &mut fy_buf,
-                    &mut s1,
-                    &mut s2,
+                    (&win_f, mv_f - f.mv.scaled(4)),
+                    (&win_b, mv_b - b.mv.scaled(4)),
                 );
-                predict_mb(
-                    &self.dsp,
-                    bwd,
-                    mbx,
-                    mby,
-                    &[mv_b; 4],
-                    false,
-                    &mut by_buf,
-                    &mut s1,
-                    &mut s2,
-                );
-                let mut bi_buf = [0u8; 256];
-                self.dsp
-                    .avg_block(&mut bi_buf, 16, &fy_buf, 16, &by_buf, 16, 16, 16);
                 let cur_y = &cur.y().data()[mby * 16 * self.aw + mbx * 16..];
                 let bi_sad = self.dsp.sad(cur_y, self.aw, &bi_buf, 16, 16, 16);
                 let bi_cost =
                     bi_sad + lambda * (mv_bits(mv_f, row.mv_pred) + mv_bits(mv_b, row.mv_pred_bwd));
 
-                let intra_cost = self.mb_intra_activity(cur, mbx, mby);
                 let (mode, best_cost) = [cost_f, cost_b, bi_cost]
                     .iter()
                     .copied()
@@ -985,8 +958,9 @@ impl Mpeg4Encoder {
                     .min_by_key(|&(_, c)| c)
                     .map(|(i, c)| (i as u8, c))
                     .unwrap_or((0, u32::MAX));
+                let intra = mb_prefers_intra(&self.dsp, block16, best_cost);
                 drop(me_zone);
-                if intra_cost + 2048 < best_cost {
+                if intra {
                     w.put_bit(false);
                     w.put_bits(3, 2);
                     self.code_intra_mb(w, cur, recon, mbx, mby, dc);
@@ -1061,74 +1035,32 @@ impl Mpeg4Encoder {
         }
     }
 
-    /// Two-stage sub-pel refinement: half-pel lattice then quarter-pel,
-    /// for luma block `sub` (0 = whole 16×16, 1..=4 = 8×8 sub-block).
-    /// Vectors are quarter-pel; returns (mv, cost).
-    #[allow(clippy::too_many_arguments)]
-    fn refine_qpel(
-        &self,
-        cur: &Frame,
-        r: &RefPicture,
-        mbx: usize,
-        mby: usize,
-        sub: usize,
-        fullpel: Mv,
-        pred_qpel: Mv,
-        lambda: u32,
-    ) -> (Mv, u32) {
-        let _z = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
-        let (bx, by, bw, bh) = if sub == 0 {
-            (mbx * 16, mby * 16, 16, 16)
-        } else {
-            let k = sub - 1;
-            (mbx * 16 + (k % 2) * 8, mby * 16 + (k / 2) * 8, 8, 8)
-        };
-        let mut tmp = [0u8; 256];
-        let cur_y = &cur.y().data()[by * self.aw + bx..];
-        let mut cost_at = |qmv: Mv| -> u32 {
-            let ix = bx as isize + isize::from(qmv.x >> 2) - 2;
-            let iy = by as isize + isize::from(qmv.y >> 2) - 2;
-            self.dsp.qpel_luma(
-                &mut tmp,
-                bw,
-                r.y.row_from(ix, iy),
-                r.y.stride(),
-                (qmv.x & 3) as u8,
-                (qmv.y & 3) as u8,
-                bw,
-                bh,
-            );
-            self.dsp.sad(cur_y, self.aw, &tmp, bw, bw, bh) + lambda * mv_bits(qmv, pred_qpel)
-        };
-        // Half-pel stage on the half-pel lattice (even quarter values).
-        let center_h = fullpel.scaled(2);
-        let initial = cost_at(center_h.scaled(2));
-        let (best_h, cost_h) = subpel_refine(center_h, initial, SubpelStep::Half, |hmv| {
-            cost_at(hmv.scaled(2))
-        });
-        // Quarter-pel stage.
-        let center_q = best_h.scaled(2);
-        subpel_refine(center_q, cost_h, SubpelStep::Quarter, cost_at)
+    /// λ of the motion cost `J = SAD + λ·R`: the quantiser scale.
+    fn lambda(&self) -> u32 {
+        u32::from(self.config.qscale).max(1)
     }
 
-    /// Mean-removed SAD of the luma macroblock (intra cost estimate).
-    fn mb_intra_activity(&self, cur: &Frame, mbx: usize, mby: usize) -> u32 {
-        let data = cur.y().data();
-        let base = mby * 16 * self.aw + mbx * 16;
-        let mut sum = 0u32;
-        for y in 0..16 {
-            for x in 0..16 {
-                sum += u32::from(data[base + y * self.aw + x]);
-            }
-        }
-        let mean = (sum / 256) as i32;
-        let mut act = 0u32;
-        for y in 0..16 {
-            for x in 0..16 {
-                act += (i32::from(data[base + y * self.aw + x]) - mean).unsigned_abs();
-            }
-        }
-        act
+    /// SAD-based quarter-pel refinement (half-pel lattice, then quarter)
+    /// of `block` around `fullpel` on reference plane `refp`; `win` is
+    /// filled there and left holding the candidates' predictions.
+    /// Vectors are quarter-pel; returns (mv, cost).
+    fn refine_sad(
+        &self,
+        win: &mut SubpelWindow,
+        refp: &PaddedPlane,
+        block: BlockRef<'_>,
+        fullpel: Mv,
+        pred_qpel: Mv,
+    ) -> (Mv, u32) {
+        let (x, y) = block.displaced(fullpel);
+        win.fill_sixtap(&self.dsp, refp, x, y, block.w, block.h);
+        let target = SubpelTarget {
+            cost: self.dsp.sad_fn(),
+            block,
+            lambda: self.lambda(),
+            pred: pred_qpel,
+        };
+        refine_qpel(&self.dsp, win, &target, fullpel)
     }
 
     /// Transforms and quantises the six residual blocks; returns blocks

@@ -209,3 +209,83 @@ proptest! {
         }
     }
 }
+
+// --- Sub-pel refinement window -------------------------------------------
+//
+// The encoders refine over `SubpelWindow` predictions and compensate
+// with `qpel_luma` / `hpel_interp`; the two must agree byte for byte at
+// every tier, and the window's read extent must stay inside the padded
+// reference for every vector a motion search can return. The fills
+// check that extent with a `debug_assert!`, which this (debug-built)
+// suite executes at the extreme vectors below.
+
+use hd_videobench::dsp::SubpelWindow;
+use hd_videobench::frame::{PaddedPlane, Plane};
+
+/// Displaced origins of a `bw`×`bh` block in each corner of a `w`×`h`
+/// picture, pushed outwards by `reach` full pels on both axes.
+fn corner_origins(w: usize, h: usize, bw: usize, bh: usize, reach: isize) -> [(isize, isize); 4] {
+    let (right, bottom) = ((w - bw) as isize + reach, (h - bh) as isize + reach);
+    [
+        (-reach, -reach),
+        (right, -reach),
+        (-reach, bottom),
+        (right, bottom),
+    ]
+}
+
+#[test]
+fn subpel_window_matches_motion_compensation_at_the_search_limits() {
+    // The H.264-class geometry: 40 samples of padding, search range 24,
+    // and the motion searches' clamp 8 samples inside the padding.
+    const PAD: usize = 40;
+    let (w, h) = (48, 64);
+    let plane = Plane::from_vec(w, h, hashed_plane(w, h, 0x51AB));
+    let refp = PaddedPlane::from_plane(&plane, PAD);
+    for level in SimdLevel::supported_tiers() {
+        let dsp = Dsp::new(level);
+        let mut win = SubpelWindow::new();
+        for (bw, bh) in [(16, 16), (16, 8), (8, 16), (8, 8)] {
+            for reach in [24, PAD as isize - 8] {
+                for (x, y) in corner_origins(w, h, bw, bh, reach) {
+                    let what = format!("{} {bw}x{bh} at ({x},{y})", level.tier_name());
+                    win.fill_sixtap(&dsp, &refp, x, y, bw, bh);
+                    for (qx, qy) in (-3..=3).flat_map(|qy| (-3..=3).map(move |qx| (qx, qy))) {
+                        let mut want = [0u8; 256];
+                        let src =
+                            refp.row_from(x + (qx >> 2) as isize - 2, y + (qy >> 2) as isize - 2);
+                        let (fx, fy) = ((qx & 3) as u8, (qy & 3) as u8);
+                        dsp.qpel_luma(&mut want, bw, src, refp.stride(), fx, fy, bw, bh);
+                        let mut scratch = [0u8; 256];
+                        let (got, stride) = win.quarter(&dsp, qx, qy, &mut scratch);
+                        for r in 0..bh {
+                            assert_eq!(
+                                &got[r * stride..r * stride + bw],
+                                &want[r * bw..(r + 1) * bw],
+                                "{what}, offset ({qx},{qy}), row {r}"
+                            );
+                        }
+                    }
+                    if (bw, bh) != (16, 16) {
+                        continue;
+                    }
+                    win.fill_bilinear(&dsp, &refp, x, y, 16, 16);
+                    for (hx, hy) in (-1..=1).flat_map(|hy| (-1..=1).map(move |hx| (hx, hy))) {
+                        let mut want = [0u8; 256];
+                        let src = refp.row_from(x + (hx >> 1) as isize, y + (hy >> 1) as isize);
+                        let (fx, fy) = ((hx & 1) as u8, (hy & 1) as u8);
+                        dsp.hpel_interp(&mut want, 16, src, refp.stride(), fx, fy, 16, 16);
+                        let got = win.half(hx, hy);
+                        for r in 0..16 {
+                            assert_eq!(
+                                &got[r * SubpelWindow::STRIDE..r * SubpelWindow::STRIDE + 16],
+                                &want[r * 16..(r + 1) * 16],
+                                "{what}, bilinear ({hx},{hy}), row {r}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
