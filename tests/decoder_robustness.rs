@@ -7,6 +7,9 @@
 //! * nothing ever panics (`catch_unwind` guards every decode),
 //! * vectors tagged `corrupt--` are rejected with a typed
 //!   `BenchError::Corrupt { .. }`,
+//! * the first failing packet of every `corrupt--` vector fails with the
+//!   pinned `(CorruptKind, bit offset)`, so a parser refactor that
+//!   reorders header reads or checks cannot pass silently,
 //! * vectors tagged `container--` never reach a codec at all,
 //! * all execution configurations agree on the exact outcome.
 //!
@@ -15,9 +18,10 @@
 //! checked-in bytes still match the generator, so the vectors cannot
 //! silently drift from the code that documents them.
 
-use hd_videobench::bench::{create_decoder, read_stream, BenchError};
+use hd_videobench::bench::{create_decoder, read_stream, BenchError, CodecId};
+use hd_videobench::bits::BitWriter;
 use hd_videobench::dsp::SimdLevel;
-use hd_videobench::fuzz::{differential_check, golden_vectors, Expectation};
+use hd_videobench::fuzz::{differential_check, golden_vectors, seed_stream, Expectation};
 use hd_videobench::par::ThreadPool;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -94,6 +98,99 @@ fn corrupt_vectors_fail_with_typed_errors() {
                 assert!(saw_corrupt, "{name}: no packet raised Corrupt");
             }
             Expectation::NoPanic => {} // covered by the panic sweep above
+        }
+    }
+}
+
+/// `(vector suffix, CorruptKind::name(), bit offset)` of the first failing
+/// packet, identical for the three codecs because they share the picture
+/// header prefix. The crafted `*-dims` vectors end right after the
+/// dimension fields, so they fail as `truncated` on the codec-specific
+/// field that follows: the dimension check runs only once the whole
+/// header has been read. Hoisting it would turn these rows into
+/// `bad-dimensions` at an earlier offset.
+const PINNED_ERRORS: [(&str, &str, u64); 10] = [
+    ("bad-frame-type", "bad-header-field", 18),
+    ("bad-magic", "bad-magic", 16),
+    ("odd-dims", "truncated", 72),
+    ("oversized-dims", "truncated", 120),
+    ("trunc-0", "truncated", 0),
+    ("trunc-1", "truncated", 8),
+    ("trunc-2", "truncated", 16),
+    ("trunc-4", "truncated", 32),
+    ("trunc-6", "truncated", 48),
+    ("zero-dims", "truncated", 56),
+];
+
+#[test]
+fn corrupt_vectors_fail_at_the_pinned_kind_and_offset() {
+    let vectors = load_vectors();
+    let mut checked = 0;
+    for codec in CodecId::ALL {
+        for (suffix, kind, offset) in PINNED_ERRORS {
+            let name = format!("corrupt--{codec}-{suffix}");
+            let (_, _, data) = vectors
+                .iter()
+                .find(|(n, _, _)| *n == name)
+                .unwrap_or_else(|| panic!("{name} missing from tests/corpus"));
+            let (header, packets) =
+                read_stream(&data[..]).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(header.codec, codec, "{name}");
+            let mut dec = create_decoder(codec, SimdLevel::Scalar);
+            let first_error = packets
+                .iter()
+                .find_map(|p| dec.decode_packet(&p.data).err())
+                .unwrap_or_else(|| panic!("{name}: every packet decoded"));
+            match first_error {
+                BenchError::Corrupt {
+                    codec: c,
+                    offset: o,
+                    kind: k,
+                    ..
+                } => assert_eq!((c, k.name(), o), (codec, kind, offset), "{name}"),
+                other => panic!("{name}: untyped failure {other}"),
+            }
+            checked += 1;
+        }
+    }
+    let corrupt = vectors
+        .iter()
+        .filter(|(_, e, _)| *e == Expectation::MustCorrupt)
+        .count();
+    assert_eq!(checked, corrupt, "a corrupt-- vector has no pinned error");
+}
+
+/// The corpus never reaches the dimension check itself (see above), so
+/// pin it here: a header that is complete but carries odd dimensions must
+/// be rejected as `bad-dimensions` *after* the codec-specific fields were
+/// read (one `ue` for the MPEG codecs; two `ue` and a flag for H.264) and
+/// before their range checks (the all-ones tail reads as qscale 0).
+#[test]
+fn bad_dimensions_are_rejected_after_the_codec_specific_header_fields() {
+    for (codec, offset) in [
+        (CodecId::Mpeg2, 73),
+        (CodecId::Mpeg4, 73),
+        (CodecId::H264, 75),
+    ] {
+        let (_, seed) = read_stream(&seed_stream(codec)[..]).expect("seed stream parses");
+        let mut w = BitWriter::new();
+        w.put_bits(
+            u32::from(seed[0].data[0]) << 8 | u32::from(seed[0].data[1]),
+            16,
+        );
+        w.put_bits(0, 2); // I picture
+        w.put_bits(0, 32); // display index
+        w.put_ue(47); // width (11 bits)
+        w.put_ue(32); // height (11 bits)
+        w.put_bits(0xFFFF, 16); // every following field reads as 0 / true
+        let err = create_decoder(codec, SimdLevel::Scalar)
+            .decode_packet(&w.finish())
+            .expect_err("odd width must be rejected");
+        match err {
+            BenchError::Corrupt {
+                offset: o, kind: k, ..
+            } => assert_eq!((k.name(), o), ("bad-dimensions", offset), "{codec}"),
+            other => panic!("{codec}: untyped failure {other}"),
         }
     }
 }
