@@ -6,7 +6,9 @@
 //! MSB-first [`BitWriter`] / [`BitReader`], Exp-Golomb codes and a generic
 //! canonical [`VlcTable`]. As the lowest crate every layer already
 //! depends on, it is also the home of the workspace's checksums
-//! ([`hash`]).
+//! ([`hash`]) and of the coded-picture vocabulary the codecs and the
+//! harness share ([`picture`]: `PacketKind`, `Packet`, `CodecError`, the
+//! picture-header prefix, the dimension limits and the GOP scheduler).
 //!
 //! # Example
 //!
@@ -29,6 +31,7 @@
 
 mod error;
 pub mod hash;
+pub mod picture;
 mod reader;
 mod vlc;
 mod writer;

@@ -2,6 +2,7 @@
 //! unified behind object-safe encoder/decoder traits.
 
 use crate::{BenchError, CodingOptions};
+pub use hdvb_bits::picture::{Packet, PacketKind};
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::{Frame, Resolution};
 use hdvb_par::CancelToken;
@@ -49,6 +50,15 @@ impl CodecId {
         }
     }
 
+    /// The 16-bit magic that opens every packet of this codec.
+    pub fn packet_magic(self) -> u32 {
+        match self {
+            CodecId::Mpeg2 => hdvb_mpeg2::MAGIC,
+            CodecId::Mpeg4 => hdvb_mpeg4::MAGIC,
+            CodecId::H264 => hdvb_h264::MAGIC,
+        }
+    }
+
     /// Parses a codec from its short name.
     pub fn from_name(name: &str) -> Option<CodecId> {
         CodecId::ALL.into_iter().find(|c| c.name() == name)
@@ -61,88 +71,50 @@ impl fmt::Display for CodecId {
     }
 }
 
-/// Picture type of a coded packet, unified across codecs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum PacketKind {
-    /// Intra picture.
-    I,
-    /// Forward-predicted picture.
-    P,
-    /// Bidirectionally predicted picture.
-    B,
-}
-
-impl fmt::Display for PacketKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PacketKind::I => "I",
-            PacketKind::P => "P",
-            PacketKind::B => "B",
-        })
-    }
-}
-
-/// One coded picture, codec-agnostic.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Packet {
-    /// Serialised picture.
-    pub data: Vec<u8>,
-    /// Picture type.
-    pub kind: PacketKind,
-    /// Display-order index.
-    pub display_index: u32,
-}
-
-impl Packet {
-    /// Coded size in bits.
-    pub fn bits(&self) -> u64 {
-        self.data.len() as u64 * 8
-    }
-}
-
 /// An object-safe encoder: display-order frames in, coding-order packets
 /// out.
+///
+/// The write-into-caller forms are the required methods (the built-in
+/// codecs route them through their pooled zero-allocation paths); the
+/// allocating forms are provided on top of them.
 pub trait VideoEncoder {
-    /// Encodes the next display-order frame.
+    /// Encodes the next display-order frame, appending the coded packets
+    /// to `out`.
     ///
     /// # Errors
     ///
-    /// Codec-specific configuration or geometry errors.
-    fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<Packet>, BenchError>;
+    /// Codec-specific configuration or geometry errors; packets appended
+    /// before an error stay in `out`.
+    fn encode_frame_into(&mut self, frame: &Frame, out: &mut Vec<Packet>)
+        -> Result<(), BenchError>;
 
-    /// Flushes buffered frames at end of stream.
+    /// Flushes buffered frames at end of stream into `out`.
     ///
     /// # Errors
     ///
     /// Codec-specific errors.
-    fn finish(&mut self) -> Result<Vec<Packet>, BenchError>;
+    fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError>;
 
-    /// Write-into-caller form of [`encode_frame`](Self::encode_frame):
-    /// appends coded packets to `out` instead of allocating a fresh
-    /// vector. The built-in codecs route this through their pooled
-    /// zero-allocation paths; the default just delegates.
+    /// Allocating form of [`encode_frame_into`](Self::encode_frame_into).
     ///
     /// # Errors
     ///
-    /// As [`encode_frame`](Self::encode_frame); packets appended before
-    /// an error stay in `out`.
-    fn encode_frame_into(
-        &mut self,
-        frame: &Frame,
-        out: &mut Vec<Packet>,
-    ) -> Result<(), BenchError> {
-        out.extend(self.encode_frame(frame)?);
-        Ok(())
+    /// As [`encode_frame_into`](Self::encode_frame_into).
+    fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<Packet>, BenchError> {
+        let mut out = Vec::new();
+        self.encode_frame_into(frame, &mut out)?;
+        Ok(out)
     }
 
-    /// Write-into-caller form of [`finish`](Self::finish).
+    /// Allocating form of [`finish_into`](Self::finish_into).
     ///
     /// # Errors
     ///
-    /// As [`finish`](Self::finish).
-    fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError> {
-        out.extend(self.finish()?);
-        Ok(())
+    /// As [`finish_into`](Self::finish_into).
+    fn finish(&mut self) -> Result<Vec<Packet>, BenchError> {
+        let mut out = Vec::new();
+        self.finish_into(&mut out)?;
+        Ok(out)
     }
 
     /// Installs a cooperative cancellation token, checked at picture
@@ -153,35 +125,37 @@ pub trait VideoEncoder {
 }
 
 /// An object-safe decoder: coding-order packets in, display-order frames
-/// out.
+/// out. As with [`VideoEncoder`], the write-into-caller forms are the
+/// required methods.
 pub trait VideoDecoder {
-    /// Decodes one packet.
+    /// Decodes one packet, appending display-order frames to `out`. The
+    /// built-in codecs take output frames from the global frame pool
+    /// (they can be returned to it).
     ///
     /// # Errors
     ///
-    /// [`BenchError::Bitstream`] on malformed input.
-    fn decode_packet(&mut self, data: &[u8]) -> Result<Vec<Frame>, BenchError>;
+    /// [`BenchError::Corrupt`] on malformed input; nothing is appended.
+    fn decode_packet_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), BenchError>;
 
-    /// Returns the final buffered frames at end of stream.
-    fn finish(&mut self) -> Vec<Frame>;
+    /// Appends the final buffered frames at end of stream to `out`.
+    fn finish_into(&mut self, out: &mut Vec<Frame>);
 
-    /// Write-into-caller form of [`decode_packet`](Self::decode_packet):
-    /// appends display-order frames to `out`. The built-in codecs route
-    /// this through their pooled zero-allocation paths (output frames
-    /// come from the global frame pool and can be returned to it); the
-    /// default just delegates.
+    /// Allocating form of [`decode_packet_into`](Self::decode_packet_into).
     ///
     /// # Errors
     ///
-    /// As [`decode_packet`](Self::decode_packet).
-    fn decode_packet_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), BenchError> {
-        out.extend(self.decode_packet(data)?);
-        Ok(())
+    /// As [`decode_packet_into`](Self::decode_packet_into).
+    fn decode_packet(&mut self, data: &[u8]) -> Result<Vec<Frame>, BenchError> {
+        let mut out = Vec::new();
+        self.decode_packet_into(data, &mut out)?;
+        Ok(out)
     }
 
-    /// Write-into-caller form of [`finish`](Self::finish).
-    fn finish_into(&mut self, out: &mut Vec<Frame>) {
-        out.extend(self.finish());
+    /// Allocating form of [`finish_into`](Self::finish_into).
+    fn finish(&mut self) -> Vec<Frame> {
+        let mut out = Vec::new();
+        self.finish_into(&mut out);
+        out
     }
 
     /// Installs a cooperative cancellation token, checked at packet
@@ -210,9 +184,7 @@ pub fn create_encoder(
                 .with_search_range(options.search_range)
                 .with_intra_period(options.intra_period)
                 .with_simd(options.simd);
-            Ok(Box::new(Mpeg2Enc::new(hdvb_mpeg2::Mpeg2Encoder::new(
-                config,
-            )?)))
+            Ok(Box::new(hdvb_mpeg2::Mpeg2Encoder::new(config)?))
         }
         CodecId::Mpeg4 => {
             let config = hdvb_mpeg4::EncoderConfig::new(w, h)
@@ -221,9 +193,7 @@ pub fn create_encoder(
                 .with_search_range(options.search_range)
                 .with_intra_period(options.intra_period)
                 .with_simd(options.simd);
-            Ok(Box::new(Mpeg4Enc::new(hdvb_mpeg4::Mpeg4Encoder::new(
-                config,
-            )?)))
+            Ok(Box::new(hdvb_mpeg4::Mpeg4Encoder::new(config)?))
         }
         CodecId::H264 => {
             let config = hdvb_h264::EncoderConfig::new(w, h)
@@ -233,7 +203,7 @@ pub fn create_encoder(
                 .with_intra_period(options.intra_period)
                 .with_num_refs(options.h264_refs)
                 .with_simd(options.simd);
-            Ok(Box::new(H264Enc::new(hdvb_h264::H264Encoder::new(config)?)))
+            Ok(Box::new(hdvb_h264::H264Encoder::new(config)?))
         }
     }
 }
@@ -241,217 +211,72 @@ pub fn create_encoder(
 /// Creates a decoder for `codec` at the given SIMD level.
 pub fn create_decoder(codec: CodecId, simd: SimdLevel) -> Box<dyn VideoDecoder + Send> {
     match codec {
-        CodecId::Mpeg2 => Box::new(Mpeg2Dec(hdvb_mpeg2::Mpeg2Decoder::with_simd(simd))),
-        CodecId::Mpeg4 => Box::new(Mpeg4Dec(hdvb_mpeg4::Mpeg4Decoder::with_simd(simd))),
-        CodecId::H264 => Box::new(H264Dec(hdvb_h264::H264Decoder::with_simd(simd))),
+        CodecId::Mpeg2 => Box::new(hdvb_mpeg2::Mpeg2Decoder::with_simd(simd)),
+        CodecId::Mpeg4 => Box::new(hdvb_mpeg4::Mpeg4Decoder::with_simd(simd)),
+        CodecId::H264 => Box::new(hdvb_h264::H264Decoder::with_simd(simd)),
     }
 }
 
-macro_rules! impl_adapters {
-    ($enc:ident, $dec:ident, $enc_ty:ty, $dec_ty:ty, $pkt_ty:ty, $corrupt:path, $cancelled:path, $ft:path, $cid:expr) => {
-        struct $enc {
-            inner: $enc_ty,
-            /// Native-packet staging buffer, drained (moving each
-            /// payload, not copying it) into the unified packet type.
-            scratch: Vec<$pkt_ty>,
-        }
-
-        impl $enc {
-            fn new(inner: $enc_ty) -> Self {
-                $enc {
-                    inner,
-                    scratch: Vec::new(),
-                }
-            }
-        }
-
+/// Implements the harness traits directly on a codec's encoder and
+/// decoder: the codecs already speak [`Packet`] and `CodecError`, so this
+/// only opens the frame span, renames the methods and lifts the error.
+macro_rules! impl_codec {
+    ($enc:ty, $dec:ty, $codec:expr) => {
         impl VideoEncoder for $enc {
-            fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<Packet>, BenchError> {
-                let mut out = Vec::new();
-                self.encode_frame_into(frame, &mut out)?;
-                Ok(out)
-            }
-
-            fn finish(&mut self) -> Result<Vec<Packet>, BenchError> {
-                let mut out = Vec::new();
-                self.finish_into(&mut out)?;
-                Ok(out)
-            }
-
             fn encode_frame_into(
                 &mut self,
                 frame: &Frame,
                 out: &mut Vec<Packet>,
             ) -> Result<(), BenchError> {
                 let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
-                let result = self.inner.encode_into(frame, &mut self.scratch);
-                out.extend(self.scratch.drain(..).map(convert_packet));
-                result?;
-                Ok(())
+                self.encode_into(frame, out).map_err(BenchError::from)
             }
 
             fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError> {
                 let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
-                let result = self.inner.flush_into(&mut self.scratch);
-                out.extend(self.scratch.drain(..).map(convert_packet));
-                result?;
-                Ok(())
+                self.flush_into(out).map_err(BenchError::from)
             }
 
             fn set_cancel(&mut self, cancel: CancelToken) {
-                self.inner.set_cancel(cancel);
+                <$enc>::set_cancel(self, cancel);
             }
         }
 
-        struct $dec($dec_ty);
-
         impl VideoDecoder for $dec {
-            fn decode_packet(&mut self, data: &[u8]) -> Result<Vec<Frame>, BenchError> {
-                let mut out = Vec::new();
-                self.decode_packet_into(data, &mut out)?;
-                Ok(out)
-            }
-
-            fn finish(&mut self) -> Vec<Frame> {
-                self.0.flush()
-            }
-
             fn decode_packet_into(
                 &mut self,
                 data: &[u8],
                 out: &mut Vec<Frame>,
             ) -> Result<(), BenchError> {
                 let _span = hdvb_trace::span!(hdvb_trace::Stage::DecodeFrame);
-                self.0.decode_into(data, out).map_err(|e| match e {
-                    $corrupt {
-                        offset,
-                        kind,
-                        detail,
-                    } => BenchError::Corrupt {
-                        codec: $cid,
-                        offset,
-                        kind,
-                        detail,
-                    },
-                    $cancelled => BenchError::Cancelled,
-                    other => BenchError::Bitstream(other.to_string()),
-                })
+                self.decode_into(data, out)
+                    .map_err(|e| BenchError::from_decode($codec, e))
             }
 
             fn finish_into(&mut self, out: &mut Vec<Frame>) {
-                self.0.flush_into(out);
+                self.flush_into(out);
             }
 
             fn set_cancel(&mut self, cancel: CancelToken) {
-                self.0.set_cancel(cancel);
+                <$dec>::set_cancel(self, cancel);
             }
         }
     };
 }
 
-fn kind_of<T: Into<PacketKind>>(t: T) -> PacketKind {
-    t.into()
-}
-
-impl From<hdvb_mpeg2::FrameType> for PacketKind {
-    fn from(t: hdvb_mpeg2::FrameType) -> Self {
-        match t {
-            hdvb_mpeg2::FrameType::I => PacketKind::I,
-            hdvb_mpeg2::FrameType::P => PacketKind::P,
-            hdvb_mpeg2::FrameType::B => PacketKind::B,
-        }
-    }
-}
-
-impl From<hdvb_mpeg4::FrameType> for PacketKind {
-    fn from(t: hdvb_mpeg4::FrameType) -> Self {
-        match t {
-            hdvb_mpeg4::FrameType::I => PacketKind::I,
-            hdvb_mpeg4::FrameType::P => PacketKind::P,
-            hdvb_mpeg4::FrameType::B => PacketKind::B,
-        }
-    }
-}
-
-impl From<hdvb_h264::FrameType> for PacketKind {
-    fn from(t: hdvb_h264::FrameType) -> Self {
-        match t {
-            hdvb_h264::FrameType::I => PacketKind::I,
-            hdvb_h264::FrameType::P => PacketKind::P,
-            hdvb_h264::FrameType::B => PacketKind::B,
-        }
-    }
-}
-
-trait IntoUnifiedPacket {
-    fn into_unified(self) -> Packet;
-}
-
-impl IntoUnifiedPacket for hdvb_mpeg2::Packet {
-    fn into_unified(self) -> Packet {
-        Packet {
-            kind: kind_of(self.frame_type),
-            display_index: self.display_index,
-            data: self.data,
-        }
-    }
-}
-
-impl IntoUnifiedPacket for hdvb_mpeg4::Packet {
-    fn into_unified(self) -> Packet {
-        Packet {
-            kind: kind_of(self.frame_type),
-            display_index: self.display_index,
-            data: self.data,
-        }
-    }
-}
-
-impl IntoUnifiedPacket for hdvb_h264::Packet {
-    fn into_unified(self) -> Packet {
-        Packet {
-            kind: kind_of(self.frame_type),
-            display_index: self.display_index,
-            data: self.data,
-        }
-    }
-}
-
-fn convert_packet<P: IntoUnifiedPacket>(p: P) -> Packet {
-    p.into_unified()
-}
-
-impl_adapters!(
-    Mpeg2Enc,
-    Mpeg2Dec,
+impl_codec!(
     hdvb_mpeg2::Mpeg2Encoder,
     hdvb_mpeg2::Mpeg2Decoder,
-    hdvb_mpeg2::Packet,
-    hdvb_mpeg2::CodecError::Corrupt,
-    hdvb_mpeg2::CodecError::Cancelled,
-    hdvb_mpeg2::FrameType,
     CodecId::Mpeg2
 );
-impl_adapters!(
-    Mpeg4Enc,
-    Mpeg4Dec,
+impl_codec!(
     hdvb_mpeg4::Mpeg4Encoder,
     hdvb_mpeg4::Mpeg4Decoder,
-    hdvb_mpeg4::Packet,
-    hdvb_mpeg4::CodecError::Corrupt,
-    hdvb_mpeg4::CodecError::Cancelled,
-    hdvb_mpeg4::FrameType,
     CodecId::Mpeg4
 );
-impl_adapters!(
-    H264Enc,
-    H264Dec,
+impl_codec!(
     hdvb_h264::H264Encoder,
     hdvb_h264::H264Decoder,
-    hdvb_h264::Packet,
-    hdvb_h264::CodecError::Corrupt,
-    hdvb_h264::CodecError::Cancelled,
-    hdvb_h264::FrameType,
     CodecId::H264
 );
 

@@ -1,4 +1,5 @@
 use crate::CodecId;
+use hdvb_bits::picture::CodecError;
 use hdvb_bits::CorruptKind;
 use std::fmt;
 
@@ -61,29 +62,33 @@ impl fmt::Display for BenchError {
 
 impl std::error::Error for BenchError {}
 
-impl From<hdvb_mpeg2::CodecError> for BenchError {
-    fn from(e: hdvb_mpeg2::CodecError) -> Self {
+impl From<CodecError> for BenchError {
+    /// The encode-side lift: the encoders have no corrupt input to
+    /// attribute, so everything but a cancellation is a codec error.
+    fn from(e: CodecError) -> Self {
         match e {
-            hdvb_mpeg2::CodecError::Cancelled => BenchError::Cancelled,
+            CodecError::Cancelled => BenchError::Cancelled,
             other => BenchError::Codec(other.to_string()),
         }
     }
 }
 
-impl From<hdvb_mpeg4::CodecError> for BenchError {
-    fn from(e: hdvb_mpeg4::CodecError) -> Self {
+impl BenchError {
+    /// The decode-side lift: stamps the codec on a typed corruption.
+    pub(crate) fn from_decode(codec: CodecId, e: CodecError) -> Self {
         match e {
-            hdvb_mpeg4::CodecError::Cancelled => BenchError::Cancelled,
-            other => BenchError::Codec(other.to_string()),
-        }
-    }
-}
-
-impl From<hdvb_h264::CodecError> for BenchError {
-    fn from(e: hdvb_h264::CodecError) -> Self {
-        match e {
-            hdvb_h264::CodecError::Cancelled => BenchError::Cancelled,
-            other => BenchError::Codec(other.to_string()),
+            CodecError::Corrupt {
+                offset,
+                kind,
+                detail,
+            } => BenchError::Corrupt {
+                codec,
+                offset,
+                kind,
+                detail,
+            },
+            CodecError::Cancelled => BenchError::Cancelled,
+            other => BenchError::Bitstream(other.to_string()),
         }
     }
 }

@@ -12,6 +12,7 @@
 //! ```
 
 use crate::{BenchError, CodecId, Packet, PacketKind};
+use hdvb_bits::picture::MAX_DECODE_PIXELS;
 use hdvb_frame::{FrameRate, Resolution, VideoFormat};
 use std::io::{Read, Write};
 
@@ -39,23 +40,6 @@ fn codec_from_byte(b: u8) -> Option<CodecId> {
         2 => Some(CodecId::Mpeg2),
         4 => Some(CodecId::Mpeg4),
         64 => Some(CodecId::H264),
-        _ => None,
-    }
-}
-
-fn kind_byte(k: PacketKind) -> u8 {
-    match k {
-        PacketKind::I => b'I',
-        PacketKind::P => b'P',
-        PacketKind::B => b'B',
-    }
-}
-
-fn kind_from_byte(b: u8) -> Option<PacketKind> {
-    match b {
-        b'I' => Some(PacketKind::I),
-        b'P' => Some(PacketKind::P),
-        b'B' => Some(PacketKind::B),
         _ => None,
     }
 }
@@ -89,7 +73,7 @@ pub fn write_stream<W: Write>(
         .write_all(&(packets.len() as u32).to_le_bytes())
         .map_err(io)?;
     for p in packets {
-        writer.write_all(&[kind_byte(p.kind)]).map_err(io)?;
+        writer.write_all(&[p.kind.as_byte()]).map_err(io)?;
         writer
             .write_all(&p.display_index.to_le_bytes())
             .map_err(io)?;
@@ -147,13 +131,13 @@ pub fn read_stream<R: Read>(mut reader: R) -> Result<(StreamHeader, Vec<Packet>)
         reader
             .read_exact(&mut buf1)
             .map_err(|_| bad("truncated packet header"))?;
-        let kind = kind_from_byte(buf1[0]).ok_or_else(|| bad("bad packet kind"))?;
+        let kind = PacketKind::from_byte(buf1[0]).ok_or_else(|| bad("bad packet kind"))?;
         let display_index = read_u32(&mut reader)?;
         let len = read_u32(&mut reader)? as usize;
-        // Cap matches MAX_DECODE_PIXELS: no legitimate packet outgrows
-        // an uncompressed 64-Mpixel picture, and a forged length field
-        // must not drive a giant allocation before read_exact fails.
-        if len > 1 << 26 {
+        // No legitimate packet outgrows an uncompressed 64-Mpixel picture,
+        // and a forged length field must not drive a giant allocation
+        // before read_exact fails.
+        if len > MAX_DECODE_PIXELS {
             return Err(bad("implausible packet size"));
         }
         let mut data = vec![0u8; len];

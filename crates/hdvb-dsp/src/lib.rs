@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod block8;
 mod dct4;
 mod dct8;
 mod deblock;
@@ -43,6 +44,7 @@ mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
 
+pub use block8::{load_block, store_block_clamped};
 pub use dct4::{chroma_dc_hadamard_2x2, chroma_dc_ihadamard_2x2};
 pub use dispatch::{Dsp, SadFn, SatdFn, ScaleHFn, ScaleVFn, SimdLevel, SsdFn};
 pub use qpel::SubpelWindow;

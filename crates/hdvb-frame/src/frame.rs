@@ -217,4 +217,30 @@ mod tests {
         let bad_cr = Plane::new(4, 8);
         assert!(Frame::from_planes(y, cb, bad_cr).is_err());
     }
+
+    #[test]
+    fn replicate_and_crop_are_inverse() {
+        let mut f = Frame::new(60, 44);
+        for (i, v) in f.y_mut().data_mut().iter_mut().enumerate() {
+            *v = (i * 7 % 251) as u8;
+        }
+        for (i, v) in f.cb_mut().data_mut().iter_mut().enumerate() {
+            *v = (i * 5 % 241) as u8;
+        }
+        for (i, v) in f.cr_mut().data_mut().iter_mut().enumerate() {
+            *v = (i * 3 % 239) as u8;
+        }
+        // Macroblock alignment into a dirty (recycled) frame: every
+        // sample is overwritten, the new edge repeats the old one.
+        let mut aligned = Frame::new(64, 48);
+        aligned.y_mut().fill(1);
+        aligned.replicate_from(&f);
+        assert_eq!((aligned.width(), aligned.height()), (64, 48));
+        assert_eq!(aligned.y().get(63, 10), f.y().get(59, 10));
+        assert_eq!(aligned.y().get(20, 47), f.y().get(20, 43));
+        assert_eq!(aligned.cr().get(31, 23), f.cr().get(29, 21));
+        let mut back = Frame::new(60, 44);
+        back.crop_from(&aligned);
+        assert_eq!(back, f);
+    }
 }

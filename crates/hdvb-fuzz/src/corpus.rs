@@ -7,6 +7,7 @@
 //! replays — and regenerating them must produce the checked-in bytes
 //! exactly (a test guards this).
 
+use hdvb_bits::picture::{write_picture_prefix, PicturePrefix};
 use hdvb_bits::BitWriter;
 use hdvb_core::{
     encode_sequence, read_stream, write_stream, CodecId, CodingOptions, Packet, PacketKind,
@@ -24,15 +25,6 @@ use std::path::{Path, PathBuf};
 const SEED_W: u32 = 48;
 const SEED_H: u32 = 32;
 const SEED_FRAMES: u32 = 4;
-
-/// Per-codec 16-bit packet magics (mirrors each codec's private `MAGIC`).
-fn packet_magic(codec: CodecId) -> u32 {
-    match codec {
-        CodecId::Mpeg2 => 0x4D32,
-        CodecId::Mpeg4 => 0x4D34,
-        CodecId::H264 => 0x4834,
-    }
-}
 
 /// What the robustness suite asserts about a golden vector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,9 +108,9 @@ fn with_packet0<F: FnOnce(&mut Packet)>(stream: &[u8], f: F) -> Vec<u8> {
     out
 }
 
+/// One-packet stream whose packet is whatever `build` writes.
 fn crafted_packet(codec: CodecId, build: impl FnOnce(&mut BitWriter)) -> Vec<u8> {
     let mut w = BitWriter::new();
-    w.put_bits(packet_magic(codec), 16);
     build(&mut w);
     let header = StreamHeader {
         codec,
@@ -132,6 +124,20 @@ fn crafted_packet(codec: CodecId, build: impl FnOnce(&mut BitWriter)) -> Vec<u8>
     let mut out = Vec::new();
     write_stream(&mut out, &header, &packets).expect("in-memory write cannot fail");
     out
+}
+
+/// One-packet stream that ends right after a well-formed I-picture
+/// prefix carrying the given dimensions.
+fn crafted_dims(codec: CodecId, width: usize, height: usize) -> Vec<u8> {
+    let prefix = PicturePrefix {
+        kind: PacketKind::I,
+        display_index: 0,
+        width,
+        height,
+    };
+    crafted_packet(codec, |w| {
+        write_picture_prefix(w, codec.packet_magic(), &prefix)
+    })
 }
 
 /// Generates the full golden-vector set (deterministic; ≥ 25 entries).
@@ -177,7 +183,10 @@ pub fn golden_vectors() -> Vec<GoldenVector> {
             &mut v,
             "bad-frame-type",
             Expectation::MustCorrupt,
-            crafted_packet(codec, |w| w.put_bits(3, 2)),
+            crafted_packet(codec, |w| {
+                w.put_bits(codec.packet_magic(), 16);
+                w.put_bits(3, 2);
+            }),
         );
         // Oversized dimensions: within the u32 field but far past the
         // 16384 / 64-Mpixel caps. Must fail *before* any allocation.
@@ -185,24 +194,14 @@ pub fn golden_vectors() -> Vec<GoldenVector> {
             &mut v,
             "oversized-dims",
             Expectation::MustCorrupt,
-            crafted_packet(codec, |w| {
-                w.put_bits(0, 2); // I picture
-                w.put_bits(0, 32); // display index
-                w.put_ue(100_000); // width
-                w.put_ue(100_000); // height
-            }),
+            crafted_dims(codec, 100_000, 100_000),
         );
         // Zero dimensions (below the 16-pixel minimum).
         push(
             &mut v,
             "zero-dims",
             Expectation::MustCorrupt,
-            crafted_packet(codec, |w| {
-                w.put_bits(0, 2);
-                w.put_bits(0, 32);
-                w.put_ue(0);
-                w.put_ue(0);
-            }),
+            crafted_dims(codec, 0, 0),
         );
         // Odd dimensions: plausible sizes that 4:2:0 chroma subsampling
         // cannot represent. Found by the fuzzer panicking in the output
@@ -211,12 +210,7 @@ pub fn golden_vectors() -> Vec<GoldenVector> {
             &mut v,
             "odd-dims",
             Expectation::MustCorrupt,
-            crafted_packet(codec, |w| {
-                w.put_bits(0, 2);
-                w.put_bits(0, 32);
-                w.put_ue(47);
-                w.put_ue(32);
-            }),
+            crafted_dims(codec, 47, 32),
         );
         // Mid-payload truncation and bit damage: the decoder may recover
         // or reject, but must never panic and every tier must agree.

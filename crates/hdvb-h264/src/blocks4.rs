@@ -3,7 +3,7 @@
 use crate::tables::{
     event_symbol4, event_table4, symbol_event4, MAX_LEVEL4, MAX_RUN4, SYM_ESCAPE4, ZIGZAG4,
 };
-use crate::types::CodecError;
+use hdvb_bits::picture::CodecError;
 use hdvb_bits::{BitReader, BitWriter};
 use hdvb_dsp::Block4;
 
@@ -78,37 +78,6 @@ pub(crate) fn read_coeffs4(r: &mut BitReader<'_>, block: &mut Block4) -> Result<
     }
 }
 
-/// Estimated bit cost of a coded block, matching [`write_coeffs4`]
-/// exactly (kept for rate-estimation extensions; exercised by tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn coeff_bits4(block: &Block4) -> u32 {
-    let table = event_table4();
-    let last_pos = match ZIGZAG4.iter().rposition(|&p| block[p] != 0) {
-        Some(p) => p,
-        None => return 0,
-    };
-    let mut bits = 0;
-    let mut run = 0u32;
-    for &pos in ZIGZAG4.iter().take(last_pos + 1) {
-        let level = block[pos];
-        if level == 0 {
-            run += 1;
-            continue;
-        }
-        let abs = level.unsigned_abs() as u32;
-        if run <= MAX_RUN4 && abs <= MAX_LEVEL4 {
-            let last = pos == ZIGZAG4[last_pos];
-            bits += table.code_len(event_symbol4(last, run, abs)) + 1;
-        } else {
-            let mapped = 2 * u64::from(abs);
-            let se_len = 2 * (64 - (mapped + 1).leading_zeros()) - 1;
-            bits += table.code_len(SYM_ESCAPE4) + 1 + 4 + se_len;
-        }
-        run = 0;
-    }
-    bits
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,25 +134,5 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         let mut out = [0i16; 16];
         assert!(read_coeffs4(&mut r, &mut out).is_err());
-    }
-
-    #[test]
-    fn bit_estimate_is_exact() {
-        let mut state = 4u32;
-        for _ in 0..30 {
-            let mut b = [0i16; 16];
-            for v in &mut b {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                if state.is_multiple_of(2) {
-                    *v = ((state >> 24) as i16 % 21) - 10;
-                }
-            }
-            if b.iter().all(|&v| v == 0) {
-                continue;
-            }
-            let mut w = BitWriter::new();
-            write_coeffs4(&mut w, &b);
-            assert_eq!(u64::from(coeff_bits4(&b)), w.bit_len());
-        }
     }
 }

@@ -1,11 +1,11 @@
 use crate::blocks4::read_coeffs4;
 use crate::deblock::deblock_frame;
-use crate::encoder::{median_pred, BState, PicCtx, MAGIC};
+use crate::encoder::{BState, PicCtx, MAGIC};
 use crate::intra::{predict16, predict4, predict_chroma8, ChromaMode, Intra16Mode, Intra4Mode};
 use crate::mc::{add4, copy4, Partitioning, RefPicture};
 use crate::quant4::dequant4;
 use crate::resid::{read_chroma_residual, read_luma_residual, recon_chroma_plane, recon_luma_mb};
-use crate::types::{CodecError, FrameType, MAX_DECODE_PIXELS};
+use hdvb_bits::picture::{read_picture_prefix, CodecError, PacketKind};
 use hdvb_bits::{BitReader, CorruptKind};
 use hdvb_dsp::{Dsp, SimdLevel};
 use hdvb_frame::{align_up, Frame, FramePool};
@@ -106,33 +106,12 @@ impl H264Decoder {
         r: &mut BitReader<'_>,
         out: &mut Vec<Frame>,
     ) -> Result<(), CodecError> {
-        if r.get_bits(16)? != MAGIC {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadMagic,
-                "bad picture magic",
-            ));
-        }
-        let frame_type = FrameType::from_bits(r.get_bits(2)?)
-            .ok_or_else(|| CodecError::corrupt(CorruptKind::BadHeaderField, "bad frame type"))?;
-        let _display = r.get_bits(32)?;
-        let width = r.get_ue()? as usize;
-        let height = r.get_ue()? as usize;
+        let prefix = read_picture_prefix(r, MAGIC)?;
         let qp = r.get_ue()?;
         let num_refs = r.get_ue()?;
         let deblock = r.get_bit()?;
-        if width < 16
-            || height < 16
-            || width > 16384
-            || height > 16384
-            || !width.is_multiple_of(2)
-            || !height.is_multiple_of(2)
-            || width.saturating_mul(height) > MAX_DECODE_PIXELS
-        {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadDimensions,
-                format!("implausible dimensions {width}x{height}"),
-            ));
-        }
+        prefix.check_dims()?;
+        let (kind, width, height) = (prefix.kind, prefix.width, prefix.height);
         if qp > 51 {
             return Err(CodecError::corrupt(
                 CorruptKind::BadHeaderField,
@@ -165,7 +144,7 @@ impl H264Decoder {
         };
         let result = self.decode_picture(
             r,
-            frame_type,
+            kind,
             qp,
             num_refs,
             deblock,
@@ -182,7 +161,7 @@ impl H264Decoder {
     fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        frame_type: FrameType,
+        kind: PacketKind,
         qp: u8,
         num_refs: u32,
         deblock: bool,
@@ -206,7 +185,7 @@ impl H264Decoder {
         recon.cb_mut().fill(128);
         recon.cr_mut().fill(128);
         ctx.reset();
-        if frame_type == FrameType::I {
+        if kind == PacketKind::I {
             // A geometry change can only enter a stream at an intra
             // picture (an ABR splice / rung switch). References at the
             // old geometry can never be legally used again — retire
@@ -218,10 +197,10 @@ impl H264Decoder {
                 }
             }
         }
-        match frame_type {
-            FrameType::I => self.decode_i(r, recon, ctx, qp, mbs_x, mbs_y)?,
-            FrameType::P => self.decode_p(r, recon, ctx, qp, num_refs, mbs_x, mbs_y)?,
-            FrameType::B => self.decode_b(r, recon, ctx, qp, mbs_x, mbs_y)?,
+        match kind {
+            PacketKind::I => self.decode_i(r, recon, ctx, qp, mbs_x, mbs_y)?,
+            PacketKind::P => self.decode_p(r, recon, ctx, qp, num_refs, mbs_x, mbs_y)?,
+            PacketKind::B => self.decode_b(r, recon, ctx, qp, mbs_x, mbs_y)?,
         }
         if deblock {
             deblock_frame(&self.dsp, recon, qp);
@@ -233,7 +212,7 @@ impl H264Decoder {
             d.crop_from(recon);
             d
         };
-        if frame_type == FrameType::B {
+        if kind == PacketKind::B {
             out.push(display);
         } else {
             if let Some(prev) = self.pending.take() {
@@ -427,7 +406,7 @@ impl H264Decoder {
             check_ref_geometry(&refs, mbs_x, mbs_y)?;
             for mby in 0..mbs_y {
                 for mbx in 0..mbs_x {
-                    let median = median_pred(&ctx.qfield, mbx, mby);
+                    let median = ctx.qfield.median_pred(mbx, mby);
                     if r.get_bit()? {
                         // Skip: 16x16, ref 0, median vector, no residual.
                         check_window(&refs[0], mbx, mby, Partitioning::P16x16, &[median; 4])?;
@@ -863,8 +842,8 @@ fn build_b_pred_dec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EncoderConfig;
     use crate::encoder::{write_intra4_mode, H264Encoder};
-    use crate::types::EncoderConfig;
     use hdvb_bits::BitWriter;
     use hdvb_frame::SequencePsnr;
 
@@ -1121,7 +1100,7 @@ mod tests {
         // vector far outside the padded reference window.
         let mut bw = BitWriter::new();
         bw.put_bits(MAGIC, 16);
-        bw.put_bits(FrameType::P.to_bits(), 2);
+        bw.put_bits(PacketKind::P.to_bits(), 2);
         bw.put_bits(1, 32); // display index
         bw.put_ue(w as u32);
         bw.put_ue(h as u32);

@@ -1,6 +1,6 @@
 use crate::blocks4::write_coeffs4;
+use crate::config::EncoderConfig;
 use crate::deblock::deblock_frame;
-use crate::gop::{GopScheduler, Scheduled};
 use crate::intra::{predict16, predict4, predict_chroma8, ChromaMode, Intra16Mode, Intra4Mode};
 use crate::mc::{predict_partition, Partitioning, RefPicture};
 use crate::quant4::{dequant4, quant4};
@@ -9,19 +9,21 @@ use crate::resid::{
     write_chroma_residual, write_luma_residual,
 };
 use crate::tables::lambda;
-use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
+use hdvb_bits::picture::{
+    write_picture_prefix, CodecError, GopScheduler, Packet, PacketKind, PicturePrefix, Scheduled,
+};
 use hdvb_bits::BitWriter;
 use hdvb_dsp::{Block4, Dsp, SubpelWindow};
 use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane};
 use hdvb_me::{
-    bipred_luma, hexagon_search, median3, mv_bits, refine_qpel, BlockRef, Mv, MvField,
-    SearchParams, SubpelTarget,
+    bipred_luma, hexagon_search, mv_bits, refine_qpel, BlockRef, Mv, MvField, SearchParams,
+    SubpelTarget,
 };
 use hdvb_par::CancelToken;
 use std::collections::VecDeque;
 
 /// Magic number opening every coded picture.
-pub(crate) const MAGIC: u32 = 0x4834; // "H4"
+pub const MAGIC: u32 = 0x4834; // "H4"
 
 /// Per-picture coding context mirrored by the decoder: the quarter-pel
 /// motion field (median predictors, skip vectors) and the 4×4 intra-mode
@@ -79,16 +81,6 @@ impl PicCtx {
     }
 }
 
-/// Median MV predictor from the left, top and top-right macroblocks.
-pub(crate) fn median_pred(qfield: &MvField, mbx: usize, mby: usize) -> Mv {
-    let (x, y) = (mbx as isize, mby as isize);
-    median3(
-        qfield.get(x - 1, y),
-        qfield.get(x, y - 1),
-        qfield.get(x + 1, y - 1),
-    )
-}
-
 /// Per-picture working storage, reused across the whole encode so the
 /// steady-state hot path performs no heap allocation. Taken out of the
 /// encoder (`Option` dance) while a picture is being coded to keep the
@@ -107,7 +99,7 @@ struct EncScratch {
 pub struct H264Encoder {
     config: EncoderConfig,
     dsp: Dsp,
-    gop: GopScheduler,
+    gop: GopScheduler<Frame>,
     aw: usize,
     ah: usize,
     mbs_x: usize,
@@ -121,7 +113,7 @@ pub struct H264Encoder {
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
     /// Reusable coding-order buffer handed to the GOP scheduler.
-    sched: Vec<Scheduled>,
+    sched: Vec<Scheduled<Frame>>,
     /// Cooperative cancellation, checkpointed before each coded picture.
     cancel: CancelToken,
 }
@@ -239,7 +231,7 @@ impl H264Encoder {
     /// global pool afterwards (also on error/cancellation).
     fn encode_scheduled(
         &mut self,
-        sched: &mut Vec<Scheduled>,
+        sched: &mut Vec<Scheduled<Frame>>,
         out: &mut Vec<Packet>,
     ) -> Result<(), CodecError> {
         let mut result = Ok(());
@@ -248,22 +240,17 @@ impl H264Encoder {
                 if self.cancel.is_cancelled() {
                     result = Err(CodecError::Cancelled);
                 } else {
-                    out.push(self.encode_picture(&s.frame, s.frame_type, s.display_index));
+                    out.push(self.encode_picture(&s.item, s.kind, s.display_index));
                 }
             }
-            FramePool::global().put(s.frame);
+            FramePool::global().put(s.item);
         }
         result
     }
 
-    fn encode_picture(
-        &mut self,
-        frame: &Frame,
-        frame_type: FrameType,
-        display_index: u32,
-    ) -> Packet {
+    fn encode_picture(&mut self, frame: &Frame, kind: PacketKind, display_index: u32) -> Packet {
         let mut scratch = self.scratch.take().expect("encoder scratch in use");
-        let packet = self.encode_picture_inner(frame, frame_type, display_index, &mut scratch);
+        let packet = self.encode_picture_inner(frame, kind, display_index, &mut scratch);
         self.scratch = Some(scratch);
         packet
     }
@@ -271,7 +258,7 @@ impl H264Encoder {
     fn encode_picture_inner(
         &mut self,
         frame: &Frame,
-        frame_type: FrameType,
+        kind: PacketKind,
         display_index: u32,
         scratch: &mut EncScratch,
     ) -> Packet {
@@ -290,11 +277,13 @@ impl H264Encoder {
         let mut w = {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::EntropyCoding);
             let mut w = BitWriter::from_vec(BufferPool::global().take(self.aw * self.ah / 6));
-            w.put_bits(MAGIC, 16);
-            w.put_bits(frame_type.to_bits(), 2);
-            w.put_bits(display_index, 32);
-            w.put_ue(self.config.width as u32);
-            w.put_ue(self.config.height as u32);
+            let prefix = PicturePrefix {
+                kind,
+                display_index,
+                width: self.config.width,
+                height: self.config.height,
+            };
+            write_picture_prefix(&mut w, MAGIC, &prefix);
             w.put_ue(u32::from(self.config.qp));
             w.put_ue(u32::from(self.config.num_refs));
             w.put_bit(self.config.deblock);
@@ -313,15 +302,15 @@ impl H264Encoder {
         recon.cb_mut().fill(128);
         recon.cr_mut().fill(128);
         ctx.reset();
-        match frame_type {
-            FrameType::I => self.encode_i(&mut w, cur, recon, ctx),
-            FrameType::P => self.encode_p(&mut w, cur, recon, ctx),
-            FrameType::B => self.encode_b(&mut w, cur, recon, ctx),
+        match kind {
+            PacketKind::I => self.encode_i(&mut w, cur, recon, ctx),
+            PacketKind::P => self.encode_p(&mut w, cur, recon, ctx),
+            PacketKind::B => self.encode_b(&mut w, cur, recon, ctx),
         }
         if self.config.deblock {
             deblock_frame(&self.dsp, recon, self.config.qp);
         }
-        if frame_type != FrameType::B {
+        if kind != PacketKind::B {
             let keep = usize::from(self.config.num_refs).max(2);
             while self.refs.len() + 1 > keep {
                 match self.refs.pop_back() {
@@ -344,7 +333,7 @@ impl H264Encoder {
         };
         Packet {
             data,
-            frame_type,
+            kind,
             display_index,
         }
     }
@@ -625,7 +614,7 @@ impl H264Encoder {
                 // One motion-estimation zone spans the 16x16 reference
                 // search; a second covers the partition trials below.
                 let me_zone = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
-                let median = median_pred(&ctx.qfield, mbx, mby);
+                let median = ctx.qfield.median_pred(mbx, mby);
                 // 16x16 search over the reference list.
                 let block16 = BlockRef {
                     plane: cur.y(),
@@ -1048,17 +1037,17 @@ mod tests {
             all.extend(enc.encode(&textured_frame(64, 48, i as f64)).unwrap());
         }
         all.extend(enc.flush().unwrap());
-        let types: Vec<FrameType> = all.iter().map(|p| p.frame_type).collect();
+        let types: Vec<PacketKind> = all.iter().map(|p| p.kind).collect();
         assert_eq!(
             types,
             vec![
-                FrameType::I,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B
+                PacketKind::I,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B
             ]
         );
     }

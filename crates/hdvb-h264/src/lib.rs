@@ -22,6 +22,12 @@
 //! GOP structure and rate control follow the paper: constant QP
 //! (`--qp 26` equivalent), I-P-B-B with only the first picture intra.
 //!
+//! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
+//! the header fields every packet opens with, the I-P-B-B coding order —
+//! is the benchmark's definition, shared by all three codecs and
+//! re-exported here from `hdvb_bits::picture`; this crate adds its own
+//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//!
 //! # Example
 //!
 //! ```
@@ -45,17 +51,18 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks4;
+mod config;
 mod deblock;
 mod decoder;
 mod encoder;
-mod gop;
 mod intra;
 mod mc;
 mod quant4;
 mod resid;
 mod tables;
-mod types;
 
+pub use config::EncoderConfig;
 pub use decoder::H264Decoder;
 pub use encoder::H264Encoder;
-pub use types::{CodecError, EncoderConfig, FrameType, Packet};
+pub use encoder::MAGIC;
+pub use hdvb_bits::picture::{CodecError, Packet, PacketKind};

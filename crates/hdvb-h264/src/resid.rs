@@ -4,7 +4,7 @@
 use crate::blocks4::{read_coeffs4, write_coeffs4};
 use crate::mc::{add4, copy4, diff4};
 use crate::quant4::{dequant4, quant4};
-use crate::types::CodecError;
+use hdvb_bits::picture::CodecError;
 use hdvb_bits::{BitReader, BitWriter};
 use hdvb_dsp::{Block4, Dsp};
 use hdvb_frame::Plane;

@@ -50,6 +50,17 @@ impl MvField {
         }
     }
 
+    /// Median vector predictor for block `(bx, by)` from its left, top
+    /// and top-right neighbours (MPEG-4 and H.264).
+    pub fn median_pred(&self, bx: usize, by: usize) -> Mv {
+        let (x, y) = (bx as isize, by as isize);
+        median3(
+            self.get(x - 1, y),
+            self.get(x, y - 1),
+            self.get(x + 1, y - 1),
+        )
+    }
+
     /// Records the vector chosen for block `(bx, by)`.
     ///
     /// # Panics
@@ -354,6 +365,18 @@ mod tests {
         assert_eq!(f.get(0, 5), Mv::ZERO);
         f.clear();
         assert_eq!(f.get(2, 1), Mv::ZERO);
+    }
+
+    #[test]
+    fn median_pred_reads_left_top_and_top_right() {
+        let mut f = MvField::new(3, 2);
+        f.set(0, 1, Mv::new(1, 9)); // left of (1,1)
+        f.set(1, 0, Mv::new(5, -3)); // top
+        f.set(2, 0, Mv::new(3, 4)); // top-right
+        assert_eq!(f.median_pred(1, 1), Mv::new(3, 4));
+        // At the right edge the top-right neighbour is outside: zero.
+        assert_eq!(f.median_pred(2, 1), Mv::new(0, 0));
+        assert_eq!(f.median_pred(0, 0), Mv::ZERO);
     }
 
     #[test]

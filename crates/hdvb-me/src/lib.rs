@@ -7,7 +7,10 @@
 //! crate implements both, plus exhaustive full search and diamond search
 //! as baselines for the motion-search ablation bench, and the one
 //! sub-pel refinement (half-pel, then quarter-pel) all three encoders
-//! run over a half-pel window filled once per full-pel winner.
+//! run over a half-pel window filled once per full-pel winner. The other
+//! end of motion compensation that the MPEG-class codecs share sits here
+//! too: the median vector predictor ([`MvField::median_pred`]) and the
+//! inter-macroblock reconstruction ([`reconstruct_inter`]).
 //!
 //! # Example
 //!
@@ -30,11 +33,13 @@
 
 mod epzs;
 mod mv;
+mod recon;
 mod search;
 mod subpel;
 
 pub use epzs::{epzs_search, EpzsThresholds, MvField, Predictors};
 pub use mv::{median3, mv_bits, Mv};
+pub use recon::reconstruct_inter;
 pub use search::{
     diamond_search, full_search, hexagon_search, BlockRef, SearchParams, SearchResult,
 };

@@ -4,7 +4,7 @@
 use crate::tables::{
     coef_table, pair_symbol, symbol_pair, MAX_LEVEL, MAX_RUN, SYM_EOB, SYM_ESCAPE, ZIGZAG,
 };
-use crate::types::CodecError;
+use hdvb_bits::picture::CodecError;
 use hdvb_bits::{BitReader, BitWriter};
 use hdvb_dsp::Block8;
 
@@ -76,33 +76,6 @@ pub(crate) fn read_coeffs(
     }
 }
 
-/// Estimated bit cost of a block's coefficients without serialising
-/// (kept for rate-estimation extensions; exercised by tests).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn coeff_bits(block: &Block8, start: usize) -> u32 {
-    let table = coef_table();
-    let mut bits = 0;
-    let mut run = 0u32;
-    for &pos in &ZIGZAG[start..] {
-        let level = block[pos];
-        if level == 0 {
-            run += 1;
-            continue;
-        }
-        let abs = level.unsigned_abs() as u32;
-        if run <= MAX_RUN && abs <= MAX_LEVEL {
-            bits += table.code_len(pair_symbol(run, abs)) + 1;
-        } else {
-            // escape + 6-bit run + se-golomb level
-            let mapped = 2 * u64::from(abs);
-            let se_len = 2 * (64 - (mapped + 1).leading_zeros()) - 1;
-            bits += table.code_len(SYM_ESCAPE) + 6 + se_len;
-        }
-        run = 0;
-    }
-    bits + table.code_len(SYM_EOB)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,23 +140,6 @@ mod tests {
             let mut intra = b;
             intra[0] = 0;
             assert_eq!(roundtrip(&intra, 1), intra);
-        }
-    }
-
-    #[test]
-    fn coeff_bits_matches_actual_encoding() {
-        let mut state = 77u32;
-        for _ in 0..20 {
-            let mut b = [0i16; 64];
-            for v in &mut b {
-                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
-                if state.is_multiple_of(5) {
-                    *v = ((state >> 22) as i16 % 41) - 20;
-                }
-            }
-            let mut w = BitWriter::new();
-            write_coeffs(&mut w, &b, 0);
-            assert_eq!(u64::from(coeff_bits(&b, 0)), w.bit_len());
         }
     }
 

@@ -1,13 +1,10 @@
 use crate::blocks::read_coeffs;
-use crate::encoder::{
-    build_b_prediction, predict_mb, reconstruct_inter, store_block_clamped, RefPicture, RowState,
-    MAGIC,
-};
-use crate::types::{CodecError, FrameType, MAX_DECODE_PIXELS};
+use crate::encoder::{build_b_prediction, predict_mb, RefPicture, RowState, MAGIC};
+use hdvb_bits::picture::{read_picture_prefix, CodecError, PacketKind};
 use hdvb_bits::{BitReader, CorruptKind};
-use hdvb_dsp::{Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
+use hdvb_dsp::{store_block_clamped, Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
 use hdvb_frame::{align_up, Frame, FramePool};
-use hdvb_me::{Mv, MvField};
+use hdvb_me::{reconstruct_inter, Mv, MvField};
 use hdvb_par::CancelToken;
 
 /// Per-packet working storage, reused while the coded geometry stays the
@@ -108,31 +105,10 @@ impl Mpeg2Decoder {
         r: &mut BitReader<'_>,
         out: &mut Vec<Frame>,
     ) -> Result<(), CodecError> {
-        if r.get_bits(16)? != MAGIC {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadMagic,
-                "bad picture magic",
-            ));
-        }
-        let frame_type = FrameType::from_bits(r.get_bits(2)?)
-            .ok_or_else(|| CodecError::corrupt(CorruptKind::BadHeaderField, "bad frame type"))?;
-        let _display_index = r.get_bits(32)?;
-        let width = r.get_ue()? as usize;
-        let height = r.get_ue()? as usize;
+        let prefix = read_picture_prefix(r, MAGIC)?;
         let qscale = r.get_ue()?;
-        if width < 16
-            || height < 16
-            || width > 16384
-            || height > 16384
-            || !width.is_multiple_of(2)
-            || !height.is_multiple_of(2)
-            || width.saturating_mul(height) > MAX_DECODE_PIXELS
-        {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadDimensions,
-                format!("implausible dimensions {width}x{height}"),
-            ));
-        }
+        prefix.check_dims()?;
+        let (kind, width, height) = (prefix.kind, prefix.width, prefix.height);
         if !(1..=62).contains(&qscale) {
             return Err(CodecError::corrupt(
                 CorruptKind::BadHeaderField,
@@ -157,7 +133,7 @@ impl Mpeg2Decoder {
                 }
             }
         };
-        let result = self.decode_picture(r, frame_type, qscale, width, height, &mut scratch, out);
+        let result = self.decode_picture(r, kind, qscale, width, height, &mut scratch, out);
         self.scratch = Some(scratch);
         result
     }
@@ -170,7 +146,7 @@ impl Mpeg2Decoder {
     fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        frame_type: FrameType,
+        kind: PacketKind,
         qscale: u16,
         width: usize,
         height: usize,
@@ -184,10 +160,10 @@ impl Mpeg2Decoder {
         // type and the motion field is cleared, matching fresh buffers
         // bit for bit.
         mvs.clear();
-        match frame_type {
-            FrameType::I => self.decode_i(r, recon, qscale, mbs_x, mbs_y)?,
-            FrameType::P => self.decode_p(r, recon, mvs, qscale, mbs_x, mbs_y)?,
-            FrameType::B => self.decode_b(r, recon, qscale, mbs_x, mbs_y)?,
+        match kind {
+            PacketKind::I => self.decode_i(r, recon, qscale, mbs_x, mbs_y)?,
+            PacketKind::P => self.decode_p(r, recon, mvs, qscale, mbs_x, mbs_y)?,
+            PacketKind::B => self.decode_b(r, recon, qscale, mbs_x, mbs_y)?,
         }
 
         let display = {
@@ -196,7 +172,7 @@ impl Mpeg2Decoder {
             d.crop_from(recon);
             d
         };
-        if frame_type == FrameType::B {
+        if kind == PacketKind::B {
             out.push(display);
         } else {
             if let Some(prev) = self.pending.take() {
@@ -572,8 +548,8 @@ fn check_b_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EncoderConfig;
     use crate::encoder::Mpeg2Encoder;
-    use crate::types::EncoderConfig;
     use hdvb_frame::SequencePsnr;
 
     fn moving_frame(w: usize, h: usize, t: f64) -> Frame {
@@ -784,7 +760,7 @@ mod tests {
         }
         let mut bw = hdvb_bits::BitWriter::new();
         bw.put_bits(MAGIC, 16);
-        bw.put_bits(FrameType::P.to_bits(), 2);
+        bw.put_bits(PacketKind::P.to_bits(), 2);
         bw.put_bits(1, 32); // display index
         bw.put_ue(w as u32);
         bw.put_ue(h as u32);

@@ -1,17 +1,22 @@
 use crate::blocks::write_coeffs;
-use crate::gop::{GopScheduler, Scheduled};
-use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
+use crate::config::EncoderConfig;
+use hdvb_bits::picture::{
+    write_picture_prefix, CodecError, GopScheduler, Packet, PacketKind, PicturePrefix, Scheduled,
+};
 use hdvb_bits::BitWriter;
-use hdvb_dsp::{Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_dsp::{
+    load_block, store_block_clamped, Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA,
+    MPEG_DEFAULT_NONINTRA,
+};
 use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
 use hdvb_me::{
-    bipred_luma, epzs_search, mb_prefers_intra, mv_bits, refine_hpel, BlockRef, EpzsThresholds, Mv,
-    MvField, Predictors, SearchParams, SubpelTarget,
+    bipred_luma, epzs_search, mb_prefers_intra, mv_bits, reconstruct_inter, refine_hpel, BlockRef,
+    EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
 };
 use hdvb_par::CancelToken;
 
 /// Magic number opening every coded picture.
-pub(crate) const MAGIC: u32 = 0x4D32; // "M2"
+pub const MAGIC: u32 = 0x4D32; // "M2"
 /// Luma padding of reference pictures (search range + interpolation).
 pub(crate) const LUMA_PAD: usize = 32;
 /// Chroma padding of reference pictures.
@@ -89,24 +94,6 @@ pub(crate) fn predict_mb(
     dsp.hpel_interp(cr, 8, r.cr.row_from(cx, cy), r.cr.stride(), cfx, cfy, 8, 8);
 }
 
-/// Expands `frame` to macroblock-aligned dimensions with edge
-/// replication (test reference for [`Frame::replicate_from`]).
-#[cfg(test)]
-pub(crate) fn align_frame(frame: &Frame, aw: usize, ah: usize) -> Frame {
-    let mut out = Frame::new(aw, ah);
-    out.replicate_from(frame);
-    out
-}
-
-/// Crops an aligned frame back to picture dimensions (test reference
-/// for [`Frame::crop_from`]).
-#[cfg(test)]
-pub(crate) fn crop_frame(frame: &Frame, w: usize, h: usize) -> Frame {
-    let mut out = Frame::new(w, h);
-    out.crop_from(frame);
-    out
-}
-
 /// Per-row entropy-coding state shared between encoder and decoder: DC
 /// predictors (in DC-level units) and motion-vector predictors.
 pub(crate) struct RowState {
@@ -158,7 +145,7 @@ struct EncScratch {
 pub struct Mpeg2Encoder {
     config: EncoderConfig,
     dsp: Dsp,
-    gop: GopScheduler,
+    gop: GopScheduler<Frame>,
     aw: usize,
     ah: usize,
     mbs_x: usize,
@@ -170,7 +157,7 @@ pub struct Mpeg2Encoder {
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
     /// Reusable coding-order buffer handed to the GOP scheduler.
-    sched: Vec<Scheduled>,
+    sched: Vec<Scheduled<Frame>>,
     /// Cooperative cancellation, checkpointed before each coded picture.
     cancel: CancelToken,
 }
@@ -290,7 +277,7 @@ impl Mpeg2Encoder {
     /// global pool afterwards (also on error/cancellation).
     fn encode_scheduled(
         &mut self,
-        sched: &mut Vec<Scheduled>,
+        sched: &mut Vec<Scheduled<Frame>>,
         out: &mut Vec<Packet>,
     ) -> Result<(), CodecError> {
         let mut result = Ok(());
@@ -299,22 +286,17 @@ impl Mpeg2Encoder {
                 if self.cancel.is_cancelled() {
                     result = Err(CodecError::Cancelled);
                 } else {
-                    out.push(self.encode_picture(&s.frame, s.frame_type, s.display_index));
+                    out.push(self.encode_picture(&s.item, s.kind, s.display_index));
                 }
             }
-            FramePool::global().put(s.frame);
+            FramePool::global().put(s.item);
         }
         result
     }
 
-    fn encode_picture(
-        &mut self,
-        frame: &Frame,
-        frame_type: FrameType,
-        display_index: u32,
-    ) -> Packet {
+    fn encode_picture(&mut self, frame: &Frame, kind: PacketKind, display_index: u32) -> Packet {
         let mut scratch = self.scratch.take().expect("encoder scratch in use");
-        let packet = self.encode_picture_inner(frame, frame_type, display_index, &mut scratch);
+        let packet = self.encode_picture_inner(frame, kind, display_index, &mut scratch);
         self.scratch = Some(scratch);
         packet
     }
@@ -322,7 +304,7 @@ impl Mpeg2Encoder {
     fn encode_picture_inner(
         &mut self,
         frame: &Frame,
-        frame_type: FrameType,
+        kind: PacketKind,
         display_index: u32,
         scratch: &mut EncScratch,
     ) -> Packet {
@@ -342,11 +324,13 @@ impl Mpeg2Encoder {
         let mut w = {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::EntropyCoding);
             let mut w = BitWriter::from_vec(BufferPool::global().take(self.aw * self.ah / 4));
-            w.put_bits(MAGIC, 16);
-            w.put_bits(frame_type.to_bits(), 2);
-            w.put_bits(display_index, 32);
-            w.put_ue(self.config.width as u32);
-            w.put_ue(self.config.height as u32);
+            let prefix = PicturePrefix {
+                kind,
+                display_index,
+                width: self.config.width,
+                height: self.config.height,
+            };
+            write_picture_prefix(&mut w, MAGIC, &prefix);
             w.put_ue(u32::from(self.config.qscale));
             w
         };
@@ -355,16 +339,16 @@ impl Mpeg2Encoder {
         // motion fields are cleared, so the recycled storage is
         // bit-identical to freshly allocated buffers.
         mvs.clear();
-        match frame_type {
-            FrameType::I => self.encode_i(&mut w, cur, recon),
-            FrameType::P => self.encode_p(&mut w, cur, recon, mvs),
-            FrameType::B => {
+        match kind {
+            PacketKind::I => self.encode_i(&mut w, cur, recon),
+            PacketKind::P => self.encode_p(&mut w, cur, recon, mvs),
+            PacketKind::B => {
                 b_mvs.clear();
                 self.encode_b(&mut w, cur, recon, b_mvs);
             }
         }
 
-        if frame_type != FrameType::B {
+        if kind != PacketKind::B {
             let recycled = self.prev_anchor.take();
             self.prev_anchor = self.last_anchor.take();
             self.last_anchor = Some(match recycled {
@@ -384,7 +368,7 @@ impl Mpeg2Encoder {
         };
         Packet {
             data,
-            frame_type,
+            kind,
             display_index,
         }
     }
@@ -834,26 +818,6 @@ fn residual_geometry<'a>(
     }
 }
 
-/// Loads an 8×8 pixel block as i16.
-pub(crate) fn load_block(plane: &Plane, bx: usize, by: usize) -> Block8 {
-    let mut out = [0i16; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            out[y * 8 + x] = i16::from(plane.get(bx + x, by + y));
-        }
-    }
-    out
-}
-
-/// Stores an 8×8 i16 block, clamping to pixel range.
-pub(crate) fn store_block_clamped(plane: &mut Plane, bx: usize, by: usize, block: &Block8) {
-    for y in 0..8 {
-        for x in 0..8 {
-            plane.set(bx + x, by + y, block[y * 8 + x].clamp(0, 255) as u8);
-        }
-    }
-}
-
 /// Builds the B prediction for `mode` (0 fwd, 1 bwd, 2 bi).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_b_prediction(
@@ -882,69 +846,6 @@ pub(crate) fn build_b_prediction(
             dsp.avg_block(pcb, 8, &fcb, 8, &bcb, 8, 8, 8);
             dsp.avg_block(pcr, 8, &fcr, 8, &bcr, 8, 8, 8);
         }
-    }
-}
-
-/// Adds the dequantised residual blocks onto the prediction and stores
-/// the macroblock into `recon`. Blocks whose cbp bit is clear contribute
-/// pure prediction. Shared with the decoder.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reconstruct_inter(
-    dsp: &Dsp,
-    recon: &mut Frame,
-    mbx: usize,
-    mby: usize,
-    py: &[u8; 256],
-    pcb: &[u8; 64],
-    pcr: &[u8; 64],
-    blocks: &[Block8; 6],
-    cbp: u8,
-    qscale: u16,
-) {
-    let aw = recon.width();
-    let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
-    for b in 0..6 {
-        let coded = cbp & (1 << (5 - b)) != 0;
-        let (pred_slice, pred_stride): (&[u8], usize) = match b {
-            0..=3 => (&py[(b / 2) * 8 * 16 + (b % 2) * 8..], 16),
-            4 => (&pcb[..], 8),
-            _ => (&pcr[..], 8),
-        };
-        let (plane, bx, by) = match b {
-            0..=3 => (
-                recon.y_mut(),
-                mbx * 16 + (b % 2) * 8,
-                mby * 16 + (b / 2) * 8,
-            ),
-            4 => (recon.cb_mut(), mbx * 8, mby * 8),
-            _ => (recon.cr_mut(), mbx * 8, mby * 8),
-        };
-        if coded {
-            let mut res = blocks[b];
-            dsp.dequant8(&mut res, &MPEG_DEFAULT_NONINTRA, qscale, false);
-            dsp.idct8(&mut res);
-            let stride = plane.stride();
-            let base = by * stride + bx;
-            dsp.add_residual8(
-                &mut plane.data_mut()[base..],
-                stride,
-                pred_slice,
-                pred_stride,
-                &res,
-            );
-        } else {
-            let stride = plane.stride();
-            let base = by * stride + bx;
-            dsp.copy_block(
-                &mut plane.data_mut()[base..],
-                stride,
-                pred_slice,
-                pred_stride,
-                8,
-                8,
-            );
-        }
-        let _ = aw;
     }
 }
 
@@ -977,7 +878,7 @@ mod tests {
         let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48)).unwrap();
         let packets = enc.encode(&textured_frame(64, 48, 0.0)).unwrap();
         assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].frame_type, FrameType::I);
+        assert_eq!(packets[0].kind, PacketKind::I);
         assert_eq!(packets[0].display_index, 0);
         assert!(!packets[0].data.is_empty());
     }
@@ -990,17 +891,17 @@ mod tests {
             all.extend(enc.encode(&textured_frame(64, 48, i as f64)).unwrap());
         }
         all.extend(enc.flush().unwrap());
-        let types: Vec<FrameType> = all.iter().map(|p| p.frame_type).collect();
+        let types: Vec<PacketKind> = all.iter().map(|p| p.kind).collect();
         assert_eq!(
             types,
             vec![
-                FrameType::I,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B
+                PacketKind::I,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B
             ]
         );
         let display: Vec<u32> = all.iter().map(|p| p.display_index).collect();
@@ -1051,14 +952,5 @@ mod tests {
         // An identical frame codes as skips plus small refinements of the
         // lossy I reconstruction.
         assert!(p_bits * 5 < i_bits, "P {p_bits} vs I {i_bits}");
-    }
-
-    #[test]
-    fn align_and_crop_are_inverse() {
-        let f = textured_frame(60, 44, 0.0);
-        let aligned = align_frame(&f, 64, 48);
-        assert_eq!(aligned.width(), 64);
-        let back = crop_frame(&aligned, 60, 44);
-        assert_eq!(back, f);
     }
 }

@@ -9,6 +9,12 @@
 //! tool, and therefore the computational profile, matches the MPEG-2
 //! generation of codecs.
 //!
+//! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
+//! the header fields every packet opens with, the I-P-B-B coding order —
+//! is the benchmark's definition, shared by all three codecs and
+//! re-exported here from `hdvb_bits::picture`; this crate adds its own
+//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//!
 //! # Example
 //!
 //! ```
@@ -35,12 +41,13 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks;
+mod config;
 mod decoder;
 mod encoder;
-mod gop;
 mod tables;
-mod types;
 
+pub use config::EncoderConfig;
 pub use decoder::Mpeg2Decoder;
 pub use encoder::Mpeg2Encoder;
-pub use types::{CodecError, EncoderConfig, FrameType, Packet};
+pub use encoder::MAGIC;
+pub use hdvb_bits::picture::{CodecError, Packet, PacketKind};

@@ -8,7 +8,7 @@
 use crate::tables::{
     event_symbol, event_table, symbol_event, MAX_LEVEL, MAX_RUN, SYM_ESCAPE, ZIGZAG,
 };
-use crate::types::CodecError;
+use hdvb_bits::picture::CodecError;
 use hdvb_bits::{BitReader, BitWriter};
 use hdvb_dsp::Block8;
 

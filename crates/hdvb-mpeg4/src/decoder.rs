@@ -1,13 +1,12 @@
 use crate::blocks::read_coeffs;
 use crate::encoder::{
-    build_b_prediction, dc_coords, direct_mvs, median_pred, predict_mb, reconstruct_inter,
-    store_block_clamped, BRowState, DcStores, RefPicture, MAGIC,
+    build_b_prediction, dc_coords, direct_mvs, predict_mb, BRowState, DcStores, RefPicture, MAGIC,
 };
-use crate::types::{CodecError, FrameType, MAX_DECODE_PIXELS};
+use hdvb_bits::picture::{read_picture_prefix, CodecError, PacketKind, PicturePrefix};
 use hdvb_bits::{BitReader, CorruptKind};
-use hdvb_dsp::{Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
+use hdvb_dsp::{store_block_clamped, Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
 use hdvb_frame::{align_up, Frame, FramePool};
-use hdvb_me::{Mv, MvField};
+use hdvb_me::{reconstruct_inter, Mv, MvField};
 use hdvb_par::CancelToken;
 
 /// Per-packet working storage, reused while the coded geometry stays the
@@ -101,31 +100,15 @@ impl Mpeg4Decoder {
         r: &mut BitReader<'_>,
         out: &mut Vec<Frame>,
     ) -> Result<(), CodecError> {
-        if r.get_bits(16)? != MAGIC {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadMagic,
-                "bad picture magic",
-            ));
-        }
-        let frame_type = FrameType::from_bits(r.get_bits(2)?)
-            .ok_or_else(|| CodecError::corrupt(CorruptKind::BadHeaderField, "bad frame type"))?;
-        let display_index = r.get_bits(32)?;
-        let width = r.get_ue()? as usize;
-        let height = r.get_ue()? as usize;
+        let prefix = read_picture_prefix(r, MAGIC)?;
         let qscale = r.get_ue()?;
-        if width < 16
-            || height < 16
-            || width > 16384
-            || height > 16384
-            || !width.is_multiple_of(2)
-            || !height.is_multiple_of(2)
-            || width.saturating_mul(height) > MAX_DECODE_PIXELS
-        {
-            return Err(CodecError::corrupt(
-                CorruptKind::BadDimensions,
-                format!("implausible dimensions {width}x{height}"),
-            ));
-        }
+        prefix.check_dims()?;
+        let PicturePrefix {
+            kind,
+            display_index,
+            width,
+            height,
+        } = prefix;
         if !(1..=62).contains(&qscale) {
             return Err(CodecError::corrupt(
                 CorruptKind::BadHeaderField,
@@ -154,7 +137,7 @@ impl Mpeg4Decoder {
         };
         let result = self.decode_picture(
             r,
-            frame_type,
+            kind,
             display_index,
             qscale,
             width,
@@ -170,7 +153,7 @@ impl Mpeg4Decoder {
     fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        frame_type: FrameType,
+        kind: PacketKind,
         display_index: u32,
         qscale: u16,
         width: usize,
@@ -194,12 +177,12 @@ impl Mpeg4Decoder {
         mvs_full.clear();
         mvs_qpel.clear();
         dc.reset();
-        match frame_type {
-            FrameType::I => self.decode_i(r, recon, qscale, mbs_x, mbs_y, dc)?,
-            FrameType::P => {
+        match kind {
+            PacketKind::I => self.decode_i(r, recon, qscale, mbs_x, mbs_y, dc)?,
+            PacketKind::P => {
                 self.decode_p(r, recon, mvs_full, mvs_qpel, qscale, mbs_x, mbs_y, dc)?
             }
-            FrameType::B => self.decode_b(r, recon, display_index, qscale, mbs_x, mbs_y, dc)?,
+            PacketKind::B => self.decode_b(r, recon, display_index, qscale, mbs_x, mbs_y, dc)?,
         }
 
         let display = {
@@ -208,7 +191,7 @@ impl Mpeg4Decoder {
             d.crop_from(recon);
             d
         };
-        if frame_type == FrameType::B {
+        if kind == PacketKind::B {
             out.push(display);
         } else {
             if let Some(prev) = self.pending.take() {
@@ -370,7 +353,7 @@ impl Mpeg4Decoder {
                             qfield.set(mbx, mby, Mv::ZERO);
                         }
                         0 => {
-                            let median = median_pred(qfield, mbx, mby);
+                            let median = qfield.median_pred(mbx, mby);
                             let mv = Mv::new(
                                 read_mv_component(r, median.x)?,
                                 read_mv_component(r, median.y)?,
@@ -382,7 +365,7 @@ impl Mpeg4Decoder {
                             )?;
                         }
                         1 => {
-                            let median = median_pred(qfield, mbx, mby);
+                            let median = qfield.median_pred(mbx, mby);
                             let mut mvs = [Mv::ZERO; 4];
                             let mut pred = median;
                             for m in &mut mvs {
@@ -661,8 +644,8 @@ fn check_b_window(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EncoderConfig;
     use crate::encoder::Mpeg4Encoder;
-    use crate::types::EncoderConfig;
     use hdvb_frame::SequencePsnr;
 
     fn moving_frame(w: usize, h: usize, t: f64) -> Frame {
@@ -749,18 +732,18 @@ mod tests {
         let mut p_count = 0u64;
         let mut b_bits = 0u64;
         let mut b_count = 0u64;
-        let mut tally = |packets: Vec<crate::types::Packet>| {
+        let mut tally = |packets: Vec<crate::Packet>| {
             for p in packets {
-                match p.frame_type {
-                    FrameType::P => {
+                match p.kind {
+                    PacketKind::P => {
                         p_bits += p.bits();
                         p_count += 1;
                     }
-                    FrameType::B => {
+                    PacketKind::B => {
                         b_bits += p.bits();
                         b_count += 1;
                     }
-                    FrameType::I => {}
+                    PacketKind::I => {}
                 }
             }
         };
@@ -844,7 +827,7 @@ mod tests {
         packets.extend(enc.flush().expect("mpeg4 encoder: flush failed"));
         let b_packet = packets
             .iter()
-            .find(|p| p.frame_type == FrameType::B)
+            .find(|p| p.kind == PacketKind::B)
             .expect("mpeg4 encoder: stream contains no B packet");
         let mut dec = Mpeg4Decoder::new();
         assert!(dec.decode(&b_packet.data).is_err());

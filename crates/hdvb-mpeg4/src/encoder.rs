@@ -1,17 +1,22 @@
 use crate::blocks::write_coeffs;
-use crate::gop::{GopScheduler, Scheduled};
-use crate::types::{CodecError, EncoderConfig, FrameType, Packet};
+use crate::config::EncoderConfig;
+use hdvb_bits::picture::{
+    write_picture_prefix, CodecError, GopScheduler, Packet, PacketKind, PicturePrefix, Scheduled,
+};
 use hdvb_bits::BitWriter;
-use hdvb_dsp::{Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
+use hdvb_dsp::{
+    load_block, store_block_clamped, Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA,
+    MPEG_DEFAULT_NONINTRA,
+};
 use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
 use hdvb_me::{
-    bipred_luma, diamond_search, epzs_search, mb_prefers_intra, median3, mv_bits, refine_qpel,
-    BlockRef, EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
+    bipred_luma, diamond_search, epzs_search, mb_prefers_intra, mv_bits, reconstruct_inter,
+    refine_qpel, BlockRef, EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
 };
 use hdvb_par::CancelToken;
 
 /// Magic number opening every coded picture.
-pub(crate) const MAGIC: u32 = 0x4D34; // "M4"
+pub const MAGIC: u32 = 0x4D34; // "M4"
 /// Luma padding of reference pictures.
 pub(crate) const LUMA_PAD: usize = 32;
 /// Chroma padding of reference pictures.
@@ -245,26 +250,6 @@ pub(crate) fn predict_mb(
     dsp.hpel_interp(cr, 8, r.cr.row_from(cx, cy), r.cr.stride(), cfx, cfy, 8, 8);
 }
 
-/// Loads an 8×8 pixel block as i16.
-pub(crate) fn load_block(plane: &Plane, bx: usize, by: usize) -> Block8 {
-    let mut out = [0i16; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            out[y * 8 + x] = i16::from(plane.get(bx + x, by + y));
-        }
-    }
-    out
-}
-
-/// Stores an 8×8 i16 block with pixel clamping.
-pub(crate) fn store_block_clamped(plane: &mut Plane, bx: usize, by: usize, block: &Block8) {
-    for y in 0..8 {
-        for x in 0..8 {
-            plane.set(bx + x, by + y, block[y * 8 + x].clamp(0, 255) as u8);
-        }
-    }
-}
-
 /// B-picture per-row prediction state (left-neighbour MV predictors).
 pub(crate) struct BRowState {
     pub mv_pred: Mv,
@@ -322,63 +307,6 @@ pub(crate) fn build_b_prediction(
     }
 }
 
-/// Adds dequantised residuals onto a prediction. Shared with the decoder.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn reconstruct_inter(
-    dsp: &Dsp,
-    recon: &mut Frame,
-    mbx: usize,
-    mby: usize,
-    py: &[u8; 256],
-    pcb: &[u8; 64],
-    pcr: &[u8; 64],
-    blocks: &[Block8; 6],
-    cbp: u8,
-    qscale: u16,
-) {
-    let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
-    for b in 0..6 {
-        let coded = cbp & (1 << (5 - b)) != 0;
-        let (pred_slice, pred_stride): (&[u8], usize) = match b {
-            0..=3 => (&py[(b / 2) * 8 * 16 + (b % 2) * 8..], 16),
-            4 => (&pcb[..], 8),
-            _ => (&pcr[..], 8),
-        };
-        let (plane, bx, by) = match b {
-            0..=3 => (
-                recon.y_mut(),
-                mbx * 16 + (b % 2) * 8,
-                mby * 16 + (b / 2) * 8,
-            ),
-            4 => (recon.cb_mut(), mbx * 8, mby * 8),
-            _ => (recon.cr_mut(), mbx * 8, mby * 8),
-        };
-        let stride = plane.stride();
-        let base = by * stride + bx;
-        if coded {
-            let mut res = blocks[b];
-            dsp.dequant8(&mut res, &MPEG_DEFAULT_NONINTRA, qscale, false);
-            dsp.idct8(&mut res);
-            dsp.add_residual8(
-                &mut plane.data_mut()[base..],
-                stride,
-                pred_slice,
-                pred_stride,
-                &res,
-            );
-        } else {
-            dsp.copy_block(
-                &mut plane.data_mut()[base..],
-                stride,
-                pred_slice,
-                pred_stride,
-                8,
-                8,
-            );
-        }
-    }
-}
-
 /// DC-store grid coordinates for coded block `b` of macroblock
 /// `(mbx, mby)`.
 pub(crate) fn dc_coords(mbx: usize, mby: usize, b: usize) -> (usize, usize) {
@@ -411,7 +339,7 @@ struct EncScratch {
 pub struct Mpeg4Encoder {
     config: EncoderConfig,
     dsp: Dsp,
-    gop: GopScheduler,
+    gop: GopScheduler<Frame>,
     aw: usize,
     ah: usize,
     mbs_x: usize,
@@ -421,7 +349,7 @@ pub struct Mpeg4Encoder {
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
     /// Reusable coding-order buffer handed to the GOP scheduler.
-    sched: Vec<Scheduled>,
+    sched: Vec<Scheduled<Frame>>,
     /// Cooperative cancellation, checkpointed before each coded picture.
     cancel: CancelToken,
 }
@@ -541,7 +469,7 @@ impl Mpeg4Encoder {
     /// global pool afterwards (also on error/cancellation).
     fn encode_scheduled(
         &mut self,
-        sched: &mut Vec<Scheduled>,
+        sched: &mut Vec<Scheduled<Frame>>,
         out: &mut Vec<Packet>,
     ) -> Result<(), CodecError> {
         let mut result = Ok(());
@@ -550,22 +478,17 @@ impl Mpeg4Encoder {
                 if self.cancel.is_cancelled() {
                     result = Err(CodecError::Cancelled);
                 } else {
-                    out.push(self.encode_picture(&s.frame, s.frame_type, s.display_index));
+                    out.push(self.encode_picture(&s.item, s.kind, s.display_index));
                 }
             }
-            FramePool::global().put(s.frame);
+            FramePool::global().put(s.item);
         }
         result
     }
 
-    fn encode_picture(
-        &mut self,
-        frame: &Frame,
-        frame_type: FrameType,
-        display_index: u32,
-    ) -> Packet {
+    fn encode_picture(&mut self, frame: &Frame, kind: PacketKind, display_index: u32) -> Packet {
         let mut scratch = self.scratch.take().expect("encoder scratch in use");
-        let packet = self.encode_picture_inner(frame, frame_type, display_index, &mut scratch);
+        let packet = self.encode_picture_inner(frame, kind, display_index, &mut scratch);
         self.scratch = Some(scratch);
         packet
     }
@@ -573,7 +496,7 @@ impl Mpeg4Encoder {
     fn encode_picture_inner(
         &mut self,
         frame: &Frame,
-        frame_type: FrameType,
+        kind: PacketKind,
         display_index: u32,
         scratch: &mut EncScratch,
     ) -> Packet {
@@ -595,11 +518,13 @@ impl Mpeg4Encoder {
         let mut w = {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::EntropyCoding);
             let mut w = BitWriter::from_vec(BufferPool::global().take(self.aw * self.ah / 4));
-            w.put_bits(MAGIC, 16);
-            w.put_bits(frame_type.to_bits(), 2);
-            w.put_bits(display_index, 32);
-            w.put_ue(self.config.width as u32);
-            w.put_ue(self.config.height as u32);
+            let prefix = PicturePrefix {
+                kind,
+                display_index,
+                width: self.config.width,
+                height: self.config.height,
+            };
+            write_picture_prefix(&mut w, MAGIC, &prefix);
             w.put_ue(u32::from(self.config.qscale));
             w
         };
@@ -610,16 +535,16 @@ impl Mpeg4Encoder {
         mvs_full.clear();
         mvs_qpel.clear();
         dc.reset();
-        match frame_type {
-            FrameType::I => self.encode_i(&mut w, cur, recon, dc),
-            FrameType::P => self.encode_p(&mut w, cur, recon, mvs_full, mvs_qpel, dc),
-            FrameType::B => {
+        match kind {
+            PacketKind::I => self.encode_i(&mut w, cur, recon, dc),
+            PacketKind::P => self.encode_p(&mut w, cur, recon, mvs_full, mvs_qpel, dc),
+            PacketKind::B => {
                 b_full.clear();
                 self.encode_b(&mut w, cur, recon, display_index, b_full, dc);
             }
         }
 
-        if frame_type != FrameType::B {
+        if kind != PacketKind::B {
             let recycled = self.prev_anchor.take();
             self.prev_anchor = self.last_anchor.take();
             self.last_anchor = Some(match recycled {
@@ -641,7 +566,7 @@ impl Mpeg4Encoder {
         };
         Packet {
             data,
-            frame_type,
+            kind,
             display_index,
         }
     }
@@ -741,7 +666,7 @@ impl Mpeg4Encoder {
                 // One motion-estimation zone spans the full-pel search,
                 // sub-pel refinement, four-MV trial and mode decision.
                 let me_zone = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
-                let median = median_pred(qfield, mbx, mby);
+                let median = qfield.median_pred(mbx, mby);
                 // Full-pel EPZS.
                 let preds = Predictors::gather(mvs_full, &reference.mvs_fullpel, mbx, mby);
                 let block16 = BlockRef {
@@ -1123,17 +1048,6 @@ impl Mpeg4Encoder {
     }
 }
 
-/// Median motion-vector predictor from the left, top and top-right
-/// macroblocks' quarter-pel vectors.
-pub(crate) fn median_pred(qfield: &MvField, mbx: usize, mby: usize) -> Mv {
-    let (x, y) = (mbx as isize, mby as isize);
-    median3(
-        qfield.get(x - 1, y),
-        qfield.get(x, y - 1),
-        qfield.get(x + 1, y - 1),
-    )
-}
-
 /// Source-plane geometry of intra block `b`.
 fn intra_geometry(
     cur: &Frame,
@@ -1202,17 +1116,17 @@ mod tests {
             all.extend(enc.encode(&textured_frame(64, 48, i as f64)).unwrap());
         }
         all.extend(enc.flush().unwrap());
-        let types: Vec<FrameType> = all.iter().map(|p| p.frame_type).collect();
+        let types: Vec<PacketKind> = all.iter().map(|p| p.kind).collect();
         assert_eq!(
             types,
             vec![
-                FrameType::I,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B,
-                FrameType::P,
-                FrameType::B,
-                FrameType::B
+                PacketKind::I,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B,
+                PacketKind::P,
+                PacketKind::B,
+                PacketKind::B
             ]
         );
     }

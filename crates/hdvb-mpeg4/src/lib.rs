@@ -18,6 +18,12 @@
 //! DESIGN.md for the documented substitutions: 6-tap instead of 8-tap
 //! quarter-pel filter, no GMC, no AC prediction).
 //!
+//! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
+//! the header fields every packet opens with, the I-P-B-B coding order —
+//! is the benchmark's definition, shared by all three codecs and
+//! re-exported here from `hdvb_bits::picture`; this crate adds its own
+//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//!
 //! # Example
 //!
 //! ```
@@ -41,12 +47,13 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks;
+mod config;
 mod decoder;
 mod encoder;
-mod gop;
 mod tables;
-mod types;
 
+pub use config::EncoderConfig;
 pub use decoder::Mpeg4Decoder;
 pub use encoder::Mpeg4Encoder;
-pub use types::{CodecError, EncoderConfig, FrameType, Packet};
+pub use encoder::MAGIC;
+pub use hdvb_bits::picture::{CodecError, Packet, PacketKind};

@@ -499,23 +499,6 @@ fn codec_from_byte(b: u8) -> Option<CodecId> {
     }
 }
 
-fn kind_byte(k: PacketKind) -> u8 {
-    match k {
-        PacketKind::I => b'I',
-        PacketKind::P => b'P',
-        PacketKind::B => b'B',
-    }
-}
-
-fn kind_from_byte(b: u8) -> Option<PacketKind> {
-    match b {
-        b'I' => Some(PacketKind::I),
-        b'P' => Some(PacketKind::P),
-        b'B' => Some(PacketKind::B),
-        _ => None,
-    }
-}
-
 /// Payload bytes `msg` encodes to.
 fn payload_len(msg: &Msg) -> usize {
     match msg {
@@ -584,7 +567,7 @@ pub fn encode(msg: &Msg, seq: u32, out: &mut Vec<u8>) {
             out.extend_from_slice(frame.cr().data());
         }
         Msg::Packet(p) => {
-            out.push(kind_byte(p.kind));
+            out.push(p.kind.as_byte());
             out.extend_from_slice(&p.display_index.to_le_bytes());
             out.extend_from_slice(&p.data);
         }
@@ -739,7 +722,8 @@ pub fn decode_payload(msg_type: MsgType, payload: &[u8]) -> Result<Msg, WireErro
             if payload.len() < 5 {
                 return Err(bad("missing kind/index"));
             }
-            let kind = kind_from_byte(payload[0]).ok_or_else(|| bad("unknown picture kind"))?;
+            let kind =
+                PacketKind::from_byte(payload[0]).ok_or_else(|| bad("unknown picture kind"))?;
             let mut data = BufferPool::global().take(payload.len() - 5);
             data.extend_from_slice(&payload[5..]);
             Ok(Msg::Packet(Packet {

@@ -139,6 +139,13 @@ echo "==> repo benchmark (its own unit tests, then the toy-size smoke of all fou
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-.bench_build}" \
     cargo test --offline -q --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke
+# run.sh builds --offline but not --locked: a new crate, or a new edge
+# between existing crates, makes cargo rewrite benchmark/Cargo.lock. Fail
+# here instead of surprising the measurement pipeline (DESIGN.md §3).
+git diff --exit-code -- benchmark BENCHMARK.json || {
+    echo "building the benchmark modified benchmark/ or BENCHMARK.json (crate graph moved?)" >&2
+    exit 1
+}
 
 echo "==> serve-load smoke (TCP saturation sweep, loadcurve schema check)"
 (cd "$tmpdir" && "$OLDPWD/target/release/hdvb" serve-load --codec mpeg2 \
