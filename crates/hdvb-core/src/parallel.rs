@@ -610,25 +610,4 @@ mod tests {
         assert_eq!(r.threads(), 3);
         assert!(ParallelRunner::new(0).threads() >= 1);
     }
-
-    #[test]
-    fn table5_rows_parallel_matches_serial() {
-        let resolutions = [hdvb_frame::Resolution::new(64, 48)];
-        let options = CodingOptions::default();
-        let serial = ParallelRunner::new(1);
-        let parallel = ParallelRunner::new(4);
-        let (rows_s, rep_s) = serial.table5_rows(&resolutions, 4, &options).unwrap();
-        let (rows_p, rep_p) = parallel.table5_rows(&resolutions, 4, &options).unwrap();
-        assert_eq!(rows_s.len(), rows_p.len());
-        assert_eq!(rep_s.cells, rep_p.cells);
-        for (s, p) in rows_s.iter().zip(&rows_p) {
-            assert_eq!(s.sequence, p.sequence);
-            for (ps, pp) in s.points.iter().zip(&p.points) {
-                // Bit-identical cells: f64 equality is intentional.
-                assert_eq!(ps.0.to_bits(), pp.0.to_bits());
-                assert_eq!(ps.1.to_bits(), pp.1.to_bits());
-            }
-        }
-        assert!(rep_p.summary().contains("cells"));
-    }
 }

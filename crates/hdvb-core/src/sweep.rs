@@ -1223,28 +1223,34 @@ mod tests {
     }
 
     #[test]
-    fn ft_sweep_matches_plain_sweep_bit_identically() {
+    fn table5_rows_match_the_cell_function_at_any_thread_count() {
         let resolutions = [Resolution::new(64, 48)];
         let options = CodingOptions::default();
-        let runner = ParallelRunner::new(2);
-        let (plain, _) = runner.table5_rows(&resolutions, 4, &options).unwrap();
-        let (ft, report) = runner
-            .table5_rows_ft(
-                &resolutions,
-                4,
-                &options,
-                &SweepPolicy::default(),
-                None,
-                None,
-            )
-            .unwrap();
-        assert!(report.all_ok());
-        assert_eq!(plain.len(), ft.len());
-        for (a, b) in plain.iter().zip(&ft) {
-            assert_eq!(a.sequence, b.sequence);
-            for (pa, pb) in a.points.iter().zip(&b.points) {
-                assert_eq!(pa.0.to_bits(), pb.0.to_bits());
-                assert_eq!(pa.1.to_bits(), pb.1.to_bits());
+        for threads in [1, 4] {
+            let runner = ParallelRunner::new(threads);
+            let (rows, report) = runner
+                .table5_rows_ft(
+                    &resolutions,
+                    4,
+                    &options,
+                    &SweepPolicy::default(),
+                    None,
+                    None,
+                )
+                .unwrap();
+            assert!(report.all_ok());
+            assert_eq!(report.execution.cells, 12);
+            assert!(report.execution.summary().contains("cells"));
+            assert_eq!(rows.len(), SequenceId::ALL.len());
+            for (row, sid) in rows.iter().zip(SequenceId::ALL) {
+                assert_eq!(row.sequence, sid);
+                let seq = Sequence::new(sid, row.resolution);
+                for (point, codec) in row.points.iter().zip(CodecId::ALL) {
+                    let rd = crate::measure_rd_point(codec, seq, 4, &options).unwrap();
+                    // Bit-identical cells: f64 equality is intentional.
+                    assert_eq!(point.0.to_bits(), rd.psnr_y.to_bits());
+                    assert_eq!(point.1.to_bits(), rd.bitrate_kbps.to_bits());
+                }
             }
         }
     }

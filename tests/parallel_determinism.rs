@@ -1,16 +1,16 @@
-//! Determinism regression: the parallel sweep must be **bit-identical**
-//! to the serial one.
+//! Determinism regression: the sweep must be **bit-identical** to its
+//! cells measured one at a time.
 //!
 //! Each grid cell (resolution × sequence × codec) is an independent
 //! encode→decode→PSNR pipeline, so fanning cells over the work-stealing
 //! pool and merging in grid order may not change a single bit of any
-//! packet, PSNR or bitrate relative to running the cells one after
-//! another on the calling thread. `hdvb table5 --threads N` relies on
+//! packet, PSNR or bitrate relative to calling the cell function
+//! directly on the calling thread. `hdvb table5 --threads N` relies on
 //! this to stay a faithful reproduction of the paper's Table V at any
-//! thread count.
+//! thread count, and the engine exercised here is the one it runs.
 
 use hd_videobench::bench::{
-    encode_sequence, measure_rd_point, CodecId, CodingOptions, ParallelRunner,
+    encode_sequence, measure_rd_point, CodecId, CodingOptions, ParallelRunner, SweepPolicy,
 };
 use hd_videobench::frame::Resolution;
 use hd_videobench::par::ThreadPool;
@@ -67,43 +67,48 @@ fn parallel_sweep_packets_are_byte_identical_to_serial() {
     }
 }
 
-/// The assembled Table V rows (PSNR and bitrate) from a 4-thread
-/// `ParallelRunner` are exactly equal — to the last f64 bit — to the
-/// serial runner's, across all three codecs.
+/// The assembled Table V rows (PSNR and bitrate) from the sweep engine
+/// `hdvb table5` runs are exactly equal — to the last f64 bit — to the
+/// cell function [`measure_rd_point`] called directly for the cell each
+/// row and column names, at one thread and at four.
 #[test]
 fn table5_rows_identical_at_any_thread_count() {
     let resolutions = [Resolution::new(RES.0, RES.1)];
     let options = CodingOptions::default();
+    let policy = SweepPolicy::default();
 
-    let (serial_rows, serial_report) = ParallelRunner::new(1)
-        .table5_rows(&resolutions, FRAMES, &options)
-        .expect("serial sweep");
-    let (parallel_rows, parallel_report) = ParallelRunner::new(4)
-        .table5_rows(&resolutions, FRAMES, &options)
-        .expect("parallel sweep");
+    // The reference: every cell measured directly, no engine involved.
+    let cells: Vec<[(u64, u64); 3]> = SequenceId::ALL
+        .iter()
+        .map(|&sid| {
+            let seq = Sequence::new(sid, resolutions[0]);
+            CodecId::ALL.map(|codec| {
+                let rd = measure_rd_point(codec, seq, FRAMES, &options).expect("cell");
+                (rd.psnr_y.to_bits(), rd.bitrate_kbps.to_bits())
+            })
+        })
+        .collect();
 
-    assert_eq!(serial_report.threads, 1);
-    assert_eq!(parallel_report.threads, 4);
-    assert_eq!(serial_report.cells, parallel_report.cells);
-    assert_eq!(serial_rows.len(), parallel_rows.len());
-    for (s, p) in serial_rows.iter().zip(&parallel_rows) {
-        assert_eq!(s.resolution, p.resolution);
-        assert_eq!(s.sequence, p.sequence);
-        for (ci, (sp, pp)) in s.points.iter().zip(&p.points).enumerate() {
-            assert_eq!(
-                sp.0.to_bits(),
-                pp.0.to_bits(),
-                "{}/{:?}: PSNR differs",
-                s.sequence.name(),
-                CodecId::ALL[ci]
-            );
-            assert_eq!(
-                sp.1.to_bits(),
-                pp.1.to_bits(),
-                "{}/{:?}: bitrate differs",
-                s.sequence.name(),
-                CodecId::ALL[ci]
-            );
+    for threads in [1, 4] {
+        let (rows, report) = ParallelRunner::new(threads)
+            .table5_rows_ft(&resolutions, FRAMES, &options, &policy, None, None)
+            .expect("sweep");
+        assert!(report.all_ok(), "{}", report.failure_summary());
+        assert_eq!(report.execution.threads, threads);
+        assert_eq!(report.execution.cells, cells.len() * CodecId::ALL.len());
+        assert_eq!(rows.len(), cells.len());
+        for ((row, &sid), cell_row) in rows.iter().zip(&SequenceId::ALL).zip(&cells) {
+            assert_eq!(row.resolution, resolutions[0]);
+            assert_eq!(row.sequence, sid);
+            for (ci, (point, cell)) in row.points.iter().zip(cell_row).enumerate() {
+                assert_eq!(
+                    (point.0.to_bits(), point.1.to_bits()),
+                    *cell,
+                    "{threads} threads, {}/{}: PSNR or bitrate differs",
+                    sid.name(),
+                    CodecId::ALL[ci]
+                );
+            }
         }
     }
 }
