@@ -338,23 +338,6 @@ pub fn kernels_table(rows: &[KernelMeasurement]) -> String {
     out
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders measurements as the `BENCH_kernels.json` document.
 pub fn kernels_json(rows: &[KernelMeasurement], cpu: &str) -> String {
     let tiers: Vec<String> = SimdLevel::supported_tiers()
@@ -364,7 +347,7 @@ pub fn kernels_json(rows: &[KernelMeasurement], cpu: &str) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"kernels\",\n");
-    out.push_str(&format!("  \"cpu\": \"{}\",\n", json_escape(cpu)));
+    out.push_str(&format!("  \"cpu\": {},\n", hdvb_trace::json::escape(cpu)));
     out.push_str(&format!(
         "  \"auto_tier\": \"{}\",\n",
         SimdLevel::detect().tier_name()
@@ -422,10 +405,5 @@ mod tests {
         let table = kernels_table(&rows);
         assert!(table.contains("sad_16x16"));
         assert!(table.contains("3.98")); // 123.456 / 31.0
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

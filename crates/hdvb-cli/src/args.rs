@@ -16,6 +16,56 @@ impl Parsed {
     /// Options that take no value (presence means `true`).
     const FLAGS: [&'static str; 3] = ["json", "resume", "resilient"];
 
+    /// Every option an accessor below reads. `parse` rejects anything
+    /// else, so a misspelt option is an error rather than a silently
+    /// applied default; `get` asserts membership, so an accessor cannot
+    /// be added without its option.
+    const OPTIONS: [&'static str; 43] = [
+        "addr",
+        "b-frames",
+        "batch-headroom",
+        "bind",
+        "cell-timeout",
+        "codec",
+        "corpus",
+        "duration",
+        "faults",
+        "fps",
+        "frames",
+        "heartbeat-ms",
+        "input",
+        "journal",
+        "json",
+        "max-retries",
+        "mode",
+        "output",
+        "part",
+        "priority",
+        "qscale",
+        "queue-cap",
+        "queue-policy",
+        "rate",
+        "resilient",
+        "resolution",
+        "resume",
+        "retries",
+        "roundtrips",
+        "rungs",
+        "scale",
+        "seconds",
+        "seed",
+        "sequence",
+        "sessions",
+        "simd",
+        "slo-min-samples",
+        "slo-p99",
+        "switch",
+        "threads",
+        "trace",
+        "trials",
+        "write-golden",
+    ];
+
     pub fn parse(args: &[String]) -> Result<Parsed, String> {
         let mut values = HashMap::new();
         let mut it = args.iter().peekable();
@@ -26,6 +76,9 @@ impl Parsed {
                 s if s.starts_with("--") => s[2..].to_string(),
                 other => return Err(format!("unexpected argument {other:?}")),
             };
+            if !Self::OPTIONS.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
             if Self::FLAGS.contains(&key.as_str()) {
                 values.insert(key, "true".to_string());
                 continue;
@@ -39,6 +92,7 @@ impl Parsed {
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        debug_assert!(Self::OPTIONS.contains(&key), "--{key} is not in OPTIONS");
         self.values.get(key).map(String::as_str)
     }
 
@@ -708,5 +762,12 @@ mod tests {
         assert!(p.qscale().is_err());
         assert!(Parsed::parse(&["--frames".to_string()]).is_err());
         assert!(Parsed::parse(&["stray".to_string()]).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        let args = ["--frames", "2", "--frmes", "2"].map(str::to_string);
+        let err = Parsed::parse(&args).err().expect("misspelt --frames");
+        assert!(err.contains("--frmes"), "{err}");
     }
 }

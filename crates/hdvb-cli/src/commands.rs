@@ -370,8 +370,8 @@ fn bench_json_outputs(
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"figure1\",\n");
     out.push_str(&format!(
-        "  \"cpu\": \"{}\",\n",
-        kernelbench::json_escape(&cpu_model())
+        "  \"cpu\": {},\n",
+        hdvb_trace::json::escape(&cpu_model())
     ));
     out.push_str(&format!(
         "  \"auto_tier\": \"{}\",\n",
@@ -436,8 +436,8 @@ fn figure1_json(rows: &[Figure1Row], frames: u32) -> String {
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"figure1\",\n");
     out.push_str(&format!(
-        "  \"cpu\": \"{}\",\n",
-        kernelbench::json_escape(&cpu_model())
+        "  \"cpu\": {},\n",
+        hdvb_trace::json::escape(&cpu_model())
     ));
     out.push_str(&format!(
         "  \"auto_tier\": \"{}\",\n",
@@ -480,8 +480,9 @@ fn benchmark_resolutions(scale: u32) -> Vec<Resolution> {
 }
 
 /// Builds the fault-tolerance policy shared by `table5` and `figure1`
-/// from the CLI flags plus the `HDVB_FAULTS` injection env var, and
-/// resolves the journal/resume paths (`--resume` implies `--journal`).
+/// from the CLI flags plus the `HDVB_FAULTS` injection env var, with
+/// the journal path and whether to resume from it (`--resume` requires
+/// `--journal`).
 fn ft_setup(p: &Parsed) -> Result<(SweepPolicy, Option<&std::path::Path>, bool), String> {
     let faults = FaultPlan::from_env().map_err(|e| format!("bad HDVB_FAULTS: {e}"))?;
     let policy = SweepPolicy {
@@ -524,14 +525,7 @@ pub fn table5(p: &Parsed) -> CmdResult {
         runner.threads()
     );
     let (rows, report) = runner
-        .table5_rows_ft(
-            &resolutions,
-            frames,
-            &options,
-            &policy,
-            journal,
-            resume.then_some(journal).flatten(),
-        )
+        .table5_rows(&resolutions, frames, &options, &policy, journal, resume)
         .map_err(|e| e.to_string())?;
     println!(
         "# Table V — rate-distortion comparison ({frames} frames, qscale {}, scale 1/{scale})",
@@ -564,14 +558,14 @@ pub fn figure1(p: &Parsed) -> CmdResult {
     }
     let (policy, journal, resume) = ft_setup(p)?;
     let (rows, report) = runner
-        .figure1_rows_ft(
+        .figure1_rows(
             &resolutions,
             frames,
             &options,
             part,
             &policy,
             journal,
-            resume.then_some(journal).flatten(),
+            resume,
         )
         .map_err(|e| e.to_string())?;
     println!("# Figure 1 — HD-VideoBench performance ({frames} frames, scale 1/{scale})");

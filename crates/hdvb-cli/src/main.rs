@@ -56,6 +56,7 @@ COMMON OPTIONS:
     -i, --input <file>              input file (.y4m for encode, .hvb for decode)
     -o, --output <file>             output file
     --scale <d>                     divide benchmark resolutions by d (quick runs)
+    --part <a|b|c|d|all>            figure1: subfigure(s) to measure      [default: all]
     --threads <n|auto>              worker threads                        [default: auto]
                                     table5/figure1 fan independent grid cells over
                                     the pool (table5 numbers identical to

@@ -30,6 +30,30 @@ fn unknown_command_fails() {
     assert!(!out.status.success());
 }
 
+/// A misspelt option must not run the command with the default in its
+/// place (here: 100 frames measured and reported for a request of 2).
+#[test]
+fn unknown_option_fails_and_is_named() {
+    let out = hdvb()
+        .args([
+            "bench",
+            "--codec",
+            "mpeg2",
+            "--sequence",
+            "blue_sky",
+            "--resolution",
+            "64x48",
+            "--frmes",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing is measured");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown option --frmes"), "{err}");
+}
+
 #[test]
 fn list_commands_run() {
     for cmd in ["list-codecs", "list-sequences"] {

@@ -1,16 +1,37 @@
-//! Deterministic fault injection for exercising the fault-tolerant
-//! sweep runner ([`crate::sweep`]).
+//! Deterministic fault injection: the spec grammar every fault plan in
+//! the workspace is written in, and the plan that exercises the sweep
+//! engine ([`crate::sweep`]).
 //!
-//! A [`FaultPlan`] is parsed from a compact spec string (the CLI and CI
-//! pass it through the `HDVB_FAULTS` environment variable) and injected
-//! at the per-cell entry point of the sweep engine. Faults are
+//! # The grammar
+//!
+//! A spec is a comma-separated list of tokens (blanks around a token
+//! and empty tokens are ignored), parsed once by [`parse_fault_spec`]:
+//!
+//! * `<kind>@<index>[:<arg>][x<times>]` — fire at an exact index of the
+//!   plan's own clock, with an optional numeric argument and an optional
+//!   repeat count;
+//! * `<kind>~<permille>` — fire with probability `<permille>/1000` at
+//!   every opportunity, decided by a seeded draw;
+//! * `seed=<n>` — seed for every derived decision (default 0). The seed
+//!   is held apart from the rules, so its position in the spec never
+//!   matters.
+//!
+//! The grammar fixes the shape; each plan accepts its own kinds and
+//! forms and rejects the rest by name. [`FaultPlan`] (below) injects
+//! into sweep cells; `hdvb_net::NetFaultPlan` injects into wire
+//! messages (`drop@`, `truncate@`, `stall@`, `garble@`, neither `x` nor
+//! `~`).
+//!
+//! # Sweep faults
+//!
+//! A [`FaultPlan`] is parsed from a spec string (the CLI and CI pass it
+//! through the `HDVB_FAULTS` environment variable) and injected at the
+//! per-cell entry point of the sweep engine. Faults are
 //! *deterministic*: indexed rules fire at an exact `(cell, attempt)`
-//! count, and the probabilistic rule is driven by a splitmix64 stream
+//! count, and the probabilistic rule is driven by a splitmix64 draw
 //! keyed on `(seed, cell, attempt)`, so a given spec reproduces the
 //! same failures on every run — the same philosophy as `hdvb-fuzz`'s
-//! seeded corpus.
-//!
-//! Spec grammar (comma-separated tokens):
+//! seeded corpus. Its kinds:
 //!
 //! * `panic@<cell>[x<times>]` — panic when cell `<cell>` starts, for
 //!   its first `<times>` attempts (default 1). With `x2` the first
@@ -22,20 +43,73 @@
 //!   attempt)` panics with probability `<permille>/1000`.
 //! * `truncate-journal@<bytes>` — after the sweep, truncate the journal
 //!   file to `<bytes>` bytes (simulates a torn write / mid-run kill).
-//! * `seed=<n>` — seed for the probabilistic rule (default 0).
 //!
 //! Example: `panic@2,stall@5:2000,seed=7`.
 
+use hdvb_seq::splitmix64;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
-/// The splitmix64 mixing function: a high-quality 64-bit permutation
-/// used for deterministic jitter and probabilistic fault decisions.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// One rule token of a fault spec.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultToken<'a> {
+    /// The token as written, for error messages.
+    pub text: &'a str,
+    /// The rule name before `@` or `~`.
+    pub kind: &'a str,
+    /// Where the rule fires.
+    pub target: FaultTarget,
+}
+
+/// Where a [`FaultToken`] fires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultTarget {
+    /// `<kind>~<permille>`.
+    Permille(u32),
+    /// `<kind>@<index>[:<arg>][x<times>]`: the index on the plan's own
+    /// clock (cell, message, byte count), then the `:<arg>` parameter
+    /// and the `x<times>` repeat count where written.
+    At(u64, Option<u64>, Option<u32>),
+}
+
+/// Tokenizes a fault spec (see the module docs for the grammar) into
+/// its seed — the last `seed=<n>`, or 0 — and its rule tokens in spec
+/// order.
+///
+/// # Errors
+///
+/// A description of the first token that does not fit the grammar.
+pub fn parse_fault_spec(spec: &str) -> Result<(u64, Vec<FaultToken<'_>>), String> {
+    fn number<T: std::str::FromStr>(v: &str, what: &str, token: &str) -> Result<T, String> {
+        v.parse()
+            .map_err(|_| format!("bad {what} in fault spec: {token:?}"))
+    }
+    let (mut seed, mut rules) = (0, Vec::new());
+    for text in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        if let Some(v) = text.strip_prefix("seed=") {
+            seed = number(v, "seed", text)?;
+        } else if let Some((kind, v)) = text.split_once('~') {
+            let target = FaultTarget::Permille(number(v, "permille", text)?);
+            rules.push(FaultToken { text, kind, target });
+        } else if let Some((kind, v)) = text.split_once('@') {
+            let (v, times) = match v.rsplit_once('x') {
+                Some((head, t)) if !head.is_empty() => {
+                    (head, Some(number(t, "repeat count", text)?))
+                }
+                _ => (v, None),
+            };
+            let (index, arg) = match v.split_once(':') {
+                Some((index, arg)) => (index, Some(number(arg, "parameter", text)?)),
+                None => (v, None),
+            };
+            let index = number(index, "index", text)?;
+            let target = FaultTarget::At(index, arg, times);
+            rules.push(FaultToken { text, kind, target });
+        } else {
+            return Err(format!("unknown fault spec token: {text:?}"));
+        }
+    }
+    Ok((seed, rules))
 }
 
 #[derive(Debug)]
@@ -46,7 +120,7 @@ enum RuleKind {
 
 #[derive(Debug)]
 struct Rule {
-    cell: usize,
+    cell: u64,
     kind: RuleKind,
     /// How many attempts of this cell the rule fires for.
     times: u32,
@@ -79,59 +153,46 @@ impl FaultPlan {
         self.rules.is_empty() && self.panic_permille == 0 && self.truncate_journal.is_none()
     }
 
-    /// Parses a spec string (see the module docs for the grammar).
+    /// Parses a spec string (see the module docs for the grammar and
+    /// this plan's kinds).
     ///
     /// # Errors
     ///
-    /// A description of the first malformed token.
+    /// A description of the first malformed or unsupported token.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = FaultPlan::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            if let Some(v) = token.strip_prefix("seed=") {
-                plan.seed = v
-                    .parse()
-                    .map_err(|_| format!("bad seed in fault spec: {token:?}"))?;
-            } else if let Some(v) = token.strip_prefix("panic~") {
-                plan.panic_permille = v
-                    .parse()
-                    .map_err(|_| format!("bad permille in fault spec: {token:?}"))?;
-            } else if let Some(v) = token.strip_prefix("panic@") {
-                let (cell, times) = parse_indexed(v)?;
-                plan.rules.push(Rule {
-                    cell,
-                    kind: RuleKind::Panic,
-                    times,
-                    fired: AtomicU32::new(0),
-                });
-            } else if let Some(v) = token.strip_prefix("stall@") {
-                let (head, times) = split_times(v)?;
-                let (cell, ms) = head
-                    .split_once(':')
-                    .ok_or_else(|| format!("stall needs <cell>:<ms>: {token:?}"))?;
-                let cell = cell
-                    .parse()
-                    .map_err(|_| format!("bad cell index in fault spec: {token:?}"))?;
-                let ms: u64 = ms
-                    .parse()
-                    .map_err(|_| format!("bad stall duration in fault spec: {token:?}"))?;
-                plan.rules.push(Rule {
-                    cell,
-                    kind: RuleKind::Stall(Duration::from_millis(ms)),
-                    times,
-                    fired: AtomicU32::new(0),
-                });
-            } else if let Some(v) = token.strip_prefix("truncate-journal@") {
-                plan.truncate_journal = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad byte count in fault spec: {token:?}"))?,
-                );
-            } else {
-                return Err(format!("unknown fault spec token: {token:?}"));
-            }
+        let (seed, rules) = parse_fault_spec(spec)?;
+        let mut plan = FaultPlan {
+            seed,
+            ..FaultPlan::default()
+        };
+        for token in rules {
+            use FaultTarget::{At, Permille};
+            let (cell, kind, times) = match (token.kind, token.target) {
+                ("panic", Permille(permille)) => {
+                    plan.panic_permille = permille;
+                    continue;
+                }
+                ("truncate-journal", At(bytes, None, None)) => {
+                    plan.truncate_journal = Some(bytes);
+                    continue;
+                }
+                ("panic", At(cell, None, times)) => (cell, RuleKind::Panic, times),
+                ("stall", At(cell, Some(ms), times)) => {
+                    (cell, RuleKind::Stall(Duration::from_millis(ms)), times)
+                }
+                _ => {
+                    return Err(format!(
+                        "unknown fault, or known fault in the wrong form: {:?}",
+                        token.text
+                    ))
+                }
+            };
+            plan.rules.push(Rule {
+                cell,
+                kind,
+                times: times.unwrap_or(1),
+                fired: AtomicU32::new(0),
+            });
         }
         Ok(plan)
     }
@@ -169,7 +230,7 @@ impl FaultPlan {
     /// When a panic rule matches; this is the injected fault itself.
     pub fn before_cell(&self, cell: usize, attempt: u32) {
         for rule in &self.rules {
-            if rule.cell != cell {
+            if rule.cell != cell as u64 {
                 continue;
             }
             // `fetch_update` keeps the fire-count honest if two
@@ -202,33 +263,39 @@ impl FaultPlan {
     }
 }
 
-/// Parses `<cell>[x<times>]`.
-fn parse_indexed(v: &str) -> Result<(usize, u32), String> {
-    let (head, times) = split_times(v)?;
-    let cell = head
-        .parse()
-        .map_err(|_| format!("bad cell index in fault spec: {v:?}"))?;
-    Ok((cell, times))
-}
-
-/// Splits a trailing `x<times>` repeat count off a token (default 1).
-fn split_times(v: &str) -> Result<(&str, u32), String> {
-    match v.rsplit_once('x') {
-        Some((head, t)) if !head.is_empty() => {
-            let times = t
-                .parse()
-                .map_err(|_| format!("bad repeat count in fault spec: {v:?}"))?;
-            Ok((head, times))
-        }
-        _ => Ok((v, 1)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::time::Instant;
+
+    #[test]
+    fn tokenizer_covers_every_form_and_holds_the_seed_apart() {
+        let (seed, rules) = parse_fault_spec(" a@3 ,,b@4:50x2,seed=9,c~125,d-e@7x3").unwrap();
+        assert_eq!(seed, 9);
+        let targets: Vec<_> = rules.iter().map(|t| (t.kind, t.target)).collect();
+        assert_eq!(
+            targets,
+            [
+                ("a", FaultTarget::At(3, None, None)),
+                ("b", FaultTarget::At(4, Some(50), Some(2))),
+                ("c", FaultTarget::Permille(125)),
+                ("d-e", FaultTarget::At(7, None, Some(3))),
+            ]
+        );
+        assert_eq!(rules[1].text, "b@4:50x2");
+        assert_eq!(
+            parse_fault_spec("seed=9,a@1").unwrap(),
+            parse_fault_spec("a@1,seed=9").unwrap()
+        );
+        assert_eq!(parse_fault_spec("").unwrap(), (0, Vec::new()));
+        for bad in [
+            "a", "a@", "a@x", "a@1:", "a@1:z", "a@1xz", "a~", "seed=", "seed=-1",
+        ] {
+            let err = parse_fault_spec(bad).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn parse_round_trip() {
@@ -238,8 +305,18 @@ mod tests {
         assert_eq!(p.seed(), 9);
         assert!(!p.is_empty());
         assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse("nonsense@4").is_err());
-        assert!(FaultPlan::parse("stall@4").is_err());
+        // Unknown kinds, and known kinds in a form they do not take,
+        // are rejected by name.
+        for bad in [
+            "nonsense@4",
+            "stall@4",
+            "panic@2:5",
+            "stall~5",
+            "truncate-journal@9x2",
+        ] {
+            let err = FaultPlan::parse(bad).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -43,12 +43,15 @@ pub use codec::{
     create_decoder, create_encoder, CodecId, Packet, PacketKind, VideoDecoder, VideoEncoder,
 };
 pub use error::BenchError;
-pub use faults::{splitmix64, FaultPlan};
+pub use faults::{parse_fault_spec, FaultPlan, FaultTarget, FaultToken};
 /// The workspace's checksums ([`hdvb_bits::hash`]), re-exported for the
 /// crates that sit on `hdvb-core` without naming `hdvb-bits`.
 pub use hdvb_bits::hash;
 pub use hdvb_bits::hash::fnv1a64;
 pub use hdvb_bits::CorruptKind;
+/// The workspace's one splitmix64 ([`hdvb_seq::splitmix64`]), re-exported for
+/// the crates that sit on `hdvb-core` without naming `hdvb-seq`.
+pub use hdvb_seq::splitmix64;
 pub use journal::{
     load_journal, truncate_journal, JournalLoad, JournalOutcome, JournalRecord, JournalWriter,
 };

@@ -2,12 +2,13 @@
 //!
 //! Two levels of parallelism, with different determinism contracts:
 //!
-//! * **Sweep-level** ([`ParallelRunner`]): each cell of the Table V /
-//!   Figure 1 grid (one resolution × sequence × codec measurement) is an
-//!   independent encode→decode→PSNR pipeline, so running cells on a
-//!   work-stealing pool and merging the results in grid order is
-//!   **bit-identical** to the serial sweep — same packets, same PSNR,
-//!   same bitrate, for any thread count.
+//! * **Sweep-level** ([`ParallelRunner`]; the engine and the two grids
+//!   live in [`crate::sweep`]): each cell of the Table V / Figure 1 grid
+//!   (one resolution × sequence × codec measurement) is an independent
+//!   encode→decode→PSNR pipeline, so running cells on a work-stealing
+//!   pool and merging the results in grid order is **bit-identical** to
+//!   measuring the cells one by one — same packets, same PSNR, same
+//!   bitrate, for any thread count.
 //! * **GOP-level** ([`encode_sequence_parallel`]): one sequence is split
 //!   into GOP-aligned chunks encoded by concurrent encoder instances and
 //!   the packet streams are spliced. Each chunk is a *closed* stream
@@ -17,12 +18,10 @@
 //!   stream by the extra intra points, which is why the serial encoder
 //!   remains the `--threads 1` reference.
 
-use crate::runner::{measure_figure1_row, measure_rd_point};
-use crate::{BenchError, CodecId, CodingOptions, EncodeResult, Figure1Row, Packet, Table5Row};
+use crate::{BenchError, CodecId, CodingOptions, EncodeResult, Packet};
 use hdvb_dsp::SimdLevel;
-use hdvb_frame::Resolution;
 use hdvb_par::{TaskPanic, ThreadPool, WorkerStats};
-use hdvb_seq::{Sequence, SequenceId};
+use hdvb_seq::Sequence;
 use std::time::{Duration, Instant};
 
 impl From<TaskPanic> for BenchError {
@@ -35,7 +34,7 @@ impl From<TaskPanic> for BenchError {
 /// how evenly the workers were loaded.
 #[derive(Clone, Debug)]
 pub struct ExecutionReport {
-    /// Worker threads used (1 = serial reference path).
+    /// Worker threads used (1 = everything on the calling thread).
     pub threads: usize,
     /// Wall-clock time of the sweep.
     pub wall: Duration,
@@ -152,7 +151,7 @@ impl Figure1Part {
     }
 
     /// Whether a (direction, SIMD) combination belongs to this part.
-    pub fn includes(self, decode: bool, simd: bool) -> bool {
+    fn includes(self, decode: bool, simd: bool) -> bool {
         match self {
             Figure1Part::DecodeScalar => decode && !simd,
             Figure1Part::DecodeSimd => decode && simd,
@@ -161,15 +160,24 @@ impl Figure1Part {
             Figure1Part::All => true,
         }
     }
+
+    /// The bar rows `tier` contributes to this part, as directions
+    /// (`true` = decode), decode first; empty when the tier is not in
+    /// the part at all.
+    pub fn directions(self, tier: SimdLevel) -> impl Iterator<Item = bool> {
+        [true, false]
+            .into_iter()
+            .filter(move |&decode| self.includes(decode, tier.is_accelerated()))
+    }
 }
 
-/// Runs the benchmark grids, fanning independent cells over a
-/// work-stealing pool.
+/// Runs the benchmark grids ([`table5_rows`](ParallelRunner::table5_rows),
+/// [`figure1_rows`](ParallelRunner::figure1_rows)), fanning independent
+/// cells over a work-stealing pool.
 ///
 /// Construct with the desired thread count; `1` keeps everything on the
-/// calling thread (the serial reference), any other count builds a
-/// [`ThreadPool`]. Results are always merged in grid order and are
-/// bit-identical to the serial sweep.
+/// calling thread, any other count builds a [`ThreadPool`]. Results are
+/// always merged in grid order and are bit-identical at any count.
 pub struct ParallelRunner {
     threads: usize,
     pool: Option<ThreadPool>,
@@ -196,193 +204,6 @@ impl ParallelRunner {
     /// The underlying pool, when running with more than one thread.
     pub fn pool(&self) -> Option<&ThreadPool> {
         self.pool.as_ref()
-    }
-
-    /// Maps `f` over `cells`, in parallel when a pool exists, returning
-    /// results in input order either way.
-    fn run_cells<T, R, F>(
-        &self,
-        cells: Vec<T>,
-        f: F,
-    ) -> Result<(Vec<R>, ExecutionReport), BenchError>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> Result<R, BenchError> + Sync,
-    {
-        let n = cells.len();
-        let t0 = Instant::now();
-        // Each grid cell gets a trace span so the chrome timeline shows
-        // cell boundaries on whichever lane ran it.
-        let f = move |cell: T| {
-            let _cell = hdvb_trace::span!(hdvb_trace::Stage::Cell);
-            f(cell)
-        };
-        let (results, cpu, workers, caller) = match &self.pool {
-            None => {
-                let results: Vec<Result<R, BenchError>> = cells.into_iter().map(f).collect();
-                let wall = t0.elapsed();
-                (results, wall, Vec::new(), WorkerStats::default())
-            }
-            Some(pool) => {
-                pool.reset_stats();
-                let results = pool.par_map(cells, f)?;
-                let stats = pool.stats();
-                (results, stats.total_busy(), stats.workers, stats.caller)
-            }
-        };
-        let wall = t0.elapsed();
-        let mut out = Vec::with_capacity(n);
-        for r in results {
-            out.push(r?);
-        }
-        let report = ExecutionReport {
-            threads: self.threads,
-            wall,
-            cpu,
-            cells: n,
-            workers,
-            caller,
-        };
-        Ok((out, report))
-    }
-
-    /// Measures the full Table V grid (every resolution × sequence ×
-    /// codec rate-distortion point) and assembles the rows in grid
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// The first codec error in grid order, or a mapped panic.
-    pub fn table5_rows(
-        &self,
-        resolutions: &[Resolution],
-        frames: u32,
-        options: &CodingOptions,
-    ) -> Result<(Vec<Table5Row>, ExecutionReport), BenchError> {
-        let mut cells = Vec::new();
-        for &resolution in resolutions {
-            for sid in SequenceId::ALL {
-                for codec in CodecId::ALL {
-                    cells.push((resolution, sid, codec));
-                }
-            }
-        }
-        let opts = *options;
-        let (points, report) = self.run_cells(cells, move |(resolution, sid, codec)| {
-            let seq = Sequence::new(sid, resolution);
-            measure_rd_point(codec, seq, frames, &opts)
-        })?;
-
-        let codecs = CodecId::ALL.len();
-        let mut rows = Vec::new();
-        let mut it = points.into_iter();
-        for &resolution in resolutions {
-            for sid in SequenceId::ALL {
-                let mut row_points = [(0.0, 0.0); 3];
-                for slot in row_points.iter_mut().take(codecs) {
-                    let rd = it.next().expect("cell count mismatch");
-                    *slot = (rd.psnr_y, rd.bitrate_kbps);
-                }
-                rows.push(Table5Row {
-                    resolution,
-                    sequence: sid,
-                    points: row_points,
-                });
-            }
-        }
-        Ok((rows, report))
-    }
-
-    /// Measures the Figure 1 grid for `part` and assembles the bar rows
-    /// (fps averaged over the input sequences) in the serial sweep's
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// The first codec error in grid order, or a mapped panic.
-    pub fn figure1_rows(
-        &self,
-        resolutions: &[Resolution],
-        frames: u32,
-        options: &CodingOptions,
-        part: Figure1Part,
-    ) -> Result<(Vec<Figure1Row>, ExecutionReport), BenchError> {
-        // Every tier this CPU supports: scalar plus SSE2, plus AVX2 on
-        // capable hardware (three-way columns in the report).
-        let levels = SimdLevel::supported_tiers();
-        let mut cells = Vec::new();
-        for &resolution in resolutions {
-            for &simd in &levels {
-                let is_simd = simd.is_accelerated();
-                if !part.includes(true, is_simd) && !part.includes(false, is_simd) {
-                    continue;
-                }
-                for codec in CodecId::ALL {
-                    for sid in SequenceId::ALL {
-                        cells.push((resolution, simd, codec, sid));
-                    }
-                }
-            }
-        }
-        let opts = *options;
-        let (throughputs, report) =
-            self.run_cells(cells, move |(resolution, simd, codec, sid)| {
-                let seq = Sequence::new(sid, resolution);
-                measure_figure1_row(codec, seq, frames, &opts.with_simd(simd))
-            })?;
-
-        let mut rows = Vec::new();
-        let mut it = throughputs.into_iter();
-        let n_seqs = SequenceId::ALL.len() as f64;
-        for &resolution in resolutions {
-            for &simd in &levels {
-                let is_simd = simd.is_accelerated();
-                if !part.includes(true, is_simd) && !part.includes(false, is_simd) {
-                    continue;
-                }
-                let mut enc_fps = [0.0; 3];
-                let mut dec_fps = [0.0; 3];
-                let mut enc_stages = [[0u64; 6]; 3];
-                let mut dec_stages = [[0u64; 6]; 3];
-                for ci in 0..CodecId::ALL.len() {
-                    let mut enc_sum = 0.0;
-                    let mut dec_sum = 0.0;
-                    for _ in SequenceId::ALL {
-                        let t = it.next().expect("cell count mismatch");
-                        enc_sum += t.encode_fps;
-                        dec_sum += t.decode_fps;
-                        for (k, (e, d)) in
-                            t.encode_stage_ns.iter().zip(&t.decode_stage_ns).enumerate()
-                        {
-                            enc_stages[ci][k] += e;
-                            dec_stages[ci][k] += d;
-                        }
-                    }
-                    enc_fps[ci] = enc_sum / n_seqs;
-                    dec_fps[ci] = dec_sum / n_seqs;
-                }
-                if part.includes(true, is_simd) {
-                    rows.push(Figure1Row {
-                        resolution,
-                        decode: true,
-                        tier: simd,
-                        fps: dec_fps,
-                        stages: dec_stages,
-                    });
-                }
-                if part.includes(false, is_simd) {
-                    rows.push(Figure1Row {
-                        resolution,
-                        decode: false,
-                        tier: simd,
-                        fps: enc_fps,
-                        stages: enc_stages,
-                    });
-                }
-            }
-        }
-        Ok((rows, report))
     }
 }
 
@@ -534,6 +355,16 @@ mod tests {
         assert!(Figure1Part::DecodeSimd.includes(true, true));
         assert!(!Figure1Part::DecodeSimd.includes(false, true));
         assert!(Figure1Part::All.includes(false, false));
+        let directions = |part: Figure1Part, tier| part.directions(tier).collect::<Vec<_>>();
+        assert_eq!(
+            directions(Figure1Part::All, SimdLevel::Scalar),
+            [true, false]
+        );
+        assert_eq!(
+            directions(Figure1Part::EncodeScalar, SimdLevel::Scalar),
+            [false]
+        );
+        assert!(directions(Figure1Part::DecodeSimd, SimdLevel::Scalar).is_empty());
     }
 
     #[test]

@@ -282,7 +282,7 @@ pub struct Throughput {
     pub decode_stage_ns: [u64; 6],
 }
 
-fn stage_delta(after: [u64; 6], before: [u64; 6]) -> [u64; 6] {
+pub(crate) fn stage_delta(after: [u64; 6], before: [u64; 6]) -> [u64; 6] {
     let mut out = [0u64; 6];
     for i in 0..6 {
         out[i] = after[i].saturating_sub(before[i]);

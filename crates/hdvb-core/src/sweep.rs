@@ -1,13 +1,14 @@
-//! Fault-tolerant sweep execution: panic isolation, per-cell deadline
-//! budgets, retry with jittered backoff, and checkpoint/resume through
-//! the [`crate::journal`].
+//! The sweep engine behind Table V and Figure 1: panic isolation,
+//! per-cell deadline budgets, retry with jittered backoff, and
+//! checkpoint/resume through the [`crate::journal`].
 //!
-//! The plain [`ParallelRunner`] grid methods abort the whole sweep on
-//! the first failing cell — fine for short runs, unacceptable for a
-//! multi-hour 2160p sweep. The `_ft` variants here
-//! ([`ParallelRunner::table5_rows_ft`],
-//! [`ParallelRunner::figure1_rows_ft`]) instead resolve **every** cell
-//! to a typed [`CellOutcome`]:
+//! There is one engine. [`ParallelRunner::table5_rows`] and
+//! [`ParallelRunner::figure1_rows`] each declare their artifact's grid
+//! once — a list of cells carrying descriptor, label and journal key —
+//! hand it to the engine, and assemble their rows from that same list.
+//! A sweep never aborts on a failing cell (unacceptable for a
+//! multi-hour 2160p run); **every** cell resolves to a typed
+//! [`CellOutcome`]:
 //!
 //! * a panicking cell is caught (via `hdvb-par`'s per-slot
 //!   [`TaskPanic`] isolation), retried up to the policy's limit with
@@ -26,22 +27,27 @@
 //!   the failed/timed-out/missing ones.
 //!
 //! Failed cells surface as `NaN` entries in the assembled rows (the
-//! report renders them as `n/a`) so one bad cell no longer takes down
-//! the other hundreds.
+//! report renders them as `n/a`) so one bad cell does not take down
+//! the other hundreds. Each cell is an independent, deterministic
+//! encode→decode→measure pipeline and rows are assembled in grid
+//! order, so a fault-free sweep is bit-identical to calling the cell
+//! function ([`crate::measure_rd_point`]) cell by cell, at any thread
+//! count.
 
-use crate::faults::{splitmix64, FaultPlan};
+use crate::faults::FaultPlan;
 use crate::journal::{
     load_journal, truncate_journal, JournalOutcome, JournalRecord, JournalWriter,
 };
 use crate::parallel::{ExecutionReport, Figure1Part, ParallelRunner};
 use crate::runner::{
-    measure_figure1_row_cancellable, measure_rd_point_cancellable, RdPoint, Throughput,
+    measure_figure1_row_cancellable, measure_rd_point_cancellable, stage_delta, RdPoint, Throughput,
 };
 use crate::{BenchError, CodecId, CodingOptions, Figure1Row, Table5Row};
 use hdvb_bits::hash::fnv1a64;
+use hdvb_dsp::SimdLevel;
 use hdvb_frame::Resolution;
 use hdvb_par::{CancelToken, TaskPanic, WorkerStats};
-use hdvb_seq::{Sequence, SequenceId};
+use hdvb_seq::{splitmix64, Sequence, SequenceId};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -333,8 +339,9 @@ impl CellValue for Throughput {
 }
 
 /// The canonical inputs hash identifying a cell across runs: kind,
-/// geometry, sequence, codec, and every coding option. A journal
-/// record only restores a cell whose key matches exactly.
+/// geometry, sequence, codec, and every coding option — the exact SIMD
+/// tier included, so an SSE2 cell never restores from an AVX2 record.
+/// A journal record only restores a cell whose key matches exactly.
 fn cell_key(
     kind: &str,
     resolution: Resolution,
@@ -349,7 +356,7 @@ fn cell_key(
         resolution.height(),
         sequence.name(),
         codec.name(),
-        options.simd.label(),
+        options.simd.tier_name(),
         options.mpeg_qscale,
         options.b_frames,
         options.search_range,
@@ -360,8 +367,10 @@ fn cell_key(
     fnv1a64(canon.as_bytes())
 }
 
-/// One dispatchable cell: its descriptor, display label, journal key,
-/// and deadline budget.
+/// One cell of an artifact's grid: what to measure (`desc`), its
+/// display label, journal key, and deadline budget. An artifact builds
+/// its list once; the engine dispatches from it and the rows are
+/// assembled from it.
 struct FtCell<C> {
     desc: C,
     label: String,
@@ -403,16 +412,21 @@ fn journal_io(path: &Path, e: std::io::Error) -> BenchError {
     BenchError::Journal(format!("{}: {e}", path.display()))
 }
 
-/// The fault-tolerant sweep engine shared by the Table V and Figure 1
-/// grids: resume restore, round-based dispatch with panic isolation,
-/// retry with backoff, deadline tokens, and journaling.
+/// The sweep engine shared by the Table V and Figure 1 grids: resume
+/// restore, round-based dispatch with panic isolation, retry with
+/// backoff, deadline tokens, and journaling. Returns one value slot per
+/// cell, in `cells` order (`None` where the cell did not complete).
+///
+/// Finished cells are appended to `journal_path` when given; `resume`
+/// loads that same file first and restores every cell it records as
+/// completed.
 fn run_ft_cells<C, V, F>(
     runner: &ParallelRunner,
     kind: &'static str,
-    cells: Vec<FtCell<C>>,
+    cells: &[FtCell<C>],
     policy: &SweepPolicy,
     journal_path: Option<&Path>,
-    resume_path: Option<&Path>,
+    resume: bool,
     f: F,
 ) -> Result<(Vec<Option<V>>, FtSweepReport), BenchError>
 where
@@ -426,7 +440,8 @@ where
     let mut values: Vec<Option<V>> = (0..n).map(|_| None).collect();
     let mut outcomes: Vec<Option<CellOutcome>> = vec![None; n];
     let mut journal_bad_lines = 0;
-    if let Some(path) = resume_path {
+    if resume {
+        let path = journal_path.ok_or(BenchError::BadRequest("resume needs a journal path"))?;
         let load = load_journal(path).map_err(|e| journal_io(path, e))?;
         journal_bad_lines = load.bad_lines;
         let restorable = load.restorable(kind);
@@ -449,8 +464,15 @@ where
     // The first journal I/O error inside a worker, surfaced after the
     // sweep (workers cannot return it through the cell result).
     let journal_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
-    let journal_append = |record: JournalRecord| {
+    let journal_append = |key: u64, outcome: JournalOutcome, attempts: u32, words: Vec<u64>| {
         if let Some(w) = &writer {
+            let record = JournalRecord {
+                key,
+                kind: kind.to_string(),
+                outcome,
+                attempts,
+                words,
+            };
             let mut w = w.lock().unwrap_or_else(|e| e.into_inner());
             if let Err(e) = w.append(&record) {
                 let mut slot = journal_err.lock().unwrap_or_else(|e| e.into_inner());
@@ -493,38 +515,17 @@ where
             let s0 = hdvb_trace::codec_stage_totals_local();
             match f(cell.desc, &token) {
                 Ok(v) => {
-                    journal_append(JournalRecord {
-                        key: cell.key,
-                        kind: kind.to_string(),
-                        outcome: JournalOutcome::Ok,
-                        attempts: attempt,
-                        words: v.to_words(),
-                    });
+                    journal_append(cell.key, JournalOutcome::Ok, attempt, v.to_words());
                     Ok(v)
                 }
                 Err(BenchError::Cancelled) => {
-                    let s1 = hdvb_trace::codec_stage_totals_local();
-                    let mut stage_ns = [0u64; 6];
-                    for (d, (a, b)) in stage_ns.iter_mut().zip(s1.iter().zip(&s0)) {
-                        *d = a.saturating_sub(*b);
-                    }
-                    journal_append(JournalRecord {
-                        key: cell.key,
-                        kind: kind.to_string(),
-                        outcome: JournalOutcome::TimedOut,
-                        attempts: attempt,
-                        words: stage_ns.to_vec(),
-                    });
+                    let stage_ns = stage_delta(hdvb_trace::codec_stage_totals_local(), s0);
+                    let words = stage_ns.to_vec();
+                    journal_append(cell.key, JournalOutcome::TimedOut, attempt, words);
                     Err(CellErr::Timeout { stage_ns })
                 }
                 Err(e) => {
-                    journal_append(JournalRecord {
-                        key: cell.key,
-                        kind: kind.to_string(),
-                        outcome: JournalOutcome::Failed,
-                        attempts: attempt,
-                        words: Vec::new(),
-                    });
+                    journal_append(cell.key, JournalOutcome::Failed, attempt, Vec::new());
                     Err(CellErr::Fail(e.to_string()))
                 }
             }
@@ -574,13 +575,7 @@ where
                 Err(panic) => {
                     // The worker could not journal a panicked attempt;
                     // record it here so a resume knows it was tried.
-                    journal_append(JournalRecord {
-                        key: cell.key,
-                        kind: kind.to_string(),
-                        outcome: JournalOutcome::Failed,
-                        attempts: attempt,
-                        words: Vec::new(),
-                    });
+                    journal_append(cell.key, JournalOutcome::Failed, attempt, Vec::new());
                     if attempt < max_attempts {
                         pending.push(idx);
                     } else {
@@ -643,29 +638,34 @@ where
 }
 
 impl ParallelRunner {
-    /// The fault-tolerant Table V sweep: like
-    /// [`table5_rows`](ParallelRunner::table5_rows) but each cell
-    /// resolves to a [`CellOutcome`] instead of aborting the run, with
-    /// optional journaling (`journal`) and resume (`resume`). Failed
-    /// cells surface as `NaN` points, rendered `n/a` by the report.
+    /// Measures the full Table V grid (every resolution × sequence ×
+    /// codec rate-distortion point) and assembles the rows in grid
+    /// order. Each cell resolves to a [`CellOutcome`] instead of
+    /// aborting the run; failed cells surface as `NaN` points, rendered
+    /// `n/a` by the report. Finished cells are appended to `journal`
+    /// when given, and `resume` first restores the cells that file
+    /// already records as completed.
     ///
-    /// Resumed or not, the assembled values are bit-identical to an
-    /// uninterrupted serial sweep: cells are deterministic and the
-    /// journal stores `f64` bit patterns.
+    /// Resumed or not, at any thread count, the assembled values are
+    /// bit-identical to [`crate::measure_rd_point`] called cell by
+    /// cell: cells are deterministic and the journal stores `f64` bit
+    /// patterns.
     ///
     /// # Errors
     ///
-    /// Only infrastructure failures (journal I/O); cell failures are
-    /// reported in the [`FtSweepReport`].
-    pub fn table5_rows_ft(
+    /// Only infrastructure failures (journal I/O, `resume` without a
+    /// `journal`); cell failures are reported in the [`FtSweepReport`].
+    pub fn table5_rows(
         &self,
         resolutions: &[Resolution],
         frames: u32,
         options: &CodingOptions,
         policy: &SweepPolicy,
         journal: Option<&Path>,
-        resume: Option<&Path>,
+        resume: bool,
     ) -> Result<(Vec<Table5Row>, FtSweepReport), BenchError> {
+        // The grid, declared once. Codec is innermost, so every run of
+        // `CodecId::ALL.len()` consecutive cells is one table row.
         let mut cells = Vec::new();
         for &resolution in resolutions {
             for sid in SequenceId::ALL {
@@ -683,56 +683,54 @@ impl ParallelRunner {
         let (points, report) = run_ft_cells(
             self,
             "table5",
-            cells,
+            &cells,
             policy,
             journal,
             resume,
-            move |(resolution, sid, codec): (Resolution, SequenceId, CodecId), cancel| {
+            move |(resolution, sid, codec), cancel| {
                 let seq = Sequence::new(sid, resolution);
                 measure_rd_point_cancellable(codec, seq, frames, &opts, cancel)
             },
         )?;
 
-        let missing = RdPoint {
-            psnr_y: f64::NAN,
-            psnr_combined: f64::NAN,
-            ssim_y: f64::NAN,
-            bitrate_kbps: f64::NAN,
-        };
-        let codecs = CodecId::ALL.len();
-        let mut rows = Vec::new();
-        let mut it = points.into_iter();
-        for &resolution in resolutions {
-            for sid in SequenceId::ALL {
-                let mut row_points = [(0.0, 0.0); 3];
-                for slot in row_points.iter_mut().take(codecs) {
-                    let rd = it.next().expect("cell count mismatch").unwrap_or(missing);
-                    *slot = (rd.psnr_y, rd.bitrate_kbps);
+        let per_row = CodecId::ALL.len();
+        let rows = cells
+            .chunks(per_row)
+            .zip(points.chunks(per_row))
+            .map(|(row_cells, row_values)| {
+                let (resolution, sequence, _) = row_cells[0].desc;
+                let mut points = [(f64::NAN, f64::NAN); 3];
+                for (slot, rd) in points.iter_mut().zip(row_values) {
+                    if let Some(rd) = rd {
+                        *slot = (rd.psnr_y, rd.bitrate_kbps);
+                    }
                 }
-                rows.push(Table5Row {
+                Table5Row {
                     resolution,
-                    sequence: sid,
-                    points: row_points,
-                });
-            }
-        }
+                    sequence,
+                    points,
+                }
+            })
+            .collect();
         Ok((rows, report))
     }
 
-    /// The fault-tolerant Figure 1 sweep: like
-    /// [`figure1_rows`](ParallelRunner::figure1_rows) but each cell
+    /// Measures the Figure 1 grid for `part` — every resolution × SIMD
+    /// tier this CPU supports × codec × sequence — and assembles the
+    /// bar rows (fps averaged over the input sequences). Each cell
     /// resolves to a [`CellOutcome`], with optional journaling and
-    /// resume. A missing cell contributes `NaN` to its bar's average,
-    /// rendered `n/a` by the report.
+    /// resume as for [`table5_rows`](ParallelRunner::table5_rows). A
+    /// missing cell contributes `NaN` to its bar's average, rendered
+    /// `n/a` by the report.
     ///
     /// # Errors
     ///
-    /// Only infrastructure failures (journal I/O); cell failures are
-    /// reported in the [`FtSweepReport`].
+    /// Only infrastructure failures (journal I/O, `resume` without a
+    /// `journal`); cell failures are reported in the [`FtSweepReport`].
     // One argument over clippy's limit, but every caller passes all of
     // them and a config struct would just restate `SweepPolicy`.
     #[allow(clippy::too_many_arguments)]
-    pub fn figure1_rows_ft(
+    pub fn figure1_rows(
         &self,
         resolutions: &[Resolution],
         frames: u32,
@@ -740,14 +738,18 @@ impl ParallelRunner {
         part: Figure1Part,
         policy: &SweepPolicy,
         journal: Option<&Path>,
-        resume: Option<&Path>,
+        resume: bool,
     ) -> Result<(Vec<Figure1Row>, FtSweepReport), BenchError> {
-        let levels = hdvb_dsp::SimdLevel::supported_tiers();
+        // The grid, declared once. Sequence is innermost, then codec,
+        // so every run of `per_tier` consecutive cells is one
+        // (resolution, tier) pair: a decode bar row, an encode bar row,
+        // or both, as `part` selects.
+        let n_seqs = SequenceId::ALL.len();
+        let per_tier = CodecId::ALL.len() * n_seqs;
         let mut cells = Vec::new();
         for &resolution in resolutions {
-            for &simd in &levels {
-                let is_simd = simd.is_accelerated();
-                if !part.includes(true, is_simd) && !part.includes(false, is_simd) {
+            for simd in SimdLevel::supported_tiers() {
+                if part.directions(simd).next().is_none() {
                     continue;
                 }
                 for codec in CodecId::ALL {
@@ -757,7 +759,7 @@ impl ParallelRunner {
                             label: format!(
                                 "{} {} {} {}",
                                 resolution.label(),
-                                simd.label(),
+                                simd.tier_name(),
                                 codec.name(),
                                 sid.name()
                             ),
@@ -779,17 +781,11 @@ impl ParallelRunner {
         let (throughputs, report) = run_ft_cells(
             self,
             "figure1",
-            cells,
+            &cells,
             policy,
             journal,
             resume,
-            move |(resolution, simd, codec, sid): (
-                Resolution,
-                hdvb_dsp::SimdLevel,
-                CodecId,
-                SequenceId,
-            ),
-                  cancel| {
+            move |(resolution, simd, codec, sid), cancel| {
                 let seq = Sequence::new(sid, resolution);
                 measure_figure1_row_cancellable(codec, seq, frames, &opts.with_simd(simd), cancel)
             },
@@ -802,53 +798,36 @@ impl ParallelRunner {
             decode_stage_ns: [0; 6],
         };
         let mut rows = Vec::new();
-        let mut it = throughputs.into_iter();
-        let n_seqs = SequenceId::ALL.len() as f64;
-        for &resolution in resolutions {
-            for &simd in &levels {
-                let is_simd = simd.is_accelerated();
-                if !part.includes(true, is_simd) && !part.includes(false, is_simd) {
-                    continue;
-                }
-                let mut enc_fps = [0.0; 3];
-                let mut dec_fps = [0.0; 3];
-                let mut enc_stages = [[0u64; 6]; 3];
-                let mut dec_stages = [[0u64; 6]; 3];
-                for ci in 0..CodecId::ALL.len() {
-                    let mut enc_sum = 0.0;
-                    let mut dec_sum = 0.0;
-                    for _ in SequenceId::ALL {
-                        let t = it.next().expect("cell count mismatch").unwrap_or(missing);
-                        enc_sum += t.encode_fps;
-                        dec_sum += t.decode_fps;
-                        for (k, (e, d)) in
-                            t.encode_stage_ns.iter().zip(&t.decode_stage_ns).enumerate()
-                        {
-                            enc_stages[ci][k] += e;
-                            dec_stages[ci][k] += d;
-                        }
+        for (tier_cells, tier_values) in cells.chunks(per_tier).zip(throughputs.chunks(per_tier)) {
+            let (resolution, tier, ..) = tier_cells[0].desc;
+            let mut enc_fps = [0.0; 3];
+            let mut dec_fps = [0.0; 3];
+            let mut enc_stages = [[0u64; 6]; 3];
+            let mut dec_stages = [[0u64; 6]; 3];
+            for (ci, codec_values) in tier_values.chunks(n_seqs).enumerate() {
+                let mut enc_sum = 0.0;
+                let mut dec_sum = 0.0;
+                for t in codec_values {
+                    let t = t.unwrap_or(missing);
+                    enc_sum += t.encode_fps;
+                    dec_sum += t.decode_fps;
+                    for (k, (e, d)) in t.encode_stage_ns.iter().zip(&t.decode_stage_ns).enumerate()
+                    {
+                        enc_stages[ci][k] += e;
+                        dec_stages[ci][k] += d;
                     }
-                    enc_fps[ci] = enc_sum / n_seqs;
-                    dec_fps[ci] = dec_sum / n_seqs;
                 }
-                if part.includes(true, is_simd) {
-                    rows.push(Figure1Row {
-                        resolution,
-                        decode: true,
-                        tier: simd,
-                        fps: dec_fps,
-                        stages: dec_stages,
-                    });
-                }
-                if part.includes(false, is_simd) {
-                    rows.push(Figure1Row {
-                        resolution,
-                        decode: false,
-                        tier: simd,
-                        fps: enc_fps,
-                        stages: enc_stages,
-                    });
-                }
+                enc_fps[ci] = enc_sum / n_seqs as f64;
+                dec_fps[ci] = dec_sum / n_seqs as f64;
+            }
+            for decode in part.directions(tier) {
+                rows.push(Figure1Row {
+                    resolution,
+                    decode,
+                    tier,
+                    fps: if decode { dec_fps } else { enc_fps },
+                    stages: if decode { dec_stages } else { enc_stages },
+                });
             }
         }
         Ok((rows, report))
@@ -879,7 +858,7 @@ mod tests {
         // Journals are keyed by this hash; a drifting key silently
         // re-runs every cell of a resumed sweep.
         let options = CodingOptions {
-            simd: hdvb_dsp::SimdLevel::Scalar,
+            simd: SimdLevel::Scalar,
             ..CodingOptions::default()
         };
         let key = cell_key(
@@ -964,6 +943,20 @@ mod tests {
         ] {
             assert_ne!(base, other);
         }
+        // The exact tier, not the paper's two-way scalar/simd legend:
+        // Figure 1 measures SSE2 and AVX2 as separate cells.
+        let tier_key = |simd| {
+            cell_key(
+                "figure1",
+                res,
+                SequenceId::RushHour,
+                CodecId::Mpeg2,
+                4,
+                &opts.with_simd(simd),
+            )
+        };
+        assert_ne!(tier_key(SimdLevel::Sse2), tier_key(SimdLevel::Avx2));
+        assert_ne!(tier_key(SimdLevel::Scalar), tier_key(SimdLevel::Sse2));
     }
 
     #[test]
@@ -993,10 +986,10 @@ mod tests {
             let (values, report) = run_ft_cells(
                 &runner,
                 "table5",
-                synthetic_cells(4),
+                &synthetic_cells(4),
                 &policy,
                 None,
-                None,
+                false,
                 |i, _cancel: &CancelToken| Ok(value(i)),
             )
             .unwrap();
@@ -1030,10 +1023,10 @@ mod tests {
         let (values, report) = run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells(2),
+            &synthetic_cells(2),
             &policy,
             None,
-            None,
+            false,
             |i, _cancel: &CancelToken| Ok(value(i)),
         )
         .unwrap();
@@ -1064,10 +1057,10 @@ mod tests {
         let (values, report) = run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells_with_budget(3, Some(Duration::from_millis(20))),
+            &synthetic_cells_with_budget(3, Some(Duration::from_millis(20))),
             &policy,
             None,
-            None,
+            false,
             |i, cancel: &CancelToken| {
                 // A cooperative cell: checks its token like the codecs
                 // do at picture boundaries.
@@ -1108,10 +1101,10 @@ mod tests {
         let (first_vals, first) = run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells(5),
+            &synthetic_cells(5),
             &policy,
             Some(&path),
-            None,
+            false,
             |i, _cancel: &CancelToken| Ok(value(i)),
         )
         .unwrap();
@@ -1128,10 +1121,10 @@ mod tests {
         let (vals, resumed) = run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells(5),
+            &synthetic_cells(5),
             &policy,
             Some(&path),
-            Some(&path),
+            true,
             |i, _cancel: &CancelToken| Ok(value(i)),
         )
         .unwrap();
@@ -1171,10 +1164,10 @@ mod tests {
             run_ft_cells(
                 &runner,
                 "table5",
-                synthetic_cells(3),
+                &synthetic_cells(3),
                 &policy,
                 Some(&path),
-                None,
+                false,
                 |i, _c: &CancelToken| Ok(value(i)),
             )
             .unwrap();
@@ -1188,10 +1181,10 @@ mod tests {
         run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells(3),
+            &synthetic_cells(3),
             &policy,
             Some(&path),
-            Some(&path),
+            true,
             |i, _c: &CancelToken| Ok(value(i)),
         )
         .unwrap();
@@ -1201,10 +1194,10 @@ mod tests {
         let (vals, report) = run_ft_cells(
             &runner,
             "table5",
-            synthetic_cells(3),
+            &synthetic_cells(3),
             &SweepPolicy::default(),
             Some(&path),
-            Some(&path),
+            true,
             |i, _c: &CancelToken| Ok(value(i)),
         )
         .unwrap();
@@ -1229,13 +1222,13 @@ mod tests {
         for threads in [1, 4] {
             let runner = ParallelRunner::new(threads);
             let (rows, report) = runner
-                .table5_rows_ft(
+                .table5_rows(
                     &resolutions,
                     4,
                     &options,
                     &SweepPolicy::default(),
                     None,
-                    None,
+                    false,
                 )
                 .unwrap();
             assert!(report.all_ok());

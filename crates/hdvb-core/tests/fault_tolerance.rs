@@ -9,8 +9,8 @@
 //! bit-identical to the cell function called directly for every cell.
 
 use hdvb_core::{
-    measure_rd_point, CellTimeout, CodecId, CodingOptions, FaultPlan, ParallelRunner, SweepPolicy,
-    Table5Row,
+    measure_rd_point, CellTimeout, CodecId, CodingOptions, FaultPlan, Figure1Part, ParallelRunner,
+    SweepPolicy, Table5Row,
 };
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Resolution;
@@ -72,7 +72,7 @@ fn chaos_sweep_reports_damage_and_resume_heals_bit_identically() {
     };
     let runner = ParallelRunner::new(2);
     let (rows, report) = runner
-        .table5_rows_ft(&grid(), frames, &options(), &chaos, Some(&journal), None)
+        .table5_rows(&grid(), frames, &options(), &chaos, Some(&journal), false)
         .expect("chaos sweep must not abort");
     assert_eq!(report.failed(), 1, "{}", report.failure_summary());
     assert_eq!(report.timed_out(), 1, "{}", report.failure_summary());
@@ -90,14 +90,7 @@ fn chaos_sweep_reports_damage_and_resume_heals_bit_identically() {
     // bit-identical to the directly measured cells.
     let clean = SweepPolicy::default();
     let (healed, report) = runner
-        .table5_rows_ft(
-            &grid(),
-            frames,
-            &options(),
-            &clean,
-            Some(&journal),
-            Some(&journal),
-        )
+        .table5_rows(&grid(), frames, &options(), &clean, Some(&journal), true)
         .expect("resume sweep");
     assert!(report.all_ok(), "{}", report.failure_summary());
     assert_eq!(report.restored(), 10);
@@ -117,7 +110,7 @@ fn garbled_journal_records_are_skipped_and_rerun() {
     let runner = ParallelRunner::new(2);
     let policy = SweepPolicy::default();
     let (reference, report) = runner
-        .table5_rows_ft(&grid(), frames, &options(), &policy, Some(&journal), None)
+        .table5_rows(&grid(), frames, &options(), &policy, Some(&journal), false)
         .expect("journaled sweep");
     assert!(report.all_ok(), "{}", report.failure_summary());
 
@@ -137,14 +130,7 @@ fn garbled_journal_records_are_skipped_and_rerun() {
     std::fs::write(&journal, &bytes[..keep]).expect("rewrite journal");
 
     let (healed, report) = runner
-        .table5_rows_ft(
-            &grid(),
-            frames,
-            &options(),
-            &policy,
-            Some(&journal),
-            Some(&journal),
-        )
+        .table5_rows(&grid(), frames, &options(), &policy, Some(&journal), true)
         .expect("resume over damaged journal");
     assert!(report.all_ok(), "{}", report.failure_summary());
     assert_eq!(report.journal_bad_lines, 2);
@@ -154,6 +140,53 @@ fn garbled_journal_records_are_skipped_and_rerun() {
         .failure_summary()
         .contains("2 journal record(s) failed checksum"));
     assert_eq!(row_bits(&healed), row_bits(&reference));
+
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// Figure 1 measures every SIMD tier the CPU supports as separate
+/// cells, so a resumed sweep must restore each tier's bars from that
+/// tier's own journal records. The fps values are wall-clock: two tiers
+/// sharing a journal key would show up as one tier's numbers printed in
+/// the other's row.
+#[test]
+fn resumed_figure1_sweep_restores_each_tier_from_its_own_records() {
+    let frames = 2;
+    let journal = tmp_journal("figure1-tiers");
+    let _ = std::fs::remove_file(&journal);
+
+    let runner = ParallelRunner::new(1);
+    let policy = SweepPolicy::default();
+    let sweep = |resume| {
+        runner
+            .figure1_rows(
+                &grid(),
+                frames,
+                &options(),
+                Figure1Part::All,
+                &policy,
+                Some(&journal),
+                resume,
+            )
+            .expect("figure 1 sweep")
+    };
+    let (written, report) = sweep(false);
+    assert!(report.all_ok(), "{}", report.failure_summary());
+    let (resumed, report) = sweep(true);
+    assert_eq!(report.restored(), report.cells.len(), "nothing re-runs");
+
+    // One decode and one encode row per supported tier.
+    assert_eq!(written.len(), 2 * SimdLevel::supported_tiers().len());
+    assert_eq!(written.len(), resumed.len());
+    for (w, r) in written.iter().zip(&resumed) {
+        assert_eq!(
+            (w.resolution, w.decode, w.tier),
+            (r.resolution, r.decode, r.tier)
+        );
+        let row = format!("{} decode={}", w.tier.tier_name(), w.decode);
+        assert_eq!(w.fps.map(f64::to_bits), r.fps.map(f64::to_bits), "{row}");
+        assert_eq!(w.stages, r.stages, "{row}");
+    }
 
     let _ = std::fs::remove_file(&journal);
 }

@@ -37,6 +37,6 @@ pub use io::{read_i420, read_i420_into, write_i420, Y4mReader, Y4mWriter};
 pub use metrics::{psnr_from_mse, FramePsnr, PlanePsnr, SequencePsnr, Ssim};
 pub use pad::PaddedPlane;
 pub use plane::Plane;
-pub use pool::{BufferPool, FramePool, PoolStats, PooledBuf, PooledFrame};
-pub use region::{align_up, mb_count, Rect};
+pub use pool::{BufferPool, FramePool, PoolStats};
+pub use region::{align_up, mb_count};
 pub use video::{FrameRate, Resolution, VideoFormat};

@@ -14,15 +14,13 @@
 //!   right size instead of reallocating.
 //!
 //! Ownership rules: `take` transfers ownership to the caller; storage
-//! comes back either through an explicit `put` (the codec-internal
-//! style) or by dropping a [`PooledFrame`]/[`PooledBuf`] RAII handle
-//! (the session/serve style). Returned buffers keep their capacity but
-//! lose their contents: a pooled `Vec<u8>` comes back cleared (length
-//! zero) and a pooled `Frame` comes back with *stale pixels* — every
-//! consumer must fully overwrite it (all the in-tree users do: frame
-//! copies, crops, edge replication and reconstruction write every
-//! sample, which is also what keeps pooled paths bit-identical to the
-//! allocating ones).
+//! comes back through an explicit `put`. Returned buffers keep their
+//! capacity but lose their contents: a pooled `Vec<u8>` comes back
+//! cleared (length zero) and a pooled `Frame` comes back with *stale
+//! pixels* — every consumer must fully overwrite it (all the in-tree
+//! users do: frame copies, crops, edge replication and reconstruction
+//! write every sample, which is also what keeps pooled paths
+//! bit-identical to the allocating ones).
 //!
 //! Sizing policy: free lists are bounded (32 entries per bucket/bin);
 //! beyond that, returns fall through to the real allocator so a burst
@@ -305,103 +303,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// An RAII frame handle that returns its storage to the global
-/// [`FramePool`] on drop.
-#[derive(Debug)]
-pub struct PooledFrame {
-    frame: Option<Frame>,
-}
-
-impl PooledFrame {
-    /// Takes a `width`×`height` frame from the global pool. As with
-    /// [`FramePool::take`], recycled pixels are stale.
-    pub fn take(width: usize, height: usize) -> PooledFrame {
-        PooledFrame {
-            frame: Some(FramePool::global().take(width, height)),
-        }
-    }
-
-    /// Wraps an existing frame so it is recycled on drop.
-    pub fn from_frame(frame: Frame) -> PooledFrame {
-        PooledFrame { frame: Some(frame) }
-    }
-
-    /// Detaches the frame from the handle (it will no longer be
-    /// recycled automatically).
-    pub fn into_inner(mut self) -> Frame {
-        self.frame.take().expect("pooled frame already taken")
-    }
-}
-
-impl std::ops::Deref for PooledFrame {
-    type Target = Frame;
-    fn deref(&self) -> &Frame {
-        self.frame.as_ref().expect("pooled frame already taken")
-    }
-}
-
-impl std::ops::DerefMut for PooledFrame {
-    fn deref_mut(&mut self) -> &mut Frame {
-        self.frame.as_mut().expect("pooled frame already taken")
-    }
-}
-
-impl Drop for PooledFrame {
-    fn drop(&mut self) {
-        if let Some(f) = self.frame.take() {
-            FramePool::global().put(f);
-        }
-    }
-}
-
-/// An RAII byte-buffer handle that returns its storage to the global
-/// [`BufferPool`] on drop.
-#[derive(Debug)]
-pub struct PooledBuf {
-    buf: Option<Vec<u8>>,
-}
-
-impl PooledBuf {
-    /// Takes a cleared buffer with at least `min_capacity` bytes of
-    /// capacity from the global pool.
-    pub fn take(min_capacity: usize) -> PooledBuf {
-        PooledBuf {
-            buf: Some(BufferPool::global().take(min_capacity)),
-        }
-    }
-
-    /// Wraps an existing buffer so it is recycled on drop.
-    pub fn from_vec(buf: Vec<u8>) -> PooledBuf {
-        PooledBuf { buf: Some(buf) }
-    }
-
-    /// Detaches the buffer from the handle.
-    pub fn into_inner(mut self) -> Vec<u8> {
-        self.buf.take().expect("pooled buffer already taken")
-    }
-}
-
-impl std::ops::Deref for PooledBuf {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        self.buf.as_ref().expect("pooled buffer already taken")
-    }
-}
-
-impl std::ops::DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        self.buf.as_mut().expect("pooled buffer already taken")
-    }
-}
-
-impl Drop for PooledBuf {
-    fn drop(&mut self) {
-        if let Some(b) = self.buf.take() {
-            BufferPool::global().put(b);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,33 +382,5 @@ mod tests {
         let f2 = pool.take(32, 16);
         assert_eq!((f2.width(), f2.height()), (32, 16));
         assert_eq!(pool.stats().hits, 2);
-    }
-
-    #[test]
-    fn pooled_handles_return_storage_on_drop() {
-        // Use distinctive geometry to avoid interference from other
-        // tests sharing the global pools.
-        let before = FramePool::global().stats().returns;
-        {
-            let mut f = PooledFrame::take(46, 34);
-            f.y_mut().fill(1);
-        }
-        assert!(FramePool::global().stats().returns > before);
-
-        let before = BufferPool::global().stats().returns;
-        {
-            let mut b = PooledBuf::take(4096);
-            b.push(9);
-        }
-        assert!(BufferPool::global().stats().returns > before);
-    }
-
-    #[test]
-    fn into_inner_detaches_from_the_pool() {
-        let pool_frames = FramePool::global().free_frames();
-        let f = PooledFrame::take(38, 22).into_inner();
-        drop(f);
-        // The detached frame must not have been returned.
-        assert!(FramePool::global().free_frames() <= pool_frames + 1);
     }
 }

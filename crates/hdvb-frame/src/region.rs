@@ -1,56 +1,3 @@
-/// An axis-aligned pixel rectangle, used to describe macroblock and
-/// partition geometry.
-///
-/// # Example
-///
-/// ```
-/// use hdvb_frame::Rect;
-///
-/// let mb = Rect::new(16, 32, 16, 16);
-/// assert!(mb.contains(20, 40));
-/// assert_eq!(mb.area(), 256);
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct Rect {
-    /// Left edge in pixels.
-    pub x: usize,
-    /// Top edge in pixels.
-    pub y: usize,
-    /// Width in pixels.
-    pub w: usize,
-    /// Height in pixels.
-    pub h: usize,
-}
-
-impl Rect {
-    /// Creates a rectangle from its top-left corner and size.
-    pub fn new(x: usize, y: usize, w: usize, h: usize) -> Self {
-        Rect { x, y, w, h }
-    }
-
-    /// Whether the point `(px, py)` lies inside the rectangle.
-    pub fn contains(&self, px: usize, py: usize) -> bool {
-        px >= self.x && px < self.x + self.w && py >= self.y && py < self.y + self.h
-    }
-
-    /// Area in pixels.
-    pub fn area(&self) -> usize {
-        self.w * self.h
-    }
-
-    /// The rectangle clipped against a `width`×`height` plane.
-    pub fn clipped(&self, width: usize, height: usize) -> Rect {
-        let x = self.x.min(width);
-        let y = self.y.min(height);
-        Rect {
-            x,
-            y,
-            w: self.w.min(width - x),
-            h: self.h.min(height - y),
-        }
-    }
-}
-
 /// Rounds `v` up to the next multiple of `align`.
 ///
 /// # Panics
@@ -79,21 +26,6 @@ pub fn mb_count(width: usize, height: usize, mb_size: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contains_is_half_open() {
-        let r = Rect::new(0, 0, 4, 4);
-        assert!(r.contains(0, 0));
-        assert!(r.contains(3, 3));
-        assert!(!r.contains(4, 0));
-        assert!(!r.contains(0, 4));
-    }
-
-    #[test]
-    fn clipping_truncates() {
-        let r = Rect::new(8, 8, 16, 16).clipped(12, 20);
-        assert_eq!(r, Rect::new(8, 8, 4, 12));
-    }
 
     #[test]
     fn align_up_cases() {

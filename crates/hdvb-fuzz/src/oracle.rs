@@ -116,16 +116,6 @@ fn hash_frames(hasher: &mut Fnv, frames: &[Frame]) {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Decodes one corpus entry under `simd`, capturing every packet's
 /// outcome; panics are caught and recorded rather than propagated.
 pub fn decode_entry(data: &[u8], simd: SimdLevel) -> EntryOutcome {
@@ -158,7 +148,7 @@ pub fn decode_entry(data: &[u8], simd: SimdLevel) -> EntryOutcome {
             }
             Ok(Err(e)) => outcomes.push(PacketOutcome::OtherError(e.to_string())),
             Err(payload) => {
-                outcomes.push(PacketOutcome::Panic(panic_message(payload)));
+                outcomes.push(PacketOutcome::Panic(crate::panic_text(payload)));
                 // A panicking decoder has broken its own invariants; the
                 // remaining packets would measure undefined state.
                 break;

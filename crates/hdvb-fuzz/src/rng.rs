@@ -1,31 +1,30 @@
 //! A tiny deterministic generator for the fuzzing loop.
 //!
 //! The harness needs *replayable* randomness — the same seed must produce
-//! the same mutation schedule on every machine — so it carries its own
-//! splitmix64 core (the same construction the `third_party/rand` stand-in
-//! uses) instead of depending on an external RNG.
+//! the same mutation schedule on every machine — so it draws from the
+//! workspace's own [`SplitMix`] instead of depending on an external RNG.
 
-/// Deterministic splitmix64 generator.
+use hdvb_seq::SplitMix;
+
+/// Deterministic generator: the fuzzing draws (`below`, `chance`,
+/// `byte`, `fork`) over a [`SplitMix`] stream.
 #[derive(Clone, Debug)]
 pub struct FuzzRng {
-    state: u64,
+    inner: SplitMix,
 }
 
 impl FuzzRng {
     /// Creates a generator from a seed; equal seeds yield equal streams.
     pub fn new(seed: u64) -> Self {
+        // The whitening constant is part of every recorded schedule.
         FuzzRng {
-            state: seed ^ 0x9E37_79B9_7F4A_7C15,
+            inner: SplitMix::new(seed ^ 0x9E37_79B9_7F4A_7C15),
         }
     }
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.inner.next_u64()
     }
 
     /// Uniform value in `0..n`; `n` must be non-zero.

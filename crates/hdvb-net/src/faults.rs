@@ -1,18 +1,21 @@
 //! Deterministic wire fault injection.
 //!
-//! [`NetFaultPlan`] is the network sibling of `hdvb_core::FaultPlan`
-//! (the PR-5 sweep chaos grammar): a compact spec string — usually from
-//! the `HDVB_NET_FAULTS` environment variable — describes faults that
-//! fire at exact *data-message* indices on a connection, and
-//! [`FaultyStream`] injects them on either side of any socket. Faults
-//! are deterministic: the plan's message clock counts only data-plane
-//! messages (HELLO/OPEN/FRAME/…), never heartbeats or acks, whose
-//! timing depends on the scheduler; a given spec therefore reproduces
-//! the same failures on every run.
+//! [`NetFaultPlan`] is the network sibling of `hdvb_core::FaultPlan`:
+//! a compact spec string — usually from the `HDVB_NET_FAULTS`
+//! environment variable — describes faults that fire at exact
+//! *data-message* indices on a connection, and [`FaultyStream`] injects
+//! them on either side of any socket. Faults are deterministic: the
+//! plan's message clock counts only data-plane messages
+//! (HELLO/OPEN/FRAME/…), never heartbeats or acks, whose timing depends
+//! on the scheduler; a given spec therefore reproduces the same
+//! failures on every run.
 //!
-//! Spec grammar (comma-separated tokens; indices are 0-based and count
-//! the wrapped side's outgoing data messages across the whole plan
-//! lifetime, reconnects included):
+//! Both plans are written in one token grammar, documented and parsed
+//! in `hdvb_core::faults` (`<kind>@<index>[:<arg>]`, `seed=<n>`); this
+//! plan takes neither a repeat count (`x<times>`) nor a probabilistic
+//! form (`~`). Its kinds — indices are 0-based and count the wrapped
+//! side's outgoing data messages across the whole plan lifetime,
+//! reconnects included:
 //!
 //! * `drop@<msg>` — sever the connection instead of sending message
 //!   `<msg>`.
@@ -30,7 +33,7 @@
 //! Example: `drop@4,truncate@9:11,garble@13,stall@17:40,seed=7`.
 
 use crate::wire::{wire_len, MsgType, HEADER_LEN, MAGIC};
-use hdvb_core::splitmix64;
+use hdvb_core::{parse_fault_spec, splitmix64, FaultTarget};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,74 +74,54 @@ struct NetRule {
 #[derive(Debug, Default)]
 pub struct NetFaultPlan {
     rules: Vec<NetRule>,
-    seed: u64,
     /// Data messages seen so far (the fault clock).
     clock: AtomicU64,
 }
 
 impl NetFaultPlan {
-    /// Parses a spec string (see the module docs for the grammar).
+    /// Parses a spec string (see the module docs for this plan's kinds;
+    /// the token grammar is [`hdvb_core::parse_fault_spec`]'s).
     ///
     /// # Errors
     ///
-    /// A description of the first malformed token.
+    /// A description of the first malformed or unsupported token.
     pub fn parse(spec: &str) -> Result<Self, String> {
+        // The seed participates in derived rule parameters; the
+        // tokenizer holds it apart, so its position does not matter.
+        let (seed, rules) = parse_fault_spec(spec)?;
+        let seeded = |at: u64, salt: u64| splitmix64(seed.wrapping_add(at).wrapping_mul(salt));
         let mut plan = NetFaultPlan::default();
-        let tokens: Vec<&str> = spec
-            .split(',')
-            .map(str::trim)
-            .filter(|t| !t.is_empty())
-            .collect();
-        // The seed participates in derived rule parameters, so settle
-        // it first regardless of where it sits in the spec.
-        for token in &tokens {
-            if let Some(v) = token.strip_prefix("seed=") {
-                plan.seed = v
-                    .parse()
-                    .map_err(|_| format!("bad seed in net fault spec: {token:?}"))?;
-            }
-        }
-        for token in &tokens {
-            if token.starts_with("seed=") {
-                continue;
-            }
-            if let Some(v) = token.strip_prefix("drop@") {
-                let at = v
-                    .parse()
-                    .map_err(|_| format!("bad message index in net fault spec: {token:?}"))?;
-                plan.push(at, NetFaultKind::Drop);
-            } else if let Some(v) = token.strip_prefix("truncate@") {
-                let (at, bytes) = parse_param(v, token)?;
-                let bytes = bytes.unwrap_or_else(|| {
-                    (splitmix64(plan.seed.wrapping_add(at).wrapping_mul(3)) % 15) as usize + 1
-                });
-                plan.push(at, NetFaultKind::Truncate(bytes));
-            } else if let Some(v) = token.strip_prefix("stall@") {
-                let (at, ms) = parse_param(v, token)?;
-                let ms = ms.unwrap_or_else(|| {
-                    20 + (splitmix64(plan.seed.wrapping_add(at).wrapping_mul(5)) % 81) as usize
-                });
-                plan.push(at, NetFaultKind::Stall(Duration::from_millis(ms as u64)));
-            } else if let Some(v) = token.strip_prefix("garble@") {
-                let (at, bit) = parse_param(v, token)?;
-                let bit = match bit {
-                    Some(b) => b as u64,
-                    None => splitmix64(plan.seed.wrapping_add(at).wrapping_mul(7)),
-                };
-                plan.push(at, NetFaultKind::Garble(bit));
-            } else {
-                return Err(format!("unknown net fault spec token: {token:?}"));
-            }
+        for token in rules {
+            // A wire fault fires once, at one message: no repeat count
+            // (the last field stays `None`) and no `~` form.
+            let (at, kind) = match (token.kind, token.target) {
+                ("drop", FaultTarget::At(at, None, None)) => (at, NetFaultKind::Drop),
+                ("truncate", FaultTarget::At(at, bytes, None)) => {
+                    let bytes = bytes.unwrap_or_else(|| seeded(at, 3) % 15 + 1);
+                    (at, NetFaultKind::Truncate(bytes as usize))
+                }
+                ("stall", FaultTarget::At(at, ms, None)) => {
+                    let ms = ms.unwrap_or_else(|| 20 + seeded(at, 5) % 81);
+                    (at, NetFaultKind::Stall(Duration::from_millis(ms)))
+                }
+                ("garble", FaultTarget::At(at, bit, None)) => (
+                    at,
+                    NetFaultKind::Garble(bit.unwrap_or_else(|| seeded(at, 7))),
+                ),
+                _ => {
+                    return Err(format!(
+                        "unknown net fault, or known fault in the wrong form: {:?}",
+                        token.text
+                    ))
+                }
+            };
+            plan.rules.push(NetRule {
+                at,
+                kind,
+                fired: AtomicBool::new(false),
+            });
         }
         Ok(plan)
-    }
-
-    fn push(&mut self, at: u64, kind: NetFaultKind) {
-        self.rules.push(NetRule {
-            at,
-            kind,
-            fired: AtomicBool::new(false),
-        });
     }
 
     /// Builds a plan from the `HDVB_NET_FAULTS` environment variable;
@@ -200,26 +183,6 @@ impl NetFaultPlan {
             }
         }
         None
-    }
-}
-
-/// Parses `<msg>[:<param>]`.
-fn parse_param(v: &str, token: &str) -> Result<(u64, Option<usize>), String> {
-    match v.split_once(':') {
-        Some((at, p)) => {
-            let at = at
-                .parse()
-                .map_err(|_| format!("bad message index in net fault spec: {token:?}"))?;
-            let p = p
-                .parse()
-                .map_err(|_| format!("bad parameter in net fault spec: {token:?}"))?;
-            Ok((at, Some(p)))
-        }
-        None => Ok((
-            v.parse()
-                .map_err(|_| format!("bad message index in net fault spec: {token:?}"))?,
-            None,
-        )),
     }
 }
 
@@ -463,9 +426,26 @@ mod tests {
         let a = NetFaultPlan::parse("truncate@3,seed=9").expect("a");
         let b = NetFaultPlan::parse("seed=9,truncate@3").expect("b");
         assert_eq!(a.rules[0].kind, b.rules[0].kind);
-        assert!(NetFaultPlan::parse("explode@4").is_err());
+        // ...and are pinned: a recorded chaos campaign replays only
+        // while a spec keeps deriving the same faults.
+        let p = NetFaultPlan::parse("truncate@3,stall@5,garble@7,seed=9").expect("seeded");
+        let kinds: Vec<NetFaultKind> = p.rules.iter().map(|r| r.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                NetFaultKind::Truncate(12),
+                NetFaultKind::Stall(Duration::from_millis(95)),
+                NetFaultKind::Garble(8_322_708_147_046_919_738),
+            ]
+        );
         assert!(NetFaultPlan::parse("drop@x").is_err());
         assert!(NetFaultPlan::parse("stall@1:abc").is_err());
+        // Unknown kinds and the sweep plan's forms (`xN`, `~`) are
+        // rejected by name.
+        for bad in ["explode@4", "drop@4:1", "drop@4x2", "drop~5", "panic@2"] {
+            let err = NetFaultPlan::parse(bad).unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -45,5 +45,5 @@ mod screen;
 
 pub use catalog::{Sequence, SequenceId, FRAME_COUNT};
 pub use noise::ValueNoise;
-pub use prng::SplitMix;
+pub use prng::{splitmix64, SplitMix};
 pub use screen::ScreenContent;

@@ -214,7 +214,7 @@ fn json_session(s: &SessionSummary) -> String {
         s.jitter_ns,
         s.sustained_fps,
         match &s.error {
-            Some(e) => format!("\"{}\"", hdvb_trace::json::escape(e)),
+            Some(e) => hdvb_trace::json::escape(e),
             None => "null".to_string(),
         }
     )
@@ -350,6 +350,21 @@ mod tests {
         let pools = runs[0].get("pools").expect("pools object");
         assert!(pools.get("frame").and_then(|f| f.get("hit_rate")).is_some());
         assert!(pools.get("buffer").and_then(|b| b.get("takes")).is_some());
+    }
+
+    #[test]
+    fn json_carries_a_session_error_as_one_string() {
+        let mut run = sample();
+        run.per_session[0].error = Some("a \"b\"\n".to_string());
+        let v = hdvb_trace::json::parse(&serve_json(&[run])).expect("valid json");
+        let session = &v.get("runs").and_then(|r| r.as_array()).unwrap()[0]
+            .get("per_session")
+            .and_then(|s| s.as_array())
+            .unwrap()[0];
+        assert_eq!(
+            session.get("error").and_then(|e| e.as_str()),
+            Some("a \"b\"\n")
+        );
     }
 
     #[test]

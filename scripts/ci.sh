@@ -74,6 +74,40 @@ if grep -q "n/a" "$tmpdir/resume.txt"; then
     cat "$tmpdir/resume.txt" >&2
     exit 1
 fi
+# SIMD-tier case: every accelerated tier this CPU has is its own set of
+# cells with its own journal records. The fps are wall-clock, so a
+# resumed run that restored one tier's cells from another's records
+# prints a different table; it must print the journaling run's, byte
+# for byte.
+./target/release/hdvb figure1 --part b --frames 2 --scale 8 --threads 1 \
+    --journal "$tmpdir/tiers.journal" > "$tmpdir/tiers.txt" 2> /dev/null
+./target/release/hdvb figure1 --part b --frames 2 --scale 8 --threads 1 \
+    --journal "$tmpdir/tiers.journal" --resume > "$tmpdir/tiers_resumed.txt" 2> /dev/null
+# The resumed run appends its "cells: ... restored" accounting after the
+# attribution line; the Figure 1 table is everything up to that line.
+sed '/^Measured on:/q' "$tmpdir/tiers.txt" > "$tmpdir/tiers_table.txt"
+sed '/^Measured on:/q' "$tmpdir/tiers_resumed.txt" | cmp - "$tmpdir/tiers_table.txt" || {
+    echo "resumed figure1 --part b differs from the run that wrote the journal" >&2
+    diff "$tmpdir/tiers.txt" "$tmpdir/tiers_resumed.txt" >&2 || true
+    exit 1
+}
+grep -q " 0 completed, .* restored, 0 failed, 0 timed out" "$tmpdir/tiers_resumed.txt" || {
+    echo "resumed figure1 --part b re-ran cells instead of restoring them" >&2
+    cat "$tmpdir/tiers_resumed.txt" >&2
+    exit 1
+}
+
+echo "==> unknown options are rejected (a typo must not run with the default)"
+if ./target/release/hdvb table5 --frames 2 --scale 16 --no-such-option 1 \
+    > /dev/null 2> "$tmpdir/unknown.txt"; then
+    echo "hdvb accepted --no-such-option" >&2
+    exit 1
+fi
+grep -q "unknown option --no-such-option" "$tmpdir/unknown.txt" || {
+    echo "hdvb did not name the unknown option" >&2
+    cat "$tmpdir/unknown.txt" >&2
+    exit 1
+}
 
 echo "==> serve smoke (8 sessions x 30 fps x 5 s, block policy: lossless, finite p99)"
 (cd "$tmpdir" && "$OLDPWD/target/release/hdvb" serve-bench --codec mpeg2 \

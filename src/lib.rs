@@ -23,7 +23,6 @@ pub use hdvb_frame as frame;
 pub use hdvb_fuzz as fuzz;
 pub use hdvb_h264 as h264;
 pub use hdvb_me as me;
-pub use hdvb_mj2k as mj2k;
 pub use hdvb_mpeg2 as mpeg2;
 pub use hdvb_mpeg4 as mpeg4;
 pub use hdvb_net as net;

@@ -110,26 +110,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The future-work MJ2K-class codec must be bit-exact lossless at
-    /// qscale 1 for arbitrary content — the defining property of the
-    /// 5/3 reversible wavelet path.
-    #[test]
-    fn mj2k_is_lossless_on_arbitrary_frames(seed in any::<u64>(), noise in 0u8..=255) {
-        use hd_videobench::mj2k::{Mj2kDecoder, Mj2kEncoder};
-        let frame = arbitrary_frame(48, 32, seed, noise);
-        let mut enc = Mj2kEncoder::new(48, 32, 1).unwrap();
-        let mut dec = Mj2kDecoder::new();
-        let packet = enc.encode(&frame).unwrap();
-        prop_assert_eq!(dec.decode(&packet).unwrap(), frame);
-    }
-
-    #[test]
-    fn mj2k_garbage_never_panics(data in proptest::collection::vec(any::<u8>(), 0..400)) {
-        use hd_videobench::mj2k::Mj2kDecoder;
-        let _ = Mj2kDecoder::new().decode(&data);
-    }
-}

@@ -91,7 +91,7 @@ fn table5_rows_identical_at_any_thread_count() {
 
     for threads in [1, 4] {
         let (rows, report) = ParallelRunner::new(threads)
-            .table5_rows_ft(&resolutions, FRAMES, &options, &policy, None, None)
+            .table5_rows(&resolutions, FRAMES, &options, &policy, None, false)
             .expect("sweep");
         assert!(report.all_ok(), "{}", report.failure_summary());
         assert_eq!(report.execution.threads, threads);
