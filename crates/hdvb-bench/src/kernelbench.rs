@@ -74,9 +74,12 @@ fn coeff_block(seed: u32, range: i16) -> Block8 {
 }
 
 /// The kernels measured per tier, in report order.
-pub const KERNEL_NAMES: [&str; 17] = [
+pub const KERNEL_NAMES: [&str; 20] = [
     "sad_16x16",
     "satd_16x16",
+    "satd_8x8",
+    "satd_4x4",
+    "satd_avg_16x16",
     "ssd_16x16",
     "copy_64x64",
     "avg_16x16",
@@ -153,6 +156,28 @@ pub fn measure_tier(level: SimdLevel) -> Vec<KernelMeasurement> {
         "satd_16x16",
         ns_per_call(|| {
             black_box(dsp.satd(black_box(&a[1..]), SRC_STRIDE, &b, 64, 16, 16));
+        }),
+    );
+    push(
+        "satd_8x8",
+        ns_per_call(|| {
+            black_box(dsp.satd(black_box(&a[1..]), SRC_STRIDE, &b, 64, 8, 8));
+        }),
+    );
+    push(
+        "satd_4x4",
+        ns_per_call(|| {
+            black_box(dsp.satd(black_box(&a[1..]), SRC_STRIDE, &b, 64, 4, 4));
+        }),
+    );
+    // A quarter-pel candidate as refinement scores it: against the
+    // average of two half-pel predictions, never written.
+    let satd = dsp.satd_fn();
+    push(
+        "satd_avg_16x16",
+        ns_per_call(|| {
+            let (p, q) = (black_box(&a[2..]), &a[SRC_STRIDE..]);
+            black_box(satd.avg(&b, 64, p, q, SRC_STRIDE, 16, 16));
         }),
     );
     push(

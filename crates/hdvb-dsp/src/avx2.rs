@@ -15,6 +15,7 @@
 use crate::dispatch::KernelTable;
 use crate::interp::HV_MAX_ROWS;
 use crate::quant::QuantMatrix;
+use crate::sse2::{check_block, hsum_epi32, Rows};
 use crate::Block8;
 use std::arch::x86_64::*;
 
@@ -45,28 +46,14 @@ unsafe fn store16_u8(p: *mut u8, v: __m256i) {
     _mm_storeu_si128(p as *mut __m128i, _mm256_castsi256_si128(fixed));
 }
 
-/// Loads rows `y` and `y+1` (16 bytes each) into the two 128-bit lanes.
+/// Rows `y` and `y + 1` of a 16-wide prediction in the two 128-bit lanes.
 ///
 /// # Safety
-/// Requires AVX2 and 16 readable bytes at both row offsets.
+/// Requires AVX2 and 16 readable bytes at both rows of every source.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn load_2rows_16(p: &[u8], stride: usize, y: usize) -> __m256i {
-    let r0 = _mm_loadu_si128(p.as_ptr().add(y * stride) as *const __m128i);
-    let r1 = _mm_loadu_si128(p.as_ptr().add((y + 1) * stride) as *const __m128i);
-    _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(r0), r1)
-}
-
-/// Horizontal sum of four i32 lanes.
-///
-/// # Safety
-/// Requires SSE2.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum_epi32(v: __m128i) -> u32 {
-    let s1 = _mm_add_epi32(v, _mm_shuffle_epi32(v, 0b0100_1110));
-    let s2 = _mm_add_epi32(s1, _mm_shuffle_epi32(s1, 0b1011_0001));
-    _mm_cvtsi128_si32(s2) as u32
+unsafe fn rows2_16<const AVG: bool>(p: Rows<AVG>, y: usize) -> __m256i {
+    _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(p.load16(y, 0)), p.load16(y + 1, 0))
 }
 
 /// Reduces a `_mm256_sad_epu8` accumulator (four u64 lanes) to u32.
@@ -84,58 +71,67 @@ unsafe fn reduce_sad_acc(acc: __m256i) -> u32 {
     _mm_cvtsi128_si32(s) as u32
 }
 
+/// Sum of the eight i32 lanes.
+///
+/// # Safety
+/// Requires AVX2.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn hsum256_epi32(v: __m256i) -> u32 {
+    hsum_epi32(_mm_add_epi32(
+        _mm256_castsi256_si128(v),
+        _mm256_extracti128_si256::<1>(v),
+    ))
+}
+
 // ---------------------------------------------------------------- SAD --
 
+/// SAD of the block at `a` against `p` — or, with `AVG`, against the
+/// rounded average of `p` and `q`.
+///
 /// # Safety
 /// Requires AVX2; `w % 8 == 0` and slices covering the block geometry.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn sad_avx2(
+pub(crate) unsafe fn sad_avx2<const AVG: bool>(
     a: &[u8],
     a_stride: usize,
-    b: &[u8],
-    b_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
     w: usize,
     h: usize,
 ) -> u32 {
     debug_assert!(w.is_multiple_of(8));
-    debug_assert!(h == 0 || a.len() >= (h - 1) * a_stride + w);
-    debug_assert!(h == 0 || b.len() >= (h - 1) * b_stride + w);
+    check_block(a, a_stride, w, h);
+    check_block(p, stride, w, h);
+    check_block(q, stride, w, h);
+    let (cur, pred) = (
+        Rows::<false>::new(a, a, a_stride),
+        Rows::<AVG>::new(p, q, stride),
+    );
     let mut acc = _mm256_setzero_si256();
     if w == 16 {
         // The dominant macroblock shape: two rows per 256-bit op.
         let mut y = 0;
         while y + 2 <= h {
-            let va = load_2rows_16(a, a_stride, y);
-            let vb = load_2rows_16(b, b_stride, y);
-            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
+            acc = _mm256_add_epi64(acc, _mm256_sad_epu8(rows2_16(cur, y), rows2_16(pred, y)));
             y += 2;
         }
         if y < h {
-            let va = _mm_loadu_si128(a.as_ptr().add(y * a_stride) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(y * b_stride) as *const __m128i);
-            acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(_mm_sad_epu8(va, vb)));
+            let row = _mm_sad_epu8(cur.load16(y, 0), pred.load16(y, 0));
+            acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(row));
         }
     } else {
         for y in 0..h {
-            let ra = a.as_ptr().add(y * a_stride);
-            let rb = b.as_ptr().add(y * b_stride);
             let mut x = 0;
-            while x + 32 <= w {
-                let va = _mm256_loadu_si256(ra.add(x) as *const __m256i);
-                let vb = _mm256_loadu_si256(rb.add(x) as *const __m256i);
-                acc = _mm256_add_epi64(acc, _mm256_sad_epu8(va, vb));
-                x += 32;
-            }
             while x + 16 <= w {
-                let va = _mm_loadu_si128(ra.add(x) as *const __m128i);
-                let vb = _mm_loadu_si128(rb.add(x) as *const __m128i);
-                acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(_mm_sad_epu8(va, vb)));
+                let row = _mm_sad_epu8(cur.load16(y, x), pred.load16(y, x));
+                acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(row));
                 x += 16;
             }
             while x + 8 <= w {
-                let va = _mm_loadl_epi64(ra.add(x) as *const __m128i);
-                let vb = _mm_loadl_epi64(rb.add(x) as *const __m128i);
-                acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(_mm_sad_epu8(va, vb)));
+                let row = _mm_sad_epu8(cur.load8(y, x), pred.load8(y, x));
+                acc = _mm256_add_epi64(acc, _mm256_zextsi128_si256(row));
                 x += 8;
             }
         }
@@ -144,123 +140,113 @@ pub(crate) unsafe fn sad_avx2(
 }
 
 // --------------------------------------------------------------- SATD --
+//
+// The SSE2 tier's band algorithm (see there and DESIGN.md §9) on four
+// tiles side by side; SSSE3's `psignw` and `pabsw` make the odd-lane
+// negation and the magnitudes one instruction each.
 
-/// 256-bit variant of the SSE2 `hstage`: the shuffles operate within
-/// each 128-bit lane, so two tiles transform independently side by side.
+/// One band of four tiles (lanes 4k..4k+3 of each row of differences):
+/// the sum of every tile's eight pairwise maxima as eight i32 lanes.
 ///
 /// # Safety
 /// Requires AVX2.
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn hstage256(v: __m256i, dist1: bool) -> __m256i {
-    let (shuffled, mask) = if dist1 {
-        let s = _mm256_shufflehi_epi16::<0b10_11_00_01>(_mm256_shufflelo_epi16::<0b10_11_00_01>(v));
-        let m = _mm256_set_epi16(-1, 0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0, -1, 0);
-        (s, m)
-    } else {
-        let s = _mm256_shufflehi_epi16::<0b01_00_11_10>(_mm256_shufflelo_epi16::<0b01_00_11_10>(v));
-        let m = _mm256_set_epi16(-1, -1, 0, 0, -1, -1, 0, 0, -1, -1, 0, 0, -1, -1, 0, 0);
-        (s, m)
+unsafe fn satd_band(d: [__m256i; 4]) -> __m256i {
+    // Lanes alternate +1, −1: negate every odd column.
+    let odd = _mm256_set1_epi32(0xFFFF_0001_u32 as i32);
+    let stage = |r: __m256i| {
+        let swapped =
+            _mm256_shufflehi_epi16::<0b10_11_00_01>(_mm256_shufflelo_epi16::<0b10_11_00_01>(r));
+        _mm256_abs_epi16(_mm256_add_epi16(_mm256_sign_epi16(r, odd), swapped))
     };
-    let sum = _mm256_add_epi16(v, shuffled);
-    let diff = _mm256_sub_epi16(v, shuffled);
-    _mm256_or_si256(_mm256_andnot_si256(mask, sum), _mm256_and_si256(mask, diff))
+    let fold = |x: __m256i, y: __m256i| {
+        let (x, y) = (_mm256_castsi256_ps(x), _mm256_castsi256_ps(y));
+        _mm256_max_epi16(
+            _mm256_castps_si256(_mm256_shuffle_ps::<0b10_00_10_00>(x, y)),
+            _mm256_castps_si256(_mm256_shuffle_ps::<0b11_01_11_01>(x, y)),
+        )
+    };
+    let (s01, t01) = (_mm256_add_epi16(d[0], d[1]), _mm256_sub_epi16(d[0], d[1]));
+    let (s23, t23) = (_mm256_add_epi16(d[2], d[3]), _mm256_sub_epi16(d[2], d[3]));
+    let h0 = stage(_mm256_add_epi16(s01, s23));
+    let h1 = stage(_mm256_sub_epi16(s01, s23));
+    let h2 = stage(_mm256_add_epi16(t01, t23));
+    let h3 = stage(_mm256_sub_epi16(t01, t23));
+    let maxima = _mm256_add_epi16(fold(h0, h1), fold(h2, h3));
+    _mm256_madd_epi16(maxima, _mm256_set1_epi16(1))
 }
 
-/// Loads rows `y`/`y+1` of two horizontally adjacent 4×4 tiles: lane 0
-/// gets tile 0 `[row y | row y+1]`, lane 1 tile 1.
+/// SATD of the block at `a` against `p` — or, with `AVG`, against the
+/// rounded average of `p` and `q`: `satd_scalar` exactly. 16-wide
+/// columns take one band per register, an 8-wide column two (band `y` in
+/// the low lane, band `y + 4` in the high one), a trailing 4-wide column
+/// the SSE2 form.
 ///
 /// # Safety
-/// Requires AVX2 and 8 readable bytes at both row offsets.
-#[inline]
+/// Requires AVX2; `w`, `h` multiples of 4 and slices covering the block
+/// geometry.
 #[target_feature(enable = "avx2")]
-unsafe fn load_row_pair_x2(p: &[u8], stride: usize, y: usize) -> __m256i {
-    let zero = _mm_setzero_si128();
-    let r0 = _mm_loadl_epi64(p.as_ptr().add(y * stride) as *const __m128i);
-    let r1 = _mm_loadl_epi64(p.as_ptr().add((y + 1) * stride) as *const __m128i);
-    let w0 = _mm_unpacklo_epi8(r0, zero);
-    let w1 = _mm_unpacklo_epi8(r1, zero);
-    let lane0 = _mm_unpacklo_epi64(w0, w1);
-    let lane1 = _mm_unpackhi_epi64(w0, w1);
-    _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lane0), lane1)
-}
-
-/// SATD of two horizontally adjacent 4×4 tiles, one per 128-bit lane.
-/// Each tile's sum is normalised (`/ 2`) separately, matching the
-/// scalar per-tile accumulation exactly.
-///
-/// # Safety
-/// Requires AVX2 and 4 rows of 8 readable bytes at each offset.
-#[target_feature(enable = "avx2")]
-unsafe fn satd4x4_pair(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize) -> u32 {
-    let a01 = load_row_pair_x2(a, a_stride, 0);
-    let a23 = load_row_pair_x2(a, a_stride, 2);
-    let b01 = load_row_pair_x2(b, b_stride, 0);
-    let b23 = load_row_pair_x2(b, b_stride, 2);
-    let d01 = _mm256_sub_epi16(a01, b01);
-    let d23 = _mm256_sub_epi16(a23, b23);
-
-    let t0 = _mm256_add_epi16(d01, d23);
-    let t1 = _mm256_sub_epi16(d01, d23);
-    let u0 = _mm256_unpacklo_epi64(t0, t1);
-    let u1 = _mm256_unpackhi_epi64(t0, t1);
-    let m0 = _mm256_add_epi16(u0, u1);
-    let m1 = _mm256_sub_epi16(u0, u1);
-
-    let h0 = hstage256(hstage256(m0, false), true);
-    let h1 = hstage256(hstage256(m1, false), true);
-
-    let ones = _mm256_set1_epi16(1);
-    let sum = _mm256_add_epi32(
-        _mm256_madd_epi16(_mm256_abs_epi16(h0), ones),
-        _mm256_madd_epi16(_mm256_abs_epi16(h1), ones),
-    );
-    hsum_epi32(_mm256_castsi256_si128(sum)) / 2 + hsum_epi32(_mm256_extracti128_si256::<1>(sum)) / 2
-}
-
-/// # Safety
-/// Requires AVX2 and block geometry within the slices; `w`, `h`
-/// multiples of 4.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn satd_avx2(
+pub(crate) unsafe fn satd_avx2<const AVG: bool>(
     a: &[u8],
     a_stride: usize,
-    b: &[u8],
-    b_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
     w: usize,
     h: usize,
 ) -> u32 {
     debug_assert!(w.is_multiple_of(4) && h.is_multiple_of(4));
-    debug_assert!(h == 0 || a.len() >= (h - 1) * a_stride + w);
-    debug_assert!(h == 0 || b.len() >= (h - 1) * b_stride + w);
-    let w_pair = w & !7;
-    let mut sum = 0u32;
-    let mut y = 0;
-    while y < h {
-        let mut x = 0;
-        while x + 8 <= w {
-            sum += satd4x4_pair(
-                &a[y * a_stride + x..],
-                a_stride,
-                &b[y * b_stride + x..],
-                b_stride,
-            );
-            x += 8;
+    check_block(a, a_stride, w, h);
+    check_block(p, stride, w, h);
+    check_block(q, stride, w, h);
+    let (cur, pred) = (
+        Rows::<false>::new(a, a, a_stride),
+        Rows::<AVG>::new(p, q, stride),
+    );
+    let mut acc = _mm256_setzero_si256();
+    let mut x = 0;
+    while x + 16 <= w {
+        // Row cursors stepped one row per load: rows indexed from the
+        // band origin leave LLVM a dozen live pointers in the fused form
+        // (DESIGN.md §9).
+        let (mut c, mut p) = (cur.at(0, x), pred.at(0, x));
+        for _ in 0..h / 4 {
+            let mut row = || {
+                let d = _mm256_sub_epi16(
+                    _mm256_cvtepu8_epi16(c.load16(0, 0)),
+                    _mm256_cvtepu8_epi16(p.load16(0, 0)),
+                );
+                (c, p) = (c.at(1, 0), p.at(1, 0));
+                d
+            };
+            let d = [row(), row(), row(), row()];
+            acc = _mm256_add_epi32(acc, satd_band(d));
         }
-        y += 4;
+        x += 16;
     }
-    if w_pair < w {
-        // Odd trailing 4-wide column: one tile at a time via SSE2.
-        sum += crate::sse2::satd_sse2(
-            &a[w_pair..],
-            a_stride,
-            &b[w_pair..],
-            b_stride,
-            w - w_pair,
-            h,
-        );
+    if x + 8 <= w {
+        let mut y = 0;
+        while y < h {
+            let pair = y + 4 < h;
+            let row = |r: usize| {
+                let (mut c, mut p) = (cur.load8(y + r, x), pred.load8(y + r, x));
+                if pair {
+                    c = _mm_unpacklo_epi64(c, cur.load8(y + 4 + r, x));
+                    p = _mm_unpacklo_epi64(p, pred.load8(y + 4 + r, x));
+                }
+                _mm256_sub_epi16(_mm256_cvtepu8_epi16(c), _mm256_cvtepu8_epi16(p))
+            };
+            acc = _mm256_add_epi32(acc, satd_band([row(0), row(1), row(2), row(3)]));
+            y += 8;
+        }
+        x += 8;
     }
-    sum
+    if x < w {
+        let col = crate::sse2::satd_col4(cur, pred, x, h);
+        acc = _mm256_add_epi32(acc, _mm256_zextsi128_si256(col));
+    }
+    hsum256_epi32(acc)
 }
 
 // ----------------------------------------------------------------- SSD --
@@ -976,15 +962,45 @@ fn assert_avx2() {
 fn sad_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
     assert_avx2();
     if w.is_multiple_of(8) {
-        unsafe { sad_avx2(a, a_stride, b, b_stride, w, h) }
+        unsafe { sad_avx2::<false>(a, a_stride, b, b, b_stride, w, h) }
     } else {
         crate::pixel::sad_scalar(a, a_stride, b, b_stride, w, h)
     }
 }
 
+fn sad_avg_entry(
+    a: &[u8],
+    a_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    assert_avx2();
+    if w.is_multiple_of(8) {
+        unsafe { sad_avx2::<true>(a, a_stride, p, q, stride, w, h) }
+    } else {
+        crate::pixel::sad_avg_scalar(a, a_stride, p, q, stride, w, h)
+    }
+}
+
 fn satd_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
     assert_avx2();
-    unsafe { satd_avx2(a, a_stride, b, b_stride, w, h) }
+    unsafe { satd_avx2::<false>(a, a_stride, b, b, b_stride, w, h) }
+}
+
+fn satd_avg_entry(
+    a: &[u8],
+    a_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    assert_avx2();
+    unsafe { satd_avx2::<true>(a, a_stride, p, q, stride, w, h) }
 }
 
 fn ssd_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u64 {
@@ -1273,7 +1289,9 @@ fn scale_v_entry(dst: &mut [u8], r0: &[u8], r1: &[u8], r2: &[u8], r3: &[u8], c: 
 /// The AVX2 tier's resolved kernel table.
 pub(crate) static AVX2_KERNELS: KernelTable = KernelTable {
     sad: sad_entry,
+    sad_avg: sad_avg_entry,
     satd: satd_entry,
+    satd_avg: satd_avg_entry,
     ssd: ssd_entry,
     fdct8: fdct8_entry,
     idct8: idct8_entry,

@@ -148,10 +148,54 @@ impl fmt::Display for SimdLevel {
 
 // ------------------------------------------------------ kernel pointers --
 
-/// Block-compare kernel: `(a, a_stride, b, b_stride, w, h) -> cost`.
-pub type SadFn = fn(&[u8], usize, &[u8], usize, usize, usize) -> u32;
-/// SATD shares the SAD signature.
-pub type SatdFn = SadFn;
+/// Block-compare kernel (SAD or SATD):
+/// `(a, a_stride, b, b_stride, w, h) -> cost`.
+pub type CompareFn = fn(&[u8], usize, &[u8], usize, usize, usize) -> u32;
+/// Fused quarter-pel compare: `(cur, cur_stride, p, q, stride, w, h)
+/// -> cost` of `cur` against the rounded average of `p` and `q` (both
+/// read with `stride`), as if `avg_block` had written it.
+pub(crate) type CompareAvgFn = fn(&[u8], usize, &[u8], &[u8], usize, usize, usize) -> u32;
+
+/// One block-compare metric resolved for one tier: its kernel and the
+/// kernel's fused quarter-pel form, so a caller holding a metric scores
+/// quarter-pel candidates without knowing which metric it holds.
+///
+/// Calling a `CostFn` like a function (it dereferences to its
+/// [`CompareFn`]) compares against one prediction;
+/// [`avg`](Self::avg) against the average of two.
+#[derive(Clone, Copy)]
+pub struct CostFn {
+    plain: CompareFn,
+    fused: CompareAvgFn,
+}
+
+impl CostFn {
+    /// The cost of `cur` against the rounded average `(p + q + 1) >> 1`
+    /// of two predictions read with one `stride` — equal to this metric
+    /// on the block `avg_block` would write, without writing it.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn avg(
+        &self,
+        cur: &[u8],
+        cur_stride: usize,
+        p: &[u8],
+        q: &[u8],
+        stride: usize,
+        w: usize,
+        h: usize,
+    ) -> u32 {
+        (self.fused)(cur, cur_stride, p, q, stride, w, h)
+    }
+}
+
+impl std::ops::Deref for CostFn {
+    type Target = CompareFn;
+
+    fn deref(&self) -> &CompareFn {
+        &self.plain
+    }
+}
 /// Sum of squared differences (64-bit accumulator for large planes).
 pub type SsdFn = fn(&[u8], usize, &[u8], usize, usize, usize) -> u64;
 /// In-place 8×8 transform.
@@ -193,8 +237,10 @@ pub type ScaleVFn = fn(&mut [u8], &[u8], &[u8], &[u8], &[u8], &[i16; 4]);
 /// entries perform their own width-fallback to scalar where a kernel
 /// only handles 8-aligned widths.
 pub(crate) struct KernelTable {
-    pub(crate) sad: SadFn,
-    pub(crate) satd: SatdFn,
+    pub(crate) sad: CompareFn,
+    pub(crate) sad_avg: CompareAvgFn,
+    pub(crate) satd: CompareFn,
+    pub(crate) satd_avg: CompareAvgFn,
     pub(crate) ssd: SsdFn,
     pub(crate) fdct8: Block8Fn,
     pub(crate) idct8: Block8Fn,
@@ -220,7 +266,9 @@ pub(crate) struct KernelTable {
 /// stay scalar in every tier's table.
 pub(crate) static SCALAR_KERNELS: KernelTable = KernelTable {
     sad: crate::pixel::sad_scalar,
+    sad_avg: crate::pixel::sad_avg_scalar,
     satd: crate::satd::satd_scalar,
+    satd_avg: crate::satd::satd_avg_scalar,
     ssd: crate::pixel::ssd_scalar,
     fdct8: crate::dct8::fdct8_scalar,
     idct8: crate::dct8::idct8_scalar,
@@ -288,16 +336,22 @@ impl Dsp {
         self.level
     }
 
-    /// The resolved SAD kernel, for callers (motion search cost
-    /// functions) that want to hold the function pointer directly
-    /// instead of going through the facade.
-    pub fn sad_fn(&self) -> SadFn {
-        self.kernels.sad
+    /// The resolved SAD metric, for callers (motion search cost
+    /// functions) that want to hold the kernels directly instead of
+    /// going through the facade.
+    pub fn sad_fn(&self) -> CostFn {
+        CostFn {
+            plain: self.kernels.sad,
+            fused: self.kernels.sad_avg,
+        }
     }
 
-    /// The resolved SATD kernel (see [`sad_fn`](Self::sad_fn)).
-    pub fn satd_fn(&self) -> SatdFn {
-        self.kernels.satd
+    /// The resolved SATD metric (see [`sad_fn`](Self::sad_fn)).
+    pub fn satd_fn(&self) -> CostFn {
+        CostFn {
+            plain: self.kernels.satd,
+            fused: self.kernels.satd_avg,
+        }
     }
 
     /// The resolved table, for sibling modules implementing facade

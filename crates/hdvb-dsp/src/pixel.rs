@@ -76,6 +76,23 @@ pub(crate) fn avg_block_scalar(
     }
 }
 
+/// The fused quarter-pel SAD by definition: [`sad_scalar`] of `cur`
+/// against [`avg_block_scalar`]`(p, q)` materialised in a stack buffer
+/// (blocks of at most 256 samples).
+pub(crate) fn sad_avg_scalar(
+    cur: &[u8],
+    cur_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    let mut avg = [0u8; 256];
+    avg_block_scalar(&mut avg, w, p, stride, q, stride, w, h);
+    sad_scalar(cur, cur_stride, &avg, w, w, h)
+}
+
 pub(crate) fn add_residual8_scalar(
     dst: &mut [u8],
     dst_stride: usize,

@@ -12,8 +12,9 @@
 //!   17 candidates (centre, 8 half-pel, 8 quarter-pel) that all lie
 //!   within ±3 quarter-pel of one full-pel vector. It filters the
 //!   half-pel samples of that ±1-pel neighbourhood once and answers
-//!   every candidate as a direct read or one `avg_block` (DESIGN.md §5,
-//!   "Sub-pel refinement: one window, seventeen candidates").
+//!   every candidate as a direct read or as the pair of reads a fused
+//!   compare averages in registers (DESIGN.md §5, "Sub-pel refinement:
+//!   one window, seventeen candidates").
 //!
 //! The source convention of `qpel_luma` matches the 6-tap kernels:
 //! `src[0]` must be the sample **2 left and 2 above** the block origin,
@@ -322,14 +323,45 @@ impl SubpelWindow {
         &plane[row * WIN_STRIDE + col..]
     }
 
+    /// The two half-pel-lattice predictions whose rounded average is the
+    /// quarter-pel candidate `(qx, qy) ∈ −3..=3²` (module docs, position
+    /// table), both read in place with row stride
+    /// [`STRIDE`](Self::STRIDE). A lattice point is its own source twice
+    /// (`(p + p + 1) >> 1 = p`). Refinement scores candidates through
+    /// these with a fused compare ([`CostFn::avg`](crate::CostFn::avg))
+    /// and never writes them. Odd offsets are only meaningful after
+    /// [`fill_sixtap`](Self::fill_sixtap).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qx` or `qy` leaves `−3..=3`.
+    pub fn quarter_sources(&self, qx: i32, qy: i32) -> (&[u8], &[u8]) {
+        let (x0, x1) = ((qx - 1) >> 1, (qx + 1) >> 1);
+        let (y0, y1) = ((qy - 1) >> 1, (qy + 1) >> 1);
+        match (qx & 1, qy & 1) {
+            (0, 0) => {
+                let g = self.half(qx >> 1, qy >> 1);
+                (g, g)
+            }
+            (1, 0) => (self.half(x0, qy >> 1), self.half(x1, qy >> 1)),
+            (0, 1) => (self.half(qx >> 1, y0), self.half(qx >> 1, y1)),
+            _ => {
+                // One of x0/x1 is odd and one even, likewise y0/y1:
+                // b is (odd, even), h is (even, odd).
+                let (xo, xe) = if x0 & 1 == 1 { (x0, x1) } else { (x1, x0) };
+                let (yo, ye) = if y0 & 1 == 1 { (y0, y1) } else { (y1, y0) };
+                (self.half(xo, ye), self.half(xe, yo))
+            }
+        }
+    }
+
     /// The prediction at quarter-pel offset `(qx, qy) ∈ −3..=3²` from
     /// the window's full-pel vector, byte-identical to
     /// [`Dsp::qpel_luma`] at that vector: a read in place for the
-    /// half-pel lattice, otherwise one `avg_block` into `scratch`
-    /// (module docs, position table). Returns the samples and their row
-    /// stride. Odd offsets are only meaningful after
-    /// [`fill_sixtap`](Self::fill_sixtap); even ones are
-    /// [`half`](Self::half) reads and serve a bilinear window too.
+    /// half-pel lattice, otherwise one `avg_block` of its
+    /// [`quarter_sources`](Self::quarter_sources) into `scratch` (the
+    /// bi-prediction trial's form; refinement never materialises a
+    /// candidate). Returns the samples and their row stride.
     ///
     /// # Panics
     ///
@@ -341,20 +373,10 @@ impl SubpelWindow {
         qy: i32,
         scratch: &'s mut [u8; 256],
     ) -> (&'s [u8], usize) {
-        let (x0, x1) = ((qx - 1) >> 1, (qx + 1) >> 1);
-        let (y0, y1) = ((qy - 1) >> 1, (qy + 1) >> 1);
-        let (p, q) = match (qx & 1, qy & 1) {
-            (0, 0) => return (self.half(qx >> 1, qy >> 1), WIN_STRIDE),
-            (1, 0) => (self.half(x0, qy >> 1), self.half(x1, qy >> 1)),
-            (0, 1) => (self.half(qx >> 1, y0), self.half(qx >> 1, y1)),
-            _ => {
-                // One of x0/x1 is odd and one even, likewise y0/y1:
-                // b is (odd, even), h is (even, odd).
-                let (xo, xe) = if x0 & 1 == 1 { (x0, x1) } else { (x1, x0) };
-                let (yo, ye) = if y0 & 1 == 1 { (y0, y1) } else { (y1, y0) };
-                (self.half(xo, ye), self.half(xe, yo))
-            }
-        };
+        let (p, q) = self.quarter_sources(qx, qy);
+        if (qx | qy) & 1 == 0 {
+            return (p, WIN_STRIDE);
+        }
         dsp.avg_block(
             scratch, self.bw, p, WIN_STRIDE, q, WIN_STRIDE, self.bw, self.bh,
         );

@@ -69,6 +69,23 @@ pub(crate) fn satd_scalar(
     sum
 }
 
+/// The fused quarter-pel SATD by definition: [`satd_scalar`] of `cur`
+/// against `avg_block_scalar(p, q)` materialised in a stack buffer
+/// (blocks of at most 256 samples).
+pub(crate) fn satd_avg_scalar(
+    cur: &[u8],
+    cur_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    let mut avg = [0u8; 256];
+    crate::pixel::avg_block_scalar(&mut avg, w, p, stride, q, stride, w, h);
+    satd_scalar(cur, cur_stride, &avg, w, w, h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

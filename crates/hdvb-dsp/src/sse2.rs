@@ -16,38 +16,149 @@ use crate::quant::QuantMatrix;
 use crate::Block8;
 use std::arch::x86_64::*;
 
+// ---------------------------------------------------- prediction rows --
+
+/// Debug-build check that a `w`×`h` block with row stride `stride` lies
+/// inside `s`.
+pub(crate) fn check_block(s: &[u8], stride: usize, w: usize, h: usize) {
+    debug_assert!(h == 0 || s.len() >= (h - 1) * stride + w);
+}
+
+/// A cursor over the rows a compare kernel reads: one plane, or — the
+/// fused quarter-pel form (`AVG`) — the rounded average of two planes
+/// `p` and `q` with one row stride. That average is `pavgb`, i.e.
+/// `avg_block`'s `(p + q + 1) >> 1`, formed in registers before widening
+/// and never stored. The loads are SSE2, the x86-64 baseline, so the AVX2
+/// tier reads through the same type.
+///
+/// Holds raw pointers: moving the cursor is always allowed, and the
+/// kernel that builds one promises (and debug-checks with
+/// [`check_block`]) that every load stays inside the slices it came from.
+#[derive(Clone, Copy)]
+pub(crate) struct Rows<const AVG: bool> {
+    p: *const u8,
+    q: *const u8,
+    stride: usize,
+}
+
+impl<const AVG: bool> Rows<AVG> {
+    /// Rows of `p`, or of the average of `p` and `q` when `AVG`.
+    pub(crate) fn new(p: &[u8], q: &[u8], stride: usize) -> Self {
+        Rows {
+            p: p.as_ptr(),
+            q: q.as_ptr(),
+            stride,
+        }
+    }
+
+    /// The cursor moved to row `y`, column `x`.
+    #[inline(always)]
+    pub(crate) fn at(self, y: usize, x: usize) -> Self {
+        let i = y * self.stride + x;
+        Rows {
+            p: self.p.wrapping_add(i),
+            q: self.q.wrapping_add(i),
+            stride: self.stride,
+        }
+    }
+
+    /// 16 samples of row `y` from column `x`.
+    ///
+    /// # Safety
+    /// 16 readable bytes there in every plane.
+    #[inline(always)]
+    pub(crate) unsafe fn load16(&self, y: usize, x: usize) -> __m128i {
+        let i = y * self.stride + x;
+        let v = _mm_loadu_si128(self.p.add(i).cast());
+        if AVG {
+            let w = _mm_loadu_si128(self.q.add(i).cast());
+            _mm_avg_epu8(v, w)
+        } else {
+            v
+        }
+    }
+
+    /// 8 samples of row `y` from column `x`, in the low half.
+    ///
+    /// # Safety
+    /// 8 readable bytes there in every plane.
+    #[inline(always)]
+    pub(crate) unsafe fn load8(&self, y: usize, x: usize) -> __m128i {
+        let i = y * self.stride + x;
+        let v = _mm_loadl_epi64(self.p.add(i).cast());
+        if AVG {
+            let w = _mm_loadl_epi64(self.q.add(i).cast());
+            _mm_avg_epu8(v, w)
+        } else {
+            v
+        }
+    }
+
+    /// 4 samples of row `y` from column `x`, in the low dword.
+    ///
+    /// # Safety
+    /// 4 readable bytes there in every plane.
+    #[inline(always)]
+    pub(crate) unsafe fn load4(&self, y: usize, x: usize) -> __m128i {
+        let at = |s: *const u8, i: usize| {
+            _mm_cvtsi32_si128(std::ptr::read_unaligned(s.add(i).cast::<i32>()))
+        };
+        let i = y * self.stride + x;
+        let v = at(self.p, i);
+        if AVG {
+            _mm_avg_epu8(v, at(self.q, i))
+        } else {
+            v
+        }
+    }
+}
+
+/// Sum of the four i32 lanes.
+///
+/// # Safety
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
+pub(crate) unsafe fn hsum_epi32(v: __m128i) -> u32 {
+    let s = _mm_add_epi32(v, _mm_shuffle_epi32::<0b0100_1110>(v));
+    let s = _mm_add_epi32(s, _mm_shuffle_epi32::<0b1011_0001>(s));
+    _mm_cvtsi128_si32(s) as u32
+}
+
 // ---------------------------------------------------------------- SAD --
 
+/// SAD of the block at `a` against `p` — or, with `AVG`, against the
+/// rounded average of `p` and `q`.
+///
 /// # Safety
-/// Requires SSE2 (always present on x86-64) and slices large enough for
-/// the block geometry, as checked by the scalar fallback's indexing.
+/// Requires SSE2 (always present on x86-64); `w % 8 == 0` and slices
+/// covering the block geometry.
 #[target_feature(enable = "sse2")]
-pub(crate) unsafe fn sad_sse2(
+pub(crate) unsafe fn sad_sse2<const AVG: bool>(
     a: &[u8],
     a_stride: usize,
-    b: &[u8],
-    b_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
     w: usize,
     h: usize,
 ) -> u32 {
     debug_assert!(w.is_multiple_of(8));
-    debug_assert!(h == 0 || a.len() >= (h - 1) * a_stride + w);
-    debug_assert!(h == 0 || b.len() >= (h - 1) * b_stride + w);
+    check_block(a, a_stride, w, h);
+    check_block(p, stride, w, h);
+    check_block(q, stride, w, h);
+    let (cur, pred) = (
+        Rows::<false>::new(a, a, a_stride),
+        Rows::<AVG>::new(p, q, stride),
+    );
     let mut acc = _mm_setzero_si128();
     for y in 0..h {
-        let ra = &a[y * a_stride..];
-        let rb = &b[y * b_stride..];
         let mut x = 0;
         while x + 16 <= w {
-            let va = _mm_loadu_si128(ra.as_ptr().add(x) as *const __m128i);
-            let vb = _mm_loadu_si128(rb.as_ptr().add(x) as *const __m128i);
-            acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
+            acc = _mm_add_epi64(acc, _mm_sad_epu8(cur.load16(y, x), pred.load16(y, x)));
             x += 16;
         }
         while x + 8 <= w {
-            let va = _mm_loadl_epi64(ra.as_ptr().add(x) as *const __m128i);
-            let vb = _mm_loadl_epi64(rb.as_ptr().add(x) as *const __m128i);
-            acc = _mm_add_epi64(acc, _mm_sad_epu8(va, vb));
+            acc = _mm_add_epi64(acc, _mm_sad_epu8(cur.load8(y, x), pred.load8(y, x)));
             x += 8;
         }
         debug_assert_eq!(x, w);
@@ -58,118 +169,157 @@ pub(crate) unsafe fn sad_sse2(
 }
 
 // --------------------------------------------------------------- SATD --
+//
+// The band algorithm (DESIGN.md §9), shared with the AVX2 tier: a band
+// is 4 rows of differences whose registers hold 4×4 tiles side by side.
+// The vertical 4-point Hadamard and the first horizontal stage run in
+// registers; the last horizontal butterfly is folded by
+// |x + y| + |x − y| = 2·max(|x|, |y|), so a tile's `satd4x4_scalar` sum
+// (which halves its 16 magnitudes) is exactly the sum of its eight
+// pairwise maxima — no per-tile reduction, one horizontal sum per call.
+// These helpers carry no `target_feature` (SSE2 is the baseline) and are
+// always inlined, so the AVX2 tier's trailing 4-wide column reuses them
+// (and gets `pabsw` for `abs_epi16` there).
 
-#[inline]
-#[target_feature(enable = "sse2")]
+/// |v| for i16 lanes above `i16::MIN`.
+///
+/// # Safety
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
 unsafe fn abs_epi16(v: __m128i) -> __m128i {
     _mm_max_epi16(v, _mm_sub_epi16(_mm_setzero_si128(), v))
 }
 
-/// Horizontal Hadamard stage within each 64-bit half (two rows packed per
-/// register). `SWAP1` = distance-1 butterfly, otherwise distance-2.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn hstage(v: __m128i, dist1: bool) -> __m128i {
-    let (shuffled, mask) = if dist1 {
-        // lanes [1,0,3,2] within each half; keep sums in even lanes.
-        let s = _mm_shufflehi_epi16::<0b10_11_00_01>(_mm_shufflelo_epi16::<0b10_11_00_01>(v));
-        let m = _mm_set_epi16(-1, 0, -1, 0, -1, 0, -1, 0); // odd lanes select diff
-        (s, m)
-    } else {
-        // lanes [2,3,0,1] within each half; sums in lanes 0-1, diffs 2-3.
-        let s = _mm_shufflehi_epi16::<0b01_00_11_10>(_mm_shufflelo_epi16::<0b01_00_11_10>(v));
-        let m = _mm_set_epi16(-1, -1, 0, 0, -1, -1, 0, 0);
-        (s, m)
-    };
-    let sum = _mm_add_epi16(v, shuffled);
-    let diff = _mm_sub_epi16(v, shuffled);
-    _mm_or_si128(_mm_andnot_si128(mask, sum), _mm_and_si128(mask, diff))
-}
-
-/// Loads two rows of 4 u8 as 8 i16 lanes `[row y | row y+1]`.
+/// First horizontal stage of every tile row: columns `(c0, c1, c2, c3)`
+/// become `(c0 + c1, c0 − c1, c2 + c3, c2 − c3)` — the row with its odd
+/// lanes negated plus the row with neighbouring lanes swapped.
 ///
 /// # Safety
-/// Requires SSE2 and 4 readable bytes at both row offsets.
-#[inline]
-#[target_feature(enable = "sse2")]
-unsafe fn load_row_pair(p: &[u8], stride: usize, y: usize) -> __m128i {
-    let r0 = u32::from_le_bytes(p[y * stride..y * stride + 4].try_into().unwrap());
-    let r1 = u32::from_le_bytes(
-        p[(y + 1) * stride..(y + 1) * stride + 4]
-            .try_into()
-            .unwrap(),
-    );
-    let packed = _mm_set_epi32(0, 0, r1 as i32, r0 as i32);
-    _mm_unpacklo_epi8(packed, _mm_setzero_si128())
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
+unsafe fn hpair(r: __m128i) -> __m128i {
+    let odd = _mm_set_epi16(-1, 0, -1, 0, -1, 0, -1, 0);
+    let swapped = _mm_shufflehi_epi16::<0b10_11_00_01>(_mm_shufflelo_epi16::<0b10_11_00_01>(r));
+    _mm_add_epi16(_mm_sub_epi16(_mm_xor_si128(r, odd), odd), swapped)
 }
 
-/// 4×4 Hadamard SATD of one tile.
+/// The folded last stage of two rows of magnitudes: per tile row, the
+/// maxima of lanes (0, 2) and (1, 3), i.e. of its first and second dword.
 ///
 /// # Safety
-/// Requires SSE2 and at least 4 rows of 4 readable bytes at each pointer
-/// offset.
-#[target_feature(enable = "sse2")]
-unsafe fn satd4x4_tile(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize) -> u32 {
-    let a01 = load_row_pair(a, a_stride, 0);
-    let a23 = load_row_pair(a, a_stride, 2);
-    let b01 = load_row_pair(b, b_stride, 0);
-    let b23 = load_row_pair(b, b_stride, 2);
-    let d01 = _mm_sub_epi16(a01, b01);
-    let d23 = _mm_sub_epi16(a23, b23);
-
-    // Vertical butterflies across rows (see satd_scalar for the order).
-    let t0 = _mm_add_epi16(d01, d23); // [r0+r2 | r1+r3]
-    let t1 = _mm_sub_epi16(d01, d23); // [r0-r2 | r1-r3]
-    let u0 = _mm_unpacklo_epi64(t0, t1); // [r0+r2 | r0-r2]
-    let u1 = _mm_unpackhi_epi64(t0, t1); // [r1+r3 | r1-r3]
-    let m0 = _mm_add_epi16(u0, u1);
-    let m1 = _mm_sub_epi16(u0, u1);
-
-    // Horizontal transform within each packed row.
-    let h0 = hstage(hstage(m0, false), true);
-    let h1 = hstage(hstage(m1, false), true);
-
-    let ones = _mm_set1_epi16(1);
-    let sum = _mm_add_epi32(
-        _mm_madd_epi16(abs_epi16(h0), ones),
-        _mm_madd_epi16(abs_epi16(h1), ones),
-    );
-    let s1 = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, 0b0100_1110));
-    let s2 = _mm_add_epi32(s1, _mm_shuffle_epi32(s1, 0b1011_0001));
-    (_mm_cvtsi128_si32(s2) as u32) / 2
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
+unsafe fn fold_max(x: __m128i, y: __m128i) -> __m128i {
+    let (x, y) = (_mm_castsi128_ps(x), _mm_castsi128_ps(y));
+    _mm_max_epi16(
+        _mm_castps_si128(_mm_shuffle_ps::<0b10_00_10_00>(x, y)),
+        _mm_castps_si128(_mm_shuffle_ps::<0b11_01_11_01>(x, y)),
+    )
 }
 
+/// One band of two tiles (lanes 0–3 and 4–7 of each row of differences):
+/// the sum of every tile's eight pairwise maxima as four i32 lanes.
+///
 /// # Safety
-/// Requires SSE2 and block geometry within the slices; `w`, `h` multiples
-/// of 4.
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
+unsafe fn satd_band(d: [__m128i; 4]) -> __m128i {
+    let (s01, t01) = (_mm_add_epi16(d[0], d[1]), _mm_sub_epi16(d[0], d[1]));
+    let (s23, t23) = (_mm_add_epi16(d[2], d[3]), _mm_sub_epi16(d[2], d[3]));
+    let h0 = abs_epi16(hpair(_mm_add_epi16(s01, s23)));
+    let h1 = abs_epi16(hpair(_mm_sub_epi16(s01, s23)));
+    let h2 = abs_epi16(hpair(_mm_add_epi16(t01, t23)));
+    let h3 = abs_epi16(hpair(_mm_sub_epi16(t01, t23)));
+    let maxima = _mm_add_epi16(fold_max(h0, h1), fold_max(h2, h3));
+    _mm_madd_epi16(maxima, _mm_set1_epi16(1))
+}
+
+/// Widens the low 8 bytes to i16 lanes.
+///
+/// # Safety
+/// SSE2, which every x86-64 CPU has.
+#[inline(always)]
+unsafe fn widen8(v: __m128i) -> __m128i {
+    _mm_unpacklo_epi8(v, _mm_setzero_si128())
+}
+
+/// The 4-wide column at `x`: two bands per register, band `y` in the low
+/// half and band `y + 4` in the high one (zero past the block — a zero
+/// difference adds nothing). Returns i32 partial sums.
+///
+/// # Safety
+/// SSE2 and both sources covering the `x + 4`-wide, `h`-row block.
+#[inline(always)]
+pub(crate) unsafe fn satd_col4<const AVG: bool>(
+    cur: Rows<false>,
+    pred: Rows<AVG>,
+    x: usize,
+    h: usize,
+) -> __m128i {
+    let mut acc = _mm_setzero_si128();
+    let mut y = 0;
+    while y < h {
+        let pair = y + 4 < h;
+        let row = |r: usize| {
+            let (mut c, mut p) = (cur.load4(y + r, x), pred.load4(y + r, x));
+            if pair {
+                c = _mm_unpacklo_epi32(c, cur.load4(y + 4 + r, x));
+                p = _mm_unpacklo_epi32(p, pred.load4(y + 4 + r, x));
+            }
+            _mm_sub_epi16(widen8(c), widen8(p))
+        };
+        acc = _mm_add_epi32(acc, satd_band([row(0), row(1), row(2), row(3)]));
+        y += 8;
+    }
+    acc
+}
+
+/// SATD of the block at `a` against `p` — or, with `AVG`, against the
+/// rounded average of `p` and `q`: `satd_scalar` exactly.
+///
+/// # Safety
+/// Requires SSE2; `w`, `h` multiples of 4 and slices covering the block
+/// geometry.
 #[target_feature(enable = "sse2")]
-pub(crate) unsafe fn satd_sse2(
+pub(crate) unsafe fn satd_sse2<const AVG: bool>(
     a: &[u8],
     a_stride: usize,
-    b: &[u8],
-    b_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
     w: usize,
     h: usize,
 ) -> u32 {
     debug_assert!(w.is_multiple_of(4) && h.is_multiple_of(4));
-    debug_assert!(h == 0 || a.len() >= (h - 1) * a_stride + w);
-    debug_assert!(h == 0 || b.len() >= (h - 1) * b_stride + w);
-    let mut sum = 0;
-    let mut y = 0;
-    while y < h {
-        let mut x = 0;
-        while x < w {
-            sum += satd4x4_tile(
-                &a[y * a_stride + x..],
-                a_stride,
-                &b[y * b_stride + x..],
-                b_stride,
-            );
-            x += 4;
+    check_block(a, a_stride, w, h);
+    check_block(p, stride, w, h);
+    check_block(q, stride, w, h);
+    let (cur, pred) = (
+        Rows::<false>::new(a, a, a_stride),
+        Rows::<AVG>::new(p, q, stride),
+    );
+    let mut acc = _mm_setzero_si128();
+    let mut x = 0;
+    while x + 8 <= w {
+        // Row cursors stepped one row per load: rows indexed from the
+        // band origin leave LLVM a dozen live pointers in the fused form
+        // (DESIGN.md §9).
+        let (mut c, mut p) = (cur.at(0, x), pred.at(0, x));
+        for _ in 0..h / 4 {
+            let mut row = || {
+                let d = _mm_sub_epi16(widen8(c.load8(0, 0)), widen8(p.load8(0, 0)));
+                (c, p) = (c.at(1, 0), p.at(1, 0));
+                d
+            };
+            let d = [row(), row(), row(), row()];
+            acc = _mm_add_epi32(acc, satd_band(d));
         }
-        y += 4;
+        x += 8;
     }
-    sum
+    if x < w {
+        acc = _mm_add_epi32(acc, satd_col4(cur, pred, x, h));
+    }
+    hsum_epi32(acc)
 }
 
 // ------------------------------------------------------------ DCT 8x8 --
@@ -1021,14 +1171,42 @@ use crate::dispatch::KernelTable;
 
 fn sad_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
     if w.is_multiple_of(8) {
-        unsafe { sad_sse2(a, a_stride, b, b_stride, w, h) }
+        unsafe { sad_sse2::<false>(a, a_stride, b, b, b_stride, w, h) }
     } else {
         crate::pixel::sad_scalar(a, a_stride, b, b_stride, w, h)
     }
 }
 
+fn sad_avg_entry(
+    a: &[u8],
+    a_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    if w.is_multiple_of(8) {
+        unsafe { sad_sse2::<true>(a, a_stride, p, q, stride, w, h) }
+    } else {
+        crate::pixel::sad_avg_scalar(a, a_stride, p, q, stride, w, h)
+    }
+}
+
 fn satd_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u32 {
-    unsafe { satd_sse2(a, a_stride, b, b_stride, w, h) }
+    unsafe { satd_sse2::<false>(a, a_stride, b, b, b_stride, w, h) }
+}
+
+fn satd_avg_entry(
+    a: &[u8],
+    a_stride: usize,
+    p: &[u8],
+    q: &[u8],
+    stride: usize,
+    w: usize,
+    h: usize,
+) -> u32 {
+    unsafe { satd_sse2::<true>(a, a_stride, p, q, stride, w, h) }
 }
 
 fn ssd_entry(a: &[u8], a_stride: usize, b: &[u8], b_stride: usize, w: usize, h: usize) -> u64 {
@@ -1288,7 +1466,9 @@ fn scale_v_entry(dst: &mut [u8], r0: &[u8], r1: &[u8], r2: &[u8], r3: &[u8], c: 
 /// The SSE2 tier's resolved kernel table.
 pub(crate) static SSE2_KERNELS: KernelTable = KernelTable {
     sad: sad_entry,
+    sad_avg: sad_avg_entry,
     satd: satd_entry,
+    satd_avg: satd_avg_entry,
     ssd: ssd_entry,
     fdct8: fdct8_entry,
     idct8: idct8_entry,

@@ -26,6 +26,17 @@ fn pixels(len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), len)
 }
 
+/// Every SATD block shape with sides in {4, 8, …, 24}.
+fn satd_shapes() -> impl Iterator<Item = (usize, usize)> {
+    (1..=6).flat_map(|i| (1..=6).map(move |j| (4 * i, 4 * j)))
+}
+
+/// The SATD shapes the fused compares take: at most 256 samples, the
+/// stack buffer of their scalar definition.
+fn avg_shapes() -> impl Iterator<Item = (usize, usize)> {
+    satd_shapes().filter(|&(w, h)| w * h <= 256)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -47,10 +58,42 @@ proptest! {
     fn satd_matches(a in pixels(24 * 24), b in pixels(24 * 24)) {
         let (s, tiers) = reference_and_tiers();
         for v in &tiers {
-            for &(w, h) in &[(16usize, 16usize), (8, 8), (4, 4), (16, 8), (4, 8), (12, 4)] {
+            for (w, h) in satd_shapes() {
                 prop_assert_eq!(
                     s.satd(&a, 24, &b, 24, w, h),
                     v.satd(&a, 24, &b, 24, w, h),
+                    "{} {}x{}", v.level().tier_name(), w, h
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sad_avg_matches(cur in pixels(24 * 24), p in pixels(24 * 24), q in pixels(24 * 24)) {
+        let (s, tiers) = reference_and_tiers();
+        for v in std::iter::once(&s).chain(&tiers) {
+            for (w, h) in avg_shapes() {
+                let mut avg = [0u8; 256];
+                s.avg_block(&mut avg, w, &p, 24, &q, 24, w, h);
+                prop_assert_eq!(
+                    v.sad_fn().avg(&cur, 24, &p, &q, 24, w, h),
+                    s.sad(&cur, 24, &avg, w, w, h),
+                    "{} {}x{}", v.level().tier_name(), w, h
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn satd_avg_matches(cur in pixels(24 * 24), p in pixels(24 * 24), q in pixels(24 * 24)) {
+        let (s, tiers) = reference_and_tiers();
+        for v in std::iter::once(&s).chain(&tiers) {
+            for (w, h) in avg_shapes() {
+                let mut avg = [0u8; 256];
+                s.avg_block(&mut avg, w, &p, 24, &q, 24, w, h);
+                prop_assert_eq!(
+                    v.satd_fn().avg(&cur, 24, &p, &q, 24, w, h),
+                    s.satd(&cur, 24, &avg, w, w, h),
                     "{} {}x{}", v.level().tier_name(), w, h
                 );
             }
@@ -304,6 +347,40 @@ fn satd_tiling_consistency() {
             "{}",
             v.level().tier_name()
         );
+    }
+}
+
+/// Saturated differences — a 0/255 checkerboard against its complement,
+/// all-255 against all-0 — give the largest transform coefficients, where
+/// the SIMD tiers' max-fold of the last butterfly does its widest work.
+#[test]
+fn satd_matches_on_saturated_blocks() {
+    let checker: Vec<u8> = (0..24 * 24)
+        .map(|i| if (i / 24 + i % 24) % 2 == 0 { 255 } else { 0 })
+        .collect();
+    let complement: Vec<u8> = checker.iter().map(|&v| 255 - v).collect();
+    let (white, black) = (vec![255u8; 24 * 24], vec![0u8; 24 * 24]);
+    let (s, tiers) = reference_and_tiers();
+    for (a, b) in [(&checker, &complement), (&white, &black), (&black, &white)] {
+        for (w, h) in satd_shapes() {
+            let want = s.satd(a, 24, b, 24, w, h);
+            assert!(want > 0);
+            for v in &tiers {
+                assert_eq!(
+                    v.satd(a, 24, b, 24, w, h),
+                    want,
+                    "{} {w}x{h}",
+                    v.level().tier_name()
+                );
+                // The fused form on the same extremes: avg(b, b) = b.
+                assert_eq!(
+                    v.satd_fn().avg(a, 24, b, b, 24, w.min(16), h.min(16)),
+                    s.satd(a, 24, b, 24, w.min(16), h.min(16)),
+                    "{} avg {w}x{h}",
+                    v.level().tier_name()
+                );
+            }
+        }
     }
 }
 

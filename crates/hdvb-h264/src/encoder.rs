@@ -3,7 +3,7 @@ use crate::config::EncoderConfig;
 use crate::deblock::deblock_frame;
 use crate::intra::{predict16, predict4, predict_chroma8, ChromaMode, Intra16Mode, Intra4Mode};
 use crate::mc::{predict_partition, Partitioning, RefPicture};
-use crate::quant4::{dequant4, quant4};
+use crate::quant4::{dequant4, Quant4};
 use crate::resid::{
     recon_chroma_plane, recon_luma_mb, transform_chroma_plane, transform_luma_mb,
     write_chroma_residual, write_luma_residual,
@@ -110,6 +110,10 @@ pub struct H264Encoder {
     /// refilled in place instead of reallocated).
     retired: Vec<RefPicture>,
     lambda: u32,
+    /// Forward residual paths at the configured QP, intra and inter
+    /// (each with its all-zero-block bound).
+    tq_intra: Quant4,
+    tq_inter: Quant4,
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
     /// Reusable coding-order buffer handed to the GOP scheduler.
@@ -139,6 +143,8 @@ impl H264Encoder {
             refs: VecDeque::new(),
             retired: Vec::new(),
             lambda: lambda(config.qp),
+            tq_intra: Quant4::new(config.qp, true),
+            tq_inter: Quant4::new(config.qp, false),
             scratch: Some(EncScratch {
                 recon: Frame::new(aw, ah),
                 aligned: Frame::new(aw, ah),
@@ -453,8 +459,7 @@ impl H264Encoder {
                 let _z = hdvb_trace::zone!(hdvb_trace::Stage::TransformQuant);
                 predict4(recon.y(), bx, by, mode, &mut pred);
                 crate::mc::diff4(&mut block, src, self.aw, &pred, 4);
-                self.dsp.fcore4(&mut block);
-                quant4(&mut block, self.config.qp, true)
+                self.tq_intra.forward(&self.dsp, &mut block)
             };
             w.put_bit(nz > 0);
             if nz > 0 {
@@ -501,7 +506,7 @@ impl H264Encoder {
             predict16(recon.y(), mbx * 16, mby * 16, mode, &mut pred);
         }
         let (blocks, flags) =
-            transform_luma_mb(&self.dsp, self.config.qp, true, cur.y(), mbx, mby, &pred);
+            transform_luma_mb(&self.dsp, &self.tq_intra, cur.y(), mbx, mby, &pred);
         write_luma_residual(w, &blocks, flags);
         recon_luma_mb(
             &self.dsp,
@@ -552,10 +557,9 @@ impl H264Encoder {
             predict_chroma8(recon.cb(), mbx * 8, mby * 8, mode, &mut pb);
             predict_chroma8(recon.cr(), mbx * 8, mby * 8, mode, &mut pr);
         }
-        let (bb, fb) =
-            transform_chroma_plane(&self.dsp, self.config.qp, true, cur.cb(), mbx, mby, &pb);
-        let (br, fr) =
-            transform_chroma_plane(&self.dsp, self.config.qp, true, cur.cr(), mbx, mby, &pr);
+        let (dsp, tq) = (&self.dsp, &self.tq_intra);
+        let (bb, fb) = transform_chroma_plane(dsp, tq, cur.cb(), mbx, mby, &pb);
+        let (br, fr) = transform_chroma_plane(dsp, tq, cur.cr(), mbx, mby, &pr);
         write_chroma_residual(w, &bb, fb);
         write_chroma_residual(w, &br, fr);
         recon_chroma_plane(
@@ -743,11 +747,11 @@ impl H264Encoder {
     /// Transforms and quantises the residual of one inter macroblock
     /// against `pred`.
     fn transform_inter_mb(&self, cur: &Frame, mbx: usize, mby: usize, pred: &MbPred) -> MbResidual {
-        let (dsp, qp) = (&self.dsp, self.config.qp);
+        let (dsp, tq) = (&self.dsp, &self.tq_inter);
         MbResidual {
-            luma: transform_luma_mb(dsp, qp, false, cur.y(), mbx, mby, &pred.0),
-            cb: transform_chroma_plane(dsp, qp, false, cur.cb(), mbx, mby, &pred.1),
-            cr: transform_chroma_plane(dsp, qp, false, cur.cr(), mbx, mby, &pred.2),
+            luma: transform_luma_mb(dsp, tq, cur.y(), mbx, mby, &pred.0),
+            cb: transform_chroma_plane(dsp, tq, cur.cb(), mbx, mby, &pred.1),
+            cr: transform_chroma_plane(dsp, tq, cur.cr(), mbx, mby, &pred.2),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::blocks4::{read_coeffs4, write_coeffs4};
 use crate::mc::{add4, copy4, diff4};
-use crate::quant4::{dequant4, quant4};
+use crate::quant4::{dequant4, Quant4};
 use hdvb_bits::picture::CodecError;
 use hdvb_bits::{BitReader, BitWriter};
 use hdvb_dsp::{Block4, Dsp};
@@ -14,8 +14,7 @@ use hdvb_frame::Plane;
 /// mask (bit `15 - k` for raster block `k`).
 pub(crate) fn transform_luma_mb(
     dsp: &Dsp,
-    qp: u8,
-    intra: bool,
+    tq: &Quant4,
     cur: &Plane,
     mbx: usize,
     mby: usize,
@@ -37,8 +36,7 @@ pub(crate) fn transform_luma_mb(
             &pred[oy * 16 + ox..],
             16,
         );
-        dsp.fcore4(&mut b);
-        if quant4(&mut b, qp, intra) > 0 {
+        if tq.forward(dsp, &mut b) > 0 {
             flags |= 1 << (15 - k);
         }
         blocks[k] = b;
@@ -49,8 +47,7 @@ pub(crate) fn transform_luma_mb(
 /// Same for one 8×8 chroma plane (4 blocks, flag bit `3 - k`).
 pub(crate) fn transform_chroma_plane(
     dsp: &Dsp,
-    qp: u8,
-    intra: bool,
+    tq: &Quant4,
     cur: &Plane,
     mbx: usize,
     mby: usize,
@@ -72,8 +69,7 @@ pub(crate) fn transform_chroma_plane(
             &pred[oy * 8 + ox..],
             8,
         );
-        dsp.fcore4(&mut b);
-        if quant4(&mut b, qp, intra) > 0 {
+        if tq.forward(dsp, &mut b) > 0 {
             flags |= 1 << (3 - k);
         }
         blocks[k] = b;
@@ -262,6 +258,93 @@ mod tests {
     use super::*;
     use hdvb_dsp::Dsp;
 
+    /// `transform_luma_mb` / `transform_chroma_plane` as they were before
+    /// the all-zero pre-check: every block through `fcore4` + `quant4`.
+    fn transform_without_precheck(
+        dsp: &Dsp,
+        qp: u8,
+        intra: bool,
+        cur: &Plane,
+        side: usize,
+        pred: &[u8],
+    ) -> (Vec<Block4>, u16) {
+        let n = side / 4;
+        let mut blocks = vec![[0i16; 16]; n * n];
+        let mut flags = 0u16;
+        for (k, b) in blocks.iter_mut().enumerate() {
+            let (ox, oy) = ((k % n) * 4, (k / n) * 4);
+            diff4(
+                b,
+                &cur.data()[oy * cur.stride() + ox..],
+                cur.stride(),
+                &pred[oy * side + ox..],
+                side,
+            );
+            dsp.fcore4(b);
+            if crate::quant4::quant4(b, qp, intra) > 0 {
+                flags |= 1 << (n * n - 1 - k);
+            }
+        }
+        (blocks, flags)
+    }
+
+    #[test]
+    fn precheck_changes_no_block_on_10000_macroblocks() {
+        let dsp = Dsp::default();
+        let mut state = 7u32;
+        let mut next = |m: u32| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            (state >> 8) % m
+        };
+        let (mut luma, mut chroma) = (Plane::new(16, 16), Plane::new(8, 8));
+        let (mut pred_y, mut pred_c) = ([0u8; 256], [0u8; 64]);
+        let mut skipped = 0;
+        for n in 0..10_000 {
+            let (qp, intra) = (next(52) as u8, next(2) == 0);
+            let tq = Quant4::new(qp, intra);
+            // Residual amplitude from nothing to full scale, so blocks land
+            // on both sides of the bound at every QP.
+            let amp = [1, 2, 4, 8, 32, 256][n % 6];
+            for (plane, pred) in [(&mut luma, &mut pred_y[..]), (&mut chroma, &mut pred_c[..])] {
+                let side = plane.width();
+                for (i, p) in pred.iter_mut().enumerate() {
+                    *p = next(256) as u8;
+                    let v = i32::from(*p) + next(2 * amp) as i32 - amp as i32;
+                    plane.set(i % side, i / side, v.clamp(0, 255) as u8);
+                }
+            }
+            let (got, got_flags) = transform_luma_mb(&dsp, &tq, &luma, 0, 0, &pred_y);
+            let want = transform_without_precheck(&dsp, qp, intra, &luma, 16, &pred_y);
+            assert_eq!((got.to_vec(), got_flags), want, "luma, macroblock {n}");
+            let (got, got_flags) = transform_chroma_plane(&dsp, &tq, &chroma, 0, 0, &pred_c);
+            let want = transform_without_precheck(&dsp, qp, intra, &chroma, 8, &pred_c);
+            assert_eq!(
+                (got.to_vec(), u16::from(got_flags)),
+                want,
+                "chroma, macroblock {n}"
+            );
+            let bound = crate::quant4::zero_block_bound(qp, intra);
+            skipped += (0..16)
+                .filter(|k| {
+                    let (ox, oy) = ((k % 4) * 4, (k / 4) * 4);
+                    let mut d = [0i16; 16];
+                    diff4(
+                        &mut d,
+                        &luma.data()[oy * 16 + ox..],
+                        16,
+                        &pred_y[oy * 16 + ox..],
+                        16,
+                    );
+                    d.iter().map(|v| u32::from(v.unsigned_abs())).sum::<u32>() <= bound
+                })
+                .count();
+        }
+        assert!(
+            skipped > 10_000,
+            "only {skipped} luma blocks took the pre-check"
+        );
+    }
+
     #[test]
     fn quadrant_mapping_is_a_bijection() {
         let mut seen = [false; 16];
@@ -285,7 +368,7 @@ mod tests {
             }
         }
         let pred = [100u8; 256];
-        let (blocks, flags) = transform_luma_mb(&dsp, 20, false, &cur, 0, 0, &pred);
+        let (blocks, flags) = transform_luma_mb(&dsp, &Quant4::new(20, false), &cur, 0, 0, &pred);
         assert!(flags != 0);
         let mut w = BitWriter::new();
         write_luma_residual(&mut w, &blocks, flags);
@@ -306,7 +389,8 @@ mod tests {
             }
         }
         let pred = [128u8; 64];
-        let (blocks, flags) = transform_chroma_plane(&dsp, 24, true, &cur, 0, 0, &pred);
+        let (blocks, flags) =
+            transform_chroma_plane(&dsp, &Quant4::new(24, true), &cur, 0, 0, &pred);
         let mut w = BitWriter::new();
         write_chroma_residual(&mut w, &blocks, flags);
         // Also an empty one.
@@ -331,7 +415,7 @@ mod tests {
         }
         let pred = [90u8; 256];
         let qp = 12;
-        let (blocks, flags) = transform_luma_mb(&dsp, qp, true, &cur, 0, 0, &pred);
+        let (blocks, flags) = transform_luma_mb(&dsp, &Quant4::new(qp, true), &cur, 0, 0, &pred);
         let mut recon = Plane::new(16, 16);
         recon_luma_mb(&dsp, qp, &mut recon, 0, 0, &pred, &blocks, flags);
         for y in 0..16 {

@@ -1,5 +1,5 @@
 use crate::{mv_bits, Mv};
-use hdvb_dsp::{Dsp, SadFn};
+use hdvb_dsp::{CostFn, Dsp};
 use hdvb_frame::{PaddedPlane, Plane};
 
 /// The current-frame block a motion search tries to match.
@@ -69,8 +69,11 @@ pub struct SearchResult {
     pub cost: u32,
     /// Its raw SAD (no rate term).
     pub sad: u32,
-    /// Number of SAD evaluations performed (exposed for the
-    /// motion-search ablation bench).
+    /// Number of candidate vectors scored (exposed for the motion-search
+    /// ablation bench). A pattern step skips the points its predecessor
+    /// covered, so `hexagon_search` counts distinct points — unless a
+    /// descent circles all the way round onto an older step — while a
+    /// `diamond_search` step can still meet a point from two steps back.
     pub evaluations: u32,
 }
 
@@ -81,7 +84,7 @@ pub struct SearchResult {
 /// table at construction, so the per-candidate loop pays one indirect
 /// call with no dispatch lookup.
 pub(crate) struct Evaluator<'a> {
-    sad: SadFn,
+    sad: CostFn,
     cur: &'a [u8],
     cur_stride: usize,
     refp: &'a PaddedPlane,
@@ -189,7 +192,43 @@ pub fn full_search(
     }
 }
 
-const LARGE_DIAMOND: [(i16, i16); 8] = [
+/// A coarse search pattern and, per move, the points a step after that
+/// move has not seen yet.
+struct Pattern<const N: usize> {
+    points: [(i16, i16); N],
+    /// Bit `j` of `fresh[i]`: after a step moved to its point `i`, point
+    /// `j` around the new centre is neither the old centre nor one of the
+    /// old step's points.
+    fresh: [u16; N],
+}
+
+impl<const N: usize> Pattern<N> {
+    const fn new(points: [(i16, i16); N]) -> Self {
+        let mut fresh = [0u16; N];
+        let mut i = 0;
+        while i < N {
+            let mut j = 0;
+            while j < N {
+                // Point j of the new step, relative to the old centre.
+                let (x, y) = (points[i].0 + points[j].0, points[i].1 + points[j].1);
+                let mut seen = x == 0 && y == 0;
+                let mut k = 0;
+                while k < N {
+                    seen |= points[k].0 == x && points[k].1 == y;
+                    k += 1;
+                }
+                if !seen {
+                    fresh[i] |= 1 << j;
+                }
+                j += 1;
+            }
+            i += 1;
+        }
+        Pattern { points, fresh }
+    }
+}
+
+const LARGE_DIAMOND: Pattern<8> = Pattern::new([
     (0, -2),
     (1, -1),
     (2, 0),
@@ -198,9 +237,9 @@ const LARGE_DIAMOND: [(i16, i16); 8] = [
     (-1, 1),
     (-2, 0),
     (-1, -1),
-];
+]);
 const SMALL_DIAMOND: [(i16, i16); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
-const HEXAGON: [(i16, i16); 6] = [(-2, 0), (-1, -2), (1, -2), (2, 0), (1, 2), (-1, 2)];
+const HEXAGON: Pattern<6> = Pattern::new([(-2, 0), (-1, -2), (1, -2), (2, 0), (1, 2), (-1, 2)]);
 /// The eight neighbours of a point, row by row — also the scan order of
 /// sub-pel refinement, where it decides ties.
 pub(crate) const SQUARE8: [(i16, i16); 8] = [
@@ -214,24 +253,34 @@ pub(crate) const SQUARE8: [(i16, i16); 8] = [
     (1, 1),
 ];
 
-fn pattern_descent(
+/// Descends `pattern` from `start` while a step improves, then tries
+/// `refine` around the winner.
+///
+/// Each step after the first scores only the points the previous step
+/// did not cover ([`Pattern::fresh`]). That is exact: a point already
+/// scored cost at least the best of its time, the best only falls, and
+/// it moves only on a strictly smaller cost — so a rescored point could
+/// never win. Both callers' `refine` offsets lie off the lattice
+/// `pattern` walks on (odd where the coarse steps are even), so the final
+/// pass never meets a scored point either.
+fn pattern_descent<const N: usize>(
     ev: &mut Evaluator<'_>,
     start: Mv,
-    pattern: &[(i16, i16)],
+    pattern: &Pattern<N>,
     refine: &[(i16, i16)],
 ) -> (Mv, u32, u32) {
     let mut best = start.clamped(ev.min.x, ev.max.x, ev.min.y, ev.max.y);
     let (mut best_cost, mut best_sad) = ev.cost(best);
     // Coarse pattern: move while any neighbour improves.
-    let mut moved = true;
+    let mut fresh = u16::MAX;
     let mut steps = 0u32;
-    while moved && steps < 64 {
-        moved = false;
+    loop {
         steps += 1;
+        let mut moved_to = None;
         let center = best;
-        for &(dx, dy) in pattern {
+        for (j, &(dx, dy)) in pattern.points.iter().enumerate() {
             let mv = center + Mv::new(dx, dy);
-            if !ev.in_bounds(mv) {
+            if fresh >> j & 1 == 0 || !ev.in_bounds(mv) {
                 continue;
             }
             let (cost, sad) = ev.cost(mv);
@@ -239,8 +288,12 @@ fn pattern_descent(
                 best = mv;
                 best_cost = cost;
                 best_sad = sad;
-                moved = true;
+                moved_to = Some(j);
             }
+        }
+        match moved_to {
+            Some(i) if steps < 64 => fresh = pattern.fresh[i],
+            _ => break,
         }
     }
     // Fine refinement around the coarse winner.
@@ -447,6 +500,95 @@ mod tests {
         let params = SearchParams::new(8, 100_000).with_pred(Mv::new(2, 0));
         let r = full_search(&dsp, block, &refp, Mv::ZERO, &params);
         assert_eq!(r.mv, Mv::new(2, 0));
+    }
+
+    /// `pattern_descent` as it was before de-duplication: every step
+    /// rescores its whole pattern. Returns the result and the number of
+    /// distinct points it scored.
+    fn rescoring_descent(
+        ev: &mut Evaluator<'_>,
+        start: Mv,
+        pattern: &[(i16, i16)],
+        refine: &[(i16, i16)],
+    ) -> ((Mv, u32, u32), usize) {
+        let mut seen = std::collections::HashSet::new();
+        let mut score = |ev: &mut Evaluator<'_>, mv: Mv| {
+            seen.insert(mv);
+            ev.cost(mv)
+        };
+        let mut best = start.clamped(ev.min.x, ev.max.x, ev.min.y, ev.max.y);
+        let (mut best_cost, mut best_sad) = score(ev, best);
+        let mut moved = true;
+        let mut steps = 0;
+        while moved && steps < 64 {
+            moved = false;
+            steps += 1;
+            let center = best;
+            for &(dx, dy) in pattern {
+                let mv = center + Mv::new(dx, dy);
+                if ev.in_bounds(mv) {
+                    let (cost, sad) = score(ev, mv);
+                    if cost < best_cost {
+                        (best, best_cost, best_sad, moved) = (mv, cost, sad, true);
+                    }
+                }
+            }
+        }
+        let center = best;
+        for &(dx, dy) in refine {
+            let mv = center + Mv::new(dx, dy);
+            if ev.in_bounds(mv) {
+                let (cost, sad) = score(ev, mv);
+                if cost < best_cost {
+                    (best, best_cost, best_sad) = (mv, cost, sad);
+                }
+            }
+        }
+        ((best, best_cost, best_sad), seen.len())
+    }
+
+    #[test]
+    fn descents_score_each_point_once_and_find_what_rescoring_finds() {
+        let dsp = Dsp::default();
+        let mut state = 5u32;
+        let mut next = |m: u32| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            (state >> 8) % m
+        };
+        let (mut moves, mut saved) = (0, 0);
+        for n in 0..400 {
+            let (cur, refp) = shifted_pair(next(13) as i32 - 6, next(13) as i32 - 6);
+            let block = BlockRef {
+                plane: &cur,
+                x: next(81) as usize,
+                y: next(65) as usize,
+                w: [16, 8][n % 2],
+                h: [16, 8][n / 2 % 2],
+            };
+            let start = Mv::new(next(9) as i16 - 4, next(9) as i16 - 4);
+            let params = SearchParams::new(16, 1 + next(8)).with_pred(start);
+            let mut ev = Evaluator::new(&dsp, block, &refp, &params);
+            let got = pattern_descent(&mut ev, start, &HEXAGON, &SQUARE8);
+            let mut old = Evaluator::new(&dsp, block, &refp, &params);
+            let (want, distinct) = rescoring_descent(&mut old, start, &HEXAGON.points, &SQUARE8);
+            assert_eq!(got, want, "hexagon, block {n}");
+            assert_eq!(ev.evaluations as usize, distinct, "hexagon, block {n}");
+            moves += usize::from(got.0 != start);
+            saved += old.evaluations - ev.evaluations;
+            // A diamond descent can meet a point from two steps back, so
+            // it is only held to the rescoring result and count.
+            let mut ev = Evaluator::new(&dsp, block, &refp, &params);
+            let got = pattern_descent(&mut ev, start, &LARGE_DIAMOND, &SMALL_DIAMOND);
+            let mut old = Evaluator::new(&dsp, block, &refp, &params);
+            let (want, _) =
+                rescoring_descent(&mut old, start, &LARGE_DIAMOND.points, &SMALL_DIAMOND);
+            assert_eq!(got, want, "diamond, block {n}");
+            assert!(ev.evaluations <= old.evaluations, "diamond, block {n}");
+        }
+        assert!(
+            moves > 300 && saved > 0,
+            "{moves} descents moved, {saved} saved"
+        );
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! predictions come from a [`SubpelWindow`](hdvb_dsp::SubpelWindow) the
 //! caller filled **once** at that vector (6-tap for MPEG-4/H.264,
 //! bilinear for MPEG-2); refinement itself is then 9 or 17 block
-//! compares, at most 8 of them preceded by one `avg_block`. The codecs
-//! differ only in the [`SubpelTarget`] they pass: SAD or SATD, their λ
-//! and their vector predictor. The B-picture bi-prediction trial
+//! compares, the 8 quarter-pel ones fused with the average of their two
+//! half-pel sources ([`CostFn::avg`]), so no candidate is written. The
+//! codecs differ only in the [`SubpelTarget`] they pass: SAD or SATD,
+//! their λ and their vector predictor. The B-picture bi-prediction trial
 //! ([`bipred_luma`]) reads its two predictions from the same windows, and
 //! the DCT codecs' intra/inter decision ([`mb_prefers_intra`]) lives here
 //! because it is the other half of the same mode decision.
@@ -21,13 +22,13 @@
 
 use crate::search::SQUARE8;
 use crate::{mv_bits, BlockRef, Mv};
-use hdvb_dsp::{Dsp, SadFn, SubpelWindow};
+use hdvb_dsp::{CostFn, Dsp, SubpelWindow};
 
 /// What a refinement scores its candidates against.
 #[derive(Clone, Copy)]
 pub struct SubpelTarget<'a> {
-    /// Block-compare kernel: [`Dsp::sad_fn`] or [`Dsp::satd_fn`].
-    pub cost: SadFn,
+    /// Block-compare metric: [`Dsp::sad_fn`] or [`Dsp::satd_fn`].
+    pub cost: CostFn,
     /// The current-picture block being matched; the window refined over
     /// must have been filled for its size.
     pub block: BlockRef<'a>,
@@ -38,10 +39,24 @@ pub struct SubpelTarget<'a> {
 }
 
 impl SubpelTarget<'_> {
-    fn score(&self, pred: &[u8], pred_stride: usize, mv: Mv) -> u32 {
-        let BlockRef { plane, x, y, w, h } = self.block;
-        let cur = &plane.data()[y * plane.stride() + x..];
-        (self.cost)(cur, plane.stride(), pred, pred_stride, w, h)
+    /// The block's samples and row stride.
+    fn cur(&self) -> (&[u8], usize) {
+        let BlockRef { plane, x, y, .. } = self.block;
+        (&plane.data()[y * plane.stride() + x..], plane.stride())
+    }
+
+    /// `J` of vector `mv` whose prediction is `pred` (window stride).
+    fn score(&self, pred: &[u8], mv: Mv) -> u32 {
+        let ((cur, stride), (w, h)) = (self.cur(), (self.block.w, self.block.h));
+        (self.cost)(cur, stride, pred, SubpelWindow::STRIDE, w, h)
+            + self.lambda * mv_bits(mv, self.pred)
+    }
+
+    /// `J` of vector `mv` whose prediction is the rounded average of `p`
+    /// and `q` (window stride).
+    fn score_avg(&self, p: &[u8], q: &[u8], mv: Mv) -> u32 {
+        let ((cur, stride), (w, h)) = (self.cur(), (self.block.w, self.block.h));
+        self.cost.avg(cur, stride, p, q, SubpelWindow::STRIDE, w, h)
             + self.lambda * mv_bits(mv, self.pred)
     }
 }
@@ -57,7 +72,7 @@ fn best_half(win: &SubpelWindow, target: &SubpelTarget<'_>, center: Mv, unit: i1
     );
     let score = |off: Mv| {
         let pred = win.half(i32::from(off.x), i32::from(off.y));
-        target.score(pred, SubpelWindow::STRIDE, center + off.scaled(unit))
+        target.score(pred, center + off.scaled(unit))
     };
     let mut best = (Mv::ZERO, score(Mv::ZERO));
     for (dx, dy) in SQUARE8 {
@@ -83,10 +98,14 @@ pub fn refine_hpel(win: &SubpelWindow, target: &SubpelTarget<'_>, fullpel: Mv) -
 /// Two-stage quarter-pel refinement of `fullpel` over a window filled at
 /// that vector with
 /// [`fill_sixtap`](hdvb_dsp::SubpelWindow::fill_sixtap): the half-pel
-/// lattice first, then the eight quarter-pel neighbours of its winner.
-/// Returns the best vector in **quarter-pel** units and its cost.
+/// lattice first, then the eight quarter-pel neighbours of its winner,
+/// each scored by the target's fused compare on its two
+/// [`quarter_sources`](hdvb_dsp::SubpelWindow::quarter_sources) — one path
+/// for SAD and SATD targets. Returns the best vector in **quarter-pel**
+/// units and its cost. (`_dsp` is unused: the target's metric carries
+/// the tier's kernels.)
 pub fn refine_qpel(
-    dsp: &Dsp,
+    _dsp: &Dsp,
     win: &SubpelWindow,
     target: &SubpelTarget<'_>,
     fullpel: Mv,
@@ -95,11 +114,10 @@ pub fn refine_qpel(
     let center = fullpel.scaled(4);
     let (half, mut best_cost) = best_half(win, target, center, 2);
     let mut best = half.scaled(2);
-    let mut scratch = [0u8; 256];
     for (dx, dy) in SQUARE8 {
         let off = half.scaled(2) + Mv::new(dx, dy);
-        let (pred, stride) = win.quarter(dsp, i32::from(off.x), i32::from(off.y), &mut scratch);
-        let cost = target.score(pred, stride, center + off);
+        let (p, q) = win.quarter_sources(i32::from(off.x), i32::from(off.y));
+        let cost = target.score_avg(p, q, center + off);
         if cost < best_cost {
             (best, best_cost) = (off, cost);
         }

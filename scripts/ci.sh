@@ -23,6 +23,9 @@ HDVB_SIMD=scalar cargo test -q --workspace
 echo "==> cargo test (HDVB_SIMD=auto)"
 HDVB_SIMD=auto cargo test -q --workspace
 
+echo "==> coded-stream digests on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
+HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance
+
 echo "==> traced smoke encode + chrome-trace check"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
