@@ -214,6 +214,26 @@ fn schedule_is_deterministic_in_the_seed() {
     }
 }
 
+/// Pins the arrival offsets themselves: seed 7, sessions 0–2, items
+/// 0–4 at 120 fps. Both load generators (in-process `serve-bench` and
+/// the TCP `serve-load` clients) pace inputs by this formula, so a
+/// change here moves every latency-vs-load number either one reports.
+#[test]
+fn arrival_offsets_are_pinned_for_seed_7() {
+    let s = spec(7);
+    let schedule = build_schedule(&s, &[5, 5, 5]);
+    let mut at = [[0u64; 5]; 3];
+    for a in &schedule {
+        at[a.session as usize][a.item as usize] = a.at_ns;
+    }
+    let expected: [[u64; 5]; 3] = [
+        [2_636_695, 11_979_670, 21_129_932, 32_258_736, 36_998_337],
+        [7_531_203, 16_229_339, 16_908_971, 26_884_103, 41_548_879],
+        [1_372_471, 11_048_147, 17_663_953, 30_898_027, 40_836_500],
+    ];
+    assert_eq!(at, expected);
+}
+
 #[test]
 fn serve_bench_admission_order_is_reproducible() {
     let first = run_serve_bench(&spec(42)).unwrap();
