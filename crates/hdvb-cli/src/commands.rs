@@ -880,13 +880,14 @@ fn serve_tcp(p: &Parsed, bind: &str) -> CmdResult {
 /// `--input <in.hvb>`, transcodes the stream to `--codec`. The output
 /// container is byte-identical to the same session served in-process.
 ///
-/// The client is retry-enabled: sessions open resumable, disconnects
-/// reconnect with capped seeded backoff (`--retries` bounds the
-/// budget), and recovery is byte-identical to an uninterrupted run —
-/// including under an `HDVB_NET_FAULTS` plan.
+/// `--retries` is the reconnect budget. Above zero, sessions open
+/// resumable, disconnects reconnect with capped seeded backoff, and
+/// recovery is byte-identical to an uninterrupted run — including under
+/// an `HDVB_NET_FAULTS` plan. At zero the same client runs a plain
+/// session: no resume, and the first failure ends it with its cause.
 pub fn connect(p: &Parsed) -> CmdResult {
     use hdvb_core::{SessionInput, SessionSpec};
-    use hdvb_net::{RetryClient, RetryPolicy};
+    use hdvb_net::{NetClient, RetryPolicy};
 
     let addr = p.addr()?;
     let priority = p.priority()?;
@@ -897,7 +898,7 @@ pub fn connect(p: &Parsed) -> CmdResult {
         ..RetryPolicy::default()
     };
     let mut client =
-        RetryClient::new(addr, policy).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+        NetClient::new(addr, policy).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
 
     let (header, result, retry, submitted) = if let Some(in_path) = p.input() {
         let target = p.codec()?;

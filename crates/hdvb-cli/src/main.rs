@@ -115,9 +115,9 @@ COMMON OPTIONS:
                                     e.g. \"drop@4,truncate@12:13,garble@16,seed=7\"
     --trials <n>                    chaos: faulted runs to execute      [default: 1]
     --retries <n>                   connect/chaos: reconnect budget     [default: 16]
-                                    (connect opens resumable sessions and recovers
-                                    from disconnects byte-identically; --seed salts
-                                    the backoff jitter)
+                                    (above 0, connect opens resumable sessions and
+                                    recovers from disconnects byte-identically; 0 is
+                                    a plain session; --seed salts the backoff jitter)
     --heartbeat-ms <ms>             serve --bind / chaos: PING interval; silent peers
                                     are reaped at twice this; 0 disables
                                     (serve default 30000, chaos default 200)

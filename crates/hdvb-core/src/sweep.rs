@@ -46,9 +46,8 @@ use crate::{BenchError, CodecId, CodingOptions, Figure1Row, Table5Row};
 use hdvb_bits::hash::fnv1a64;
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Resolution;
-use hdvb_par::{CancelToken, TaskPanic, WorkerStats};
+use hdvb_par::{panic_text, CancelToken, TaskPanic, WorkerStats};
 use hdvb_seq::{splitmix64, Sequence, SequenceId};
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Mutex;
@@ -384,20 +383,6 @@ enum CellErr {
     Fail(String),
 }
 
-/// Renders a panic payload as text the way `hdvb-par` does, containing
-/// payloads whose own `Drop` panics.
-fn panic_message(payload: Box<dyn Any + Send>) -> String {
-    let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    };
-    let _ = catch_unwind(AssertUnwindSafe(move || drop(payload)));
-    message
-}
-
 /// Deterministic jittered exponential backoff before retry `attempt`
 /// (2-based): `base × 2^(attempt-2)` plus up to the same again of
 /// jitter keyed on `(seed, cell key, attempt)`, capped at 200 ms.
@@ -539,7 +524,7 @@ where
                 .map(|(slot, item)| {
                     catch_unwind(AssertUnwindSafe(|| run_one(item))).map_err(|payload| TaskPanic {
                         index: slot,
-                        message: panic_message(payload),
+                        message: panic_text(payload),
                     })
                 })
                 .collect(),

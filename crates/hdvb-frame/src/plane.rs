@@ -116,16 +116,6 @@ impl Plane {
         &self.data[y * self.width..(y + 1) * self.width]
     }
 
-    /// Mutably borrows row `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y >= height`.
-    #[inline]
-    pub fn row_mut(&mut self, y: usize) -> &mut [u8] {
-        &mut self.data[y * self.width..(y + 1) * self.width]
-    }
-
     /// Fills the entire plane with `v`.
     pub fn fill(&mut self, v: u8) {
         self.data.fill(v);
@@ -190,52 +180,6 @@ impl Plane {
             let from = (src.height - 1) * self.width;
             self.data
                 .copy_within(from..from + self.width, y * self.width);
-        }
-    }
-
-    /// Copies a `bw`×`bh` block with top-left corner `(x, y)` into `dst`
-    /// (row-major, length `bw * bh`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the plane bounds or `dst` is too small.
-    pub fn copy_block_to(&self, x: usize, y: usize, bw: usize, bh: usize, dst: &mut [u8]) {
-        assert!(
-            x + bw <= self.width && y + bh <= self.height,
-            "block out of bounds"
-        );
-        for by in 0..bh {
-            let src = &self.data[(y + by) * self.width + x..(y + by) * self.width + x + bw];
-            dst[by * bw..(by + 1) * bw].copy_from_slice(src);
-        }
-    }
-
-    /// Writes a `bw`×`bh` block from `src` (row-major) at `(x, y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block exceeds the plane bounds or `src` is too small.
-    pub fn put_block(&mut self, x: usize, y: usize, bw: usize, bh: usize, src: &[u8]) {
-        assert!(
-            x + bw <= self.width && y + bh <= self.height,
-            "block out of bounds"
-        );
-        for by in 0..bh {
-            let dst = &mut self.data[(y + by) * self.width + x..(y + by) * self.width + x + bw];
-            dst.copy_from_slice(&src[by * bw..(by + 1) * bw]);
-        }
-    }
-
-    /// Reads a block clamped to the plane edges: coordinates outside the
-    /// plane replicate the nearest edge sample. Used by motion search at
-    /// frame borders.
-    pub fn copy_block_clamped(&self, x: isize, y: isize, bw: usize, bh: usize, dst: &mut [u8]) {
-        for by in 0..bh {
-            let sy = (y + by as isize).clamp(0, self.height as isize - 1) as usize;
-            for bx in 0..bw {
-                let sx = (x + bx as isize).clamp(0, self.width as isize - 1) as usize;
-                dst[by * bw + bx] = self.data[sy * self.width + sx];
-            }
         }
     }
 
@@ -312,32 +256,6 @@ mod tests {
         p.set(0, 0, 9);
         assert_eq!(p.get(4, 4), 7);
         assert_eq!(p.get(0, 0), 9);
-    }
-
-    #[test]
-    fn block_roundtrip() {
-        let mut p = Plane::new(8, 8);
-        let block: Vec<u8> = (0..16).collect();
-        p.put_block(2, 3, 4, 4, &block);
-        let mut out = vec![0u8; 16];
-        p.copy_block_to(2, 3, 4, 4, &mut out);
-        assert_eq!(out, block);
-    }
-
-    #[test]
-    fn clamped_block_replicates_edges() {
-        let mut p = Plane::new(4, 4);
-        for y in 0..4 {
-            for x in 0..4 {
-                p.set(x, y, (y * 4 + x) as u8);
-            }
-        }
-        let mut out = vec![0u8; 4];
-        p.copy_block_clamped(-1, -1, 2, 2, &mut out);
-        // (-1,-1)->(0,0)=0, (0,-1)->(0,0)=0, (-1,0)->(0,0)=0, (0,0)=0
-        assert_eq!(out, vec![0, 0, 0, 0]);
-        p.copy_block_clamped(3, 3, 2, 2, &mut out);
-        assert_eq!(out, vec![15, 15, 15, 15]);
     }
 
     #[test]

@@ -56,14 +56,3 @@ pub use oracle::{decode_entry, differential_check, Divergence, EntryOutcome, Pac
 pub use rng::FuzzRng;
 pub use roundtrip::{generate_case, roundtrip_check, RoundtripCase};
 pub use run::{minimize, run_fuzz, Failure, FuzzConfig, FuzzReport};
-
-/// Renders a caught panic payload as text (shared by the oracles).
-pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}

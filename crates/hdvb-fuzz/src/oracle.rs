@@ -148,7 +148,7 @@ pub fn decode_entry(data: &[u8], simd: SimdLevel) -> EntryOutcome {
             }
             Ok(Err(e)) => outcomes.push(PacketOutcome::OtherError(e.to_string())),
             Err(payload) => {
-                outcomes.push(PacketOutcome::Panic(crate::panic_text(payload)));
+                outcomes.push(PacketOutcome::Panic(hdvb_par::panic_text(payload)));
                 // A panicking decoder has broken its own invariants; the
                 // remaining packets would measure undefined state.
                 break;

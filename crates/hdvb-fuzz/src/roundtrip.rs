@@ -116,7 +116,7 @@ fn encode_under(case: &RoundtripCase, simd: SimdLevel) -> Result<Vec<Packet>, St
         Ok(packets)
     };
     catch_unwind(AssertUnwindSafe(run))
-        .unwrap_or_else(|p| Err(format!("encoder panic: {}", crate::panic_text(p))))
+        .unwrap_or_else(|p| Err(format!("encoder panic: {}", hdvb_par::panic_text(p))))
 }
 
 /// Decodes `packets` under `simd`, returning `(frame_count, hash)`.
@@ -144,7 +144,7 @@ fn decode_under(
         Ok((count, hash))
     };
     catch_unwind(AssertUnwindSafe(run))
-        .unwrap_or_else(|p| Err(format!("decoder panic: {}", crate::panic_text(p))))
+        .unwrap_or_else(|p| Err(format!("decoder panic: {}", hdvb_par::panic_text(p))))
 }
 
 /// Runs one full round-trip check: encode under every tier (streams

@@ -2,7 +2,7 @@
 //!
 //! A campaign boots a loopback [`NetServer`], runs one *fault-free*
 //! reference session, then replays the identical input stream through
-//! [`RetryClient`]s whose sockets inject a seeded [`NetFaultPlan`]
+//! [`NetClient`]s whose sockets inject a seeded [`NetFaultPlan`]
 //! (drops, truncations, stalls, bit garbles). The verdict is binary:
 //! every faulted trial's output must be **byte-identical** to the
 //! reference — same packets, same frames, same order — or the campaign
@@ -17,9 +17,9 @@
 //! latency histograms carry wall-clock noise, and nothing gates on
 //! them.
 
-use crate::retry::{RetryClient, RetryPolicy, RetryStats};
+use crate::client::{NetClient, NetError, RetryPolicy, RetryStats};
 use crate::server::{NetConfig, NetServer, NetStats};
-use crate::{NetError, NetFaultPlan};
+use crate::NetFaultPlan;
 use hdvb_core::hash::{checksum64, fnv1a64_update, FNV1A64_INIT};
 use hdvb_core::{CodecId, Priority, SessionInput, SessionSpec};
 use hdvb_frame::Resolution;
@@ -224,7 +224,7 @@ fn run_one(
 ) -> Result<(RunDigest, RetryStats), NetError> {
     let mut policy = cfg.policy.clone();
     policy.seed ^= u64::from(trial).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut client = RetryClient::with_faults(addr, policy, plan)?;
+    let mut client = NetClient::with_faults(addr, policy, plan)?;
     let spec = SessionSpec::encode(cfg.codec, cfg.resolution);
     client.open(spec, cfg.priority)?;
     let seq = Sequence::new(cfg.sequence, cfg.resolution);

@@ -1,18 +1,48 @@
-//! The blocking TCP client.
+//! The session client, with bit-identical resume when it may reconnect.
 //!
-//! Outputs stream back while inputs are still being sent, so the
-//! client spawns a reader thread at [`NetClient::open`] — without it a
-//! server blocked writing outputs into a full TCP buffer would
-//! deadlock against a client blocked writing inputs into its own.
-//! [`NetClient::finish`] sends FLUSH and joins the reader, which runs
-//! until DONE or ERROR.
+//! [`NetClient`] runs one session against a [`NetServer`](crate::NetServer).
+//! Outputs stream back while inputs are still being sent, so every live
+//! connection has a reader thread — without it a server blocked writing
+//! outputs into a full TCP buffer would deadlock against a client
+//! blocked writing inputs into its own — plus a keepalive thread that
+//! pings the server, so a silent server is detected within two
+//! heartbeat intervals instead of hanging the caller.
+//!
+//! [`RetryPolicy::max_reconnects`] decides what a lost connection costs:
+//!
+//! - **Zero — the plain client.** OPEN goes out without the resume flag
+//!   (the server journals nothing), each input's wire buffer returns to
+//!   the pool as soon as it is written, and the first failure ends the
+//!   session with the error that ended the connection.
+//! - **Non-zero — the resilience layer's recovery half.** The session
+//!   opens resumable and the client keeps a bounded replay buffer of
+//!   encoded inputs, trimmed by the server's cumulative ACK_IN. On any
+//!   connection failure it redials with capped exponential backoff plus
+//!   seeded jitter, then issues `RESUME(session_id, outputs_received)`.
+//!   The server replays exactly the outputs the client never saw and the
+//!   client re-sends exactly the inputs the server never consumed, so
+//!   the collected output of a run that survived N disconnects is
+//!   byte-identical to an uninterrupted run.
+//!
+//! Faults are injected on the client side by handing the same
+//! [`NetFaultPlan`] to every dial: the plan's message clock continues
+//! across reconnects, so a seeded campaign is one deterministic
+//! schedule regardless of how the connection lifetimes fall.
 
-use crate::wire::{self, DoneStats, ErrorCode, Msg, WireError, HEADER_LEN};
+use crate::faults::{FaultyStream, NetFaultPlan};
+use crate::reader::{MsgReader, ReadEvent};
+use crate::wire::{self, DoneStats, ErrorCode, Msg, WireError};
+use hdvb_core::splitmix64;
 use hdvb_core::{Packet, Priority, SessionInput, SessionSpec};
-use hdvb_frame::Frame;
-use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use hdvb_frame::{BufferPool, Frame, FramePool};
+use hdvb_trace::LatencyHistogram;
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Anything that can go wrong on the client side.
 #[derive(Debug)]
@@ -77,107 +107,411 @@ impl ClientResult {
     /// its receive buffers instead of growing the heap.
     pub fn recycle(mut self) {
         for p in self.packets.drain(..) {
-            hdvb_frame::BufferPool::global().put(p.data);
+            BufferPool::global().put(p.data);
         }
         for f in self.frames.drain(..) {
-            hdvb_frame::FramePool::global().put(f);
+            FramePool::global().put(f);
         }
     }
 }
 
-struct Reader {
-    handle: JoinHandle<Result<ClientResult, NetError>>,
+/// How often the client acknowledges received outputs, bounding the
+/// server's journal backlog.
+const ACK_OUT_EVERY: u64 = 8;
+
+/// Reconnect budget and backoff shape.
+#[derive(Clone, Debug)]
+pub struct RetryPolicy {
+    /// Total reconnect attempts a session may spend before giving up.
+    /// Zero makes the plain client: no resume, no replay buffer.
+    pub max_reconnects: u32,
+    /// First backoff; doubles per consecutive failure within an outage.
+    pub base_backoff: Duration,
+    /// Backoff ceiling.
+    pub max_backoff: Duration,
+    /// Seed for the jitter draw (splitmix64), so a chaos campaign's
+    /// timing is reproducible.
+    pub seed: u64,
 }
 
-/// One connection = one session against a [`NetServer`](crate::NetServer).
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_reconnects: 16,
+            base_backoff: Duration::from_millis(20),
+            max_backoff: Duration::from_secs(2),
+            seed: 0x9e37_79b9,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// Backoff for the `attempt`-th consecutive failure of one outage:
+    /// `min(cap, base·2^attempt)`, jittered into `[50%, 100%]`.
+    fn backoff(&self, attempt: u32, draw: u64) -> Duration {
+        let capped = self
+            .base_backoff
+            .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
+            .min(self.max_backoff);
+        let ns = nanos(capped);
+        if ns == 0 {
+            return Duration::ZERO;
+        }
+        Duration::from_nanos(ns / 2 + draw % (ns / 2 + 1))
+    }
+}
+
+/// What recovery cost over the life of one session.
+#[derive(Clone, Debug, Default)]
+pub struct RetryStats {
+    /// Successful reconnect+resume handshakes.
+    pub reconnects: u64,
+    /// Dial attempts, including failed ones.
+    pub attempts: u64,
+    /// Input messages re-sent after resumes.
+    pub replayed_inputs: u64,
+    /// Time from last known-good traffic to declaring the connection
+    /// dead, per outage.
+    pub detect: LatencyHistogram,
+    /// Time from declaring the connection dead to a completed resume
+    /// handshake, per outage.
+    pub recover: LatencyHistogram,
+}
+
+/// State the reader thread shares with the caller.
+struct Inbox {
+    packets: Vec<Packet>,
+    frames: Vec<Frame>,
+    outputs_received: u64,
+    inputs_acked: u64,
+    done: Option<DoneStats>,
+    /// Why the current connection ended, once it has.
+    lost: Option<NetError>,
+    /// Last successful traffic in either direction.
+    last_ok: Instant,
+}
+
+struct Shared {
+    inbox: Mutex<Inbox>,
+    cv: Condvar,
+}
+
+/// Locks, ignoring poison: every guarded value stays consistent across
+/// a panic in a sibling thread.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// One live connection's moving parts.
+struct Link {
+    write: Arc<Mutex<FaultyStream>>,
+    stop: Arc<AtomicBool>,
+    reader: JoinHandle<()>,
+    keepalive: Option<JoinHandle<()>>,
+}
+
+/// One session against a [`NetServer`](crate::NetServer), plain or
+/// auto-reconnecting by its [`RetryPolicy`] (see the module docs).
 pub struct NetClient {
-    stream: TcpStream,
-    seq: u32,
-    reader: Option<Reader>,
-    buf: Vec<u8>,
+    addr: SocketAddr,
+    policy: RetryPolicy,
+    plan: Option<Arc<NetFaultPlan>>,
+    shared: Arc<Shared>,
+    link: Option<Link>,
+    session_id: u32,
+    heartbeat: Duration,
+    /// Encoded, unacked input messages; front is input `replay_base`.
+    /// Always empty for a plain client.
+    replay: VecDeque<Vec<u8>>,
+    replay_base: u64,
+    inputs_sent: u64,
+    flush_sent: bool,
+    reconnects_used: u32,
+    stats: RetryStats,
+    rng: u64,
 }
 
-fn read_one(stream: &mut TcpStream) -> Result<Msg, NetError> {
-    let mut header = [0u8; HEADER_LEN];
-    stream.read_exact(&mut header)?;
-    let parsed = wire::parse_header(&header)?;
-    let mut rest = vec![0u8; wire::frame_len(&parsed) - HEADER_LEN];
-    stream.read_exact(&mut rest)?;
-    let payload_len = parsed.len as usize;
-    wire::check_trailer(&rest[..payload_len], &rest[payload_len..])?;
-    Ok(wire::decode_payload(parsed.msg_type, &rest[..payload_len])?)
+/// Errors no reconnect can cure: the server refused the session or the
+/// session itself failed.
+fn is_fatal(e: &NetError) -> bool {
+    matches!(
+        e,
+        NetError::Remote {
+            code: ErrorCode::Rejected
+                | ErrorCode::RateLimited
+                | ErrorCode::BadRequest
+                | ErrorCode::Codec
+                | ErrorCode::NoSession,
+            ..
+        }
+    )
+}
+
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+/// Reads one message with an overall deadline, using the stream's short
+/// read timeout as the polling quantum (handshakes only — the streaming
+/// phase runs through the reader thread).
+fn read_deadline(
+    reader: &mut MsgReader<FaultyStream>,
+    deadline: Duration,
+) -> Result<Msg, NetError> {
+    let start = Instant::now();
+    loop {
+        match reader.poll() {
+            ReadEvent::Msg(msg, _) => return Ok(msg),
+            ReadEvent::Idle => {
+                if start.elapsed() >= deadline {
+                    return Err(NetError::Io(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        "handshake deadline",
+                    )));
+                }
+            }
+            ReadEvent::Gone => return Err(NetError::Io(ErrorKind::UnexpectedEof.into())),
+            ReadEvent::Malformed(e) => return Err(NetError::Wire(e)),
+        }
+    }
+}
+
+/// Encodes `msg` into a pooled buffer, writes it, and returns the
+/// buffer to the pool.
+fn send_pooled(out: &mut impl Write, msg: &Msg, seq: u32) -> Result<(), NetError> {
+    let bytes = wire::encode_pooled(msg, seq);
+    let written = out.write_all(&bytes);
+    BufferPool::global().put(bytes);
+    Ok(written?)
+}
+
+/// Maps a handshake reply that is not the `expected` message: a server
+/// ERROR to [`NetError::Remote`], anything else to a protocol error
+/// naming what arrived.
+fn unexpected(expected: &str, got: Msg) -> NetError {
+    match got {
+        Msg::Error { code, detail } => NetError::Remote { code, detail },
+        other => NetError::Protocol(format!("expected {expected}, got {:?}", other.msg_type())),
+    }
 }
 
 impl NetClient {
-    /// Connects and completes the HELLO exchange.
+    /// Resolves `addr` and prepares a client; nothing is dialled until
+    /// [`open`](Self::open). Fault injection comes from
+    /// `HDVB_NET_FAULTS` if set.
     ///
     /// # Errors
     ///
-    /// I/O failure, or a malformed/unexpected greeting.
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<NetClient, NetError> {
-        let mut stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let mut client = NetClient {
-            stream: stream.try_clone()?,
-            seq: 0,
-            reader: None,
-            buf: Vec::new(),
-        };
-        client.send_msg(&Msg::Hello { server: false })?;
-        match read_one(&mut stream)? {
-            Msg::Hello { server: true } => Ok(client),
-            Msg::Error { code, detail } => Err(NetError::Remote { code, detail }),
-            other => Err(NetError::Protocol(format!(
-                "expected server HELLO, got {:?}",
-                other.msg_type()
-            ))),
+    /// Address resolution failure or a malformed fault plan.
+    pub fn new<A: ToSocketAddrs>(addr: A, policy: RetryPolicy) -> Result<NetClient, NetError> {
+        let plan = NetFaultPlan::from_env().map_err(NetError::Protocol)?;
+        Self::with_faults(addr, policy, plan)
+    }
+
+    /// Like [`new`](Self::new) with an explicit fault plan (chaos
+    /// campaigns hand the same plan to every trial; `None` ignores
+    /// `HDVB_NET_FAULTS`).
+    ///
+    /// # Errors
+    ///
+    /// Address resolution failure.
+    pub fn with_faults<A: ToSocketAddrs>(
+        addr: A,
+        policy: RetryPolicy,
+        plan: Option<Arc<NetFaultPlan>>,
+    ) -> Result<NetClient, NetError> {
+        let addr = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| NetError::Protocol("address resolved to nothing".into()))?;
+        let rng = splitmix64(policy.seed ^ 0xc2b2_ae3d_27d4_eb4f);
+        Ok(NetClient {
+            addr,
+            policy,
+            plan,
+            shared: Arc::new(Shared {
+                inbox: Mutex::new(Inbox {
+                    packets: Vec::new(),
+                    frames: Vec::new(),
+                    outputs_received: 0,
+                    inputs_acked: 0,
+                    done: None,
+                    lost: None,
+                    last_ok: Instant::now(),
+                }),
+                cv: Condvar::new(),
+            }),
+            link: None,
+            session_id: 0,
+            heartbeat: Duration::ZERO,
+            replay: VecDeque::new(),
+            replay_base: 0,
+            inputs_sent: 0,
+            flush_sent: false,
+            reconnects_used: 0,
+            stats: RetryStats::default(),
+            rng,
+        })
+    }
+
+    /// True when the session may outlive its connection.
+    fn resumable(&self) -> bool {
+        self.policy.max_reconnects > 0
+    }
+
+    fn draw(&mut self) -> u64 {
+        self.rng = splitmix64(self.rng);
+        self.rng
+    }
+
+    /// Spends the reconnect budget retrying `step` after `last` failed:
+    /// backs off, retries, and stops at success, a fatal error, or an
+    /// empty budget — returning the error that ended the last attempt.
+    fn with_backoff<T>(
+        &mut self,
+        mut last: NetError,
+        mut step: impl FnMut(&mut Self) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let mut attempt = 0u32;
+        loop {
+            if is_fatal(&last) || self.reconnects_used >= self.policy.max_reconnects {
+                return Err(last);
+            }
+            self.reconnects_used += 1;
+            let draw = self.draw();
+            std::thread::sleep(self.policy.backoff(attempt, draw));
+            attempt += 1;
+            match step(self) {
+                Ok(v) => return Ok(v),
+                Err(e) => last = e,
+            }
         }
     }
 
-    fn send_msg(&mut self, msg: &Msg) -> Result<(), NetError> {
-        self.buf.clear();
-        wire::encode(msg, self.seq, &mut self.buf);
-        self.seq = self.seq.wrapping_add(1);
-        self.stream.write_all(&self.buf)?;
-        Ok(())
-    }
-
-    /// Opens a session: sends OPEN, waits for OPEN_OK (or the server's
-    /// rejection), then starts the output reader thread.
+    /// Dials, opens the session (resumable unless the budget is zero),
+    /// and starts the reader and keepalive threads. Retries transient
+    /// failures within the reconnect budget.
     ///
     /// # Errors
     ///
     /// [`NetError::Remote`] with [`ErrorCode::Rejected`] when admission
-    /// control refuses the class; any I/O or protocol failure.
+    /// control refuses the class; any other fatal server response; or
+    /// the last transient failure once the budget is spent.
     pub fn open(&mut self, spec: SessionSpec, priority: Priority) -> Result<u32, NetError> {
-        self.send_msg(&Msg::Open {
-            spec,
-            priority,
-            resume: false,
-        })?;
-        let mut read_half = self.stream.try_clone()?;
-        let session_id = match read_one(&mut read_half)? {
-            Msg::OpenOk { session_id, .. } => session_id,
-            Msg::Error { code, detail } => return Err(NetError::Remote { code, detail }),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "expected OPEN_OK, got {:?}",
-                    other.msg_type()
-                )))
+        match self.try_open(spec, priority) {
+            Ok(id) => Ok(id),
+            Err(e) => self.with_backoff(e, |c| c.try_open(spec, priority)),
+        }
+    }
+
+    fn try_open(&mut self, spec: SessionSpec, priority: Priority) -> Result<u32, NetError> {
+        self.stats.attempts += 1;
+        let (mut stream, mut reader) = self.dial()?;
+        let resume = self.resumable();
+        send_pooled(
+            &mut stream,
+            &Msg::Open {
+                spec,
+                priority,
+                resume,
+            },
+            1,
+        )?;
+        match read_deadline(&mut reader, Duration::from_secs(5))? {
+            Msg::OpenOk {
+                session_id,
+                heartbeat_ms,
+            } => {
+                self.session_id = session_id;
+                self.heartbeat = Duration::from_millis(u64::from(heartbeat_ms));
+                self.install_link(stream, reader);
+                Ok(session_id)
             }
+            other => Err(unexpected("OPEN_OK", other)),
+        }
+    }
+
+    /// Connects (through the fault plan) and completes HELLO↔HELLO.
+    fn dial(&mut self) -> Result<(FaultyStream, MsgReader<FaultyStream>), NetError> {
+        let mut stream = FaultyStream::connect(self.addr, self.plan.clone())?;
+        let _ = stream.set_nodelay(true);
+        let quantum = if self.heartbeat.is_zero() {
+            Duration::from_millis(25)
+        } else {
+            (self.heartbeat / 4).clamp(Duration::from_millis(5), Duration::from_millis(250))
         };
-        let handle = std::thread::spawn(move || collect_outputs(&mut read_half));
-        self.reader = Some(Reader { handle });
-        Ok(session_id)
+        let _ = stream.set_read_timeout(Some(quantum));
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
+        let mut reader = MsgReader::new(stream.try_clone()?);
+        send_pooled(&mut stream, &Msg::Hello { server: false }, 0)?;
+        match read_deadline(&mut reader, Duration::from_secs(5))? {
+            Msg::Hello { server: true } => Ok((stream, reader)),
+            other => Err(unexpected("server HELLO", other)),
+        }
+    }
+
+    fn install_link(&mut self, stream: FaultyStream, reader: MsgReader<FaultyStream>) {
+        let write = Arc::new(Mutex::new(stream));
+        let stop = Arc::new(AtomicBool::new(false));
+        let shared = Arc::clone(&self.shared);
+        let r_write = Arc::clone(&write);
+        let r_stop = Arc::clone(&stop);
+        let heartbeat = self.heartbeat;
+        let reader_handle =
+            std::thread::spawn(move || reader_loop(reader, &shared, &r_write, &r_stop, heartbeat));
+        let keepalive = (!heartbeat.is_zero()).then(|| {
+            let k_write = Arc::clone(&write);
+            let k_stop = Arc::clone(&stop);
+            std::thread::spawn(move || keepalive_loop(&k_write, &k_stop, heartbeat))
+        });
+        lock(&self.shared.inbox).last_ok = Instant::now();
+        self.link = Some(Link {
+            write,
+            stop,
+            reader: reader_handle,
+            keepalive,
+        });
+    }
+
+    fn teardown_link(&mut self) {
+        if let Some(link) = self.link.take() {
+            link.stop.store(true, Ordering::Release);
+            let _ = lock(&link.write).shutdown(Shutdown::Both);
+            let _ = link.reader.join();
+            if let Some(k) = link.keepalive {
+                let _ = k.join();
+            }
+        }
+    }
+
+    /// The live link's write half — unless there is none, or the reader
+    /// has already declared it dead (a write would then tick a fault
+    /// plan's message clock on a doomed socket).
+    fn link_write(&self) -> Result<MutexGuard<'_, FaultyStream>, NetError> {
+        match &self.link {
+            Some(link) if lock(&self.shared.inbox).lost.is_none() => Ok(lock(&link.write)),
+            _ => Err(NetError::Protocol("not connected".into())),
+        }
+    }
+
+    /// Drops replay entries the server has consumed.
+    fn trim_replay(&mut self, below: u64) {
+        while self.replay_base < below {
+            if let Some(buf) = self.replay.pop_front() {
+                BufferPool::global().put(buf);
+            }
+            self.replay_base += 1;
+        }
     }
 
     /// Sends one input (a frame for encode/transcode, a packet for
-    /// decode).
+    /// decode), recovering the connection if it fails and the budget
+    /// allows.
     ///
     /// # Errors
     ///
-    /// I/O failure — including the server closing the connection after
-    /// an ERROR; call [`finish`](Self::finish) to learn which.
+    /// A fatal server error, or the error that ended the connection
+    /// once the budget is spent.
     pub fn send(&mut self, input: SessionInput) -> Result<(), NetError> {
         let msg = match input {
             SessionInput::Frame(f) => Msg::Frame(f),
@@ -187,75 +521,304 @@ impl NetClient {
                 display_index: 0,
             }),
         };
-        self.send_msg(&msg)?;
-        wire::recycle_msg(msg);
-        Ok(())
+        self.send_data(msg)
     }
 
-    /// Sends a raw coding-order packet for a decode session, preserving
-    /// its kind and display index on the wire.
+    /// Sends a raw coding-order packet, preserving kind and display
+    /// index.
     ///
     /// # Errors
     ///
-    /// I/O failure.
+    /// As [`send`](Self::send).
     pub fn send_packet(&mut self, packet: Packet) -> Result<(), NetError> {
-        let msg = Msg::Packet(packet);
-        self.send_msg(&msg)?;
+        self.send_data(Msg::Packet(packet))
+    }
+
+    fn send_data(&mut self, msg: Msg) -> Result<(), NetError> {
+        let buf = wire::encode_pooled(&msg, self.inputs_sent as u32);
         wire::recycle_msg(msg);
+        self.inputs_sent += 1;
+        let written = self.link_write().and_then(|mut w| Ok(w.write_all(&buf)?));
+        if self.resumable() {
+            // Held until acked: recovery replays the tail, this included.
+            let acked = lock(&self.shared.inbox).inputs_acked;
+            self.trim_replay(acked);
+            self.replay.push_back(buf);
+        } else {
+            BufferPool::global().put(buf);
+        }
+        match written {
+            Ok(()) => {
+                lock(&self.shared.inbox).last_ok = Instant::now();
+                Ok(())
+            }
+            Err(e) => self.recover(e),
+        }
+    }
+
+    /// Handles a failed connection: tears it down and, within the
+    /// budget, reconnects and resumes. On success the unacked input tail
+    /// (and FLUSH, if already sent) has been re-delivered. `cause` is
+    /// what the caller saw; the reader's account (a server ERROR, say)
+    /// takes precedence.
+    fn recover(&mut self, cause: NetError) -> Result<(), NetError> {
+        let detected = Instant::now();
+        let gap = detected.duration_since(lock(&self.shared.inbox).last_ok);
+        self.stats.detect.record(nanos(gap));
+        self.teardown_link();
+        let cause = lock(&self.shared.inbox).lost.take().unwrap_or(cause);
+        self.with_backoff(cause, Self::try_resume)?;
+        self.stats.reconnects += 1;
+        self.stats.recover.record(nanos(detected.elapsed()));
         Ok(())
     }
 
-    /// Flushes the session and collects everything it produced.
+    fn try_resume(&mut self) -> Result<(), NetError> {
+        self.stats.attempts += 1;
+        let (mut stream, mut reader) = self.dial()?;
+        let outputs_received = lock(&self.shared.inbox).outputs_received;
+        send_pooled(
+            &mut stream,
+            &Msg::Resume {
+                session_id: self.session_id,
+                outputs_received,
+            },
+            1,
+        )?;
+        let inputs_received = match read_deadline(&mut reader, Duration::from_secs(5))? {
+            Msg::ResumeOk { inputs_received } => inputs_received,
+            other => return Err(unexpected("RESUME_OK", other)),
+        };
+        self.trim_replay(inputs_received);
+        lock(&self.shared.inbox).inputs_acked = inputs_received;
+        for buf in &self.replay {
+            stream.write_all(buf)?;
+            self.stats.replayed_inputs += 1;
+        }
+        if self.flush_sent {
+            send_pooled(&mut stream, &Msg::Flush, 2)?;
+        }
+        self.install_link(stream, reader);
+        Ok(())
+    }
+
+    /// Flushes the session, rides out any remaining failures the budget
+    /// allows, and returns everything it produced plus the recovery
+    /// accounting.
     ///
     /// # Errors
     ///
-    /// Whatever the reader thread hit: a server ERROR, an early
-    /// disconnect, or malformed bytes.
-    pub fn finish(mut self) -> Result<ClientResult, NetError> {
-        self.send_msg(&Msg::Flush)?;
-        let reader = self
-            .reader
-            .take()
-            .ok_or_else(|| NetError::Protocol("finish before open".into()))?;
-        let result = reader
-            .handle
-            .join()
-            .map_err(|_| NetError::Protocol("reader thread panicked".into()))?;
-        let _ = self.stream.shutdown(Shutdown::Both);
-        result
-    }
-
-    /// Drops the connection on the floor — no FLUSH, no CLOSE — to
-    /// simulate a client crash. The server must tear down only this
-    /// session.
-    pub fn abort(mut self) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        if let Some(reader) = self.reader.take() {
-            let _ = reader.handle.join();
+    /// A fatal server error, or the error that ended the connection
+    /// once the budget is spent — including a server that goes silent
+    /// for two heartbeat intervals.
+    pub fn finish(mut self) -> Result<(ClientResult, RetryStats), NetError> {
+        self.flush_sent = true;
+        let seq = self.inputs_sent as u32;
+        let flushed = self
+            .link_write()
+            .and_then(|mut w| send_pooled(&mut *w, &Msg::Flush, seq));
+        if let Err(e) = flushed {
+            self.recover(e)?;
+        }
+        loop {
+            let lost = {
+                let mut inbox = lock(&self.shared.inbox);
+                loop {
+                    if let Some(stats) = inbox.done.take() {
+                        let result = ClientResult {
+                            packets: std::mem::take(&mut inbox.packets),
+                            frames: std::mem::take(&mut inbox.frames),
+                            stats,
+                        };
+                        return Ok((result, self.stats.clone()));
+                    }
+                    if let Some(e) = inbox.lost.take() {
+                        break e;
+                    }
+                    inbox = self
+                        .shared
+                        .cv
+                        .wait(inbox)
+                        .unwrap_or_else(|e| e.into_inner());
+                }
+            };
+            self.recover(lost)?;
         }
     }
 }
 
-fn collect_outputs(stream: &mut TcpStream) -> Result<ClientResult, NetError> {
-    let mut result = ClientResult::default();
+/// Dropping a client without [`finish`](NetClient::finish) abandons the
+/// connection — no FLUSH, no CLOSE — as a crashed client would. The
+/// server tears a plain session down and parks a resumable one.
+impl Drop for NetClient {
+    fn drop(&mut self) {
+        self.teardown_link();
+        for buf in self.replay.drain(..) {
+            BufferPool::global().put(buf);
+        }
+    }
+}
+
+/// Collects outputs, acknowledges them, applies input acks, and records
+/// why the connection ended. Exits on DONE, ERROR, connection loss, or a
+/// liveness expiry (no traffic — not even a PONG — for 2× heartbeat).
+fn reader_loop(
+    mut reader: MsgReader<FaultyStream>,
+    shared: &Shared,
+    write: &Mutex<FaultyStream>,
+    stop: &AtomicBool,
+    heartbeat: Duration,
+) {
+    let liveness = (!heartbeat.is_zero()).then(|| heartbeat * 2);
+    let mut last_traffic = Instant::now();
+    let send_ctl = |msg: &Msg| {
+        let _ = send_pooled(&mut *lock(write), msg, 0);
+    };
+    // A teardown the owner started is not news to the owner.
+    let die = |cause: NetError| {
+        if !stop.load(Ordering::Acquire) {
+            lock(&shared.inbox).lost = Some(cause);
+            shared.cv.notify_all();
+        }
+        let _ = lock(write).shutdown(Shutdown::Both);
+    };
     loop {
-        match read_one(stream)? {
-            Msg::Packet(p) => result.packets.push(p),
-            Msg::Frame(f) => result.frames.push(f),
-            Msg::Done(stats) => {
-                result.stats = stats;
-                return Ok(result);
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match reader.poll() {
+            ReadEvent::Msg(msg, _) => {
+                last_traffic = Instant::now();
+                match msg {
+                    Msg::Packet(_) | Msg::Frame(_) => {
+                        let total = {
+                            let mut inbox = lock(&shared.inbox);
+                            match msg {
+                                Msg::Packet(p) => inbox.packets.push(p),
+                                Msg::Frame(f) => inbox.frames.push(f),
+                                _ => unreachable!("matched above"),
+                            }
+                            inbox.outputs_received += 1;
+                            inbox.last_ok = last_traffic;
+                            inbox.outputs_received
+                        };
+                        if total % ACK_OUT_EVERY == 0 {
+                            send_ctl(&Msg::AckOut {
+                                outputs_received: total,
+                            });
+                        }
+                    }
+                    Msg::AckIn { inputs_received } => {
+                        let mut inbox = lock(&shared.inbox);
+                        inbox.inputs_acked = inbox.inputs_acked.max(inputs_received);
+                        inbox.last_ok = last_traffic;
+                    }
+                    Msg::Done(stats) => {
+                        // Final cumulative ack lets the server retire
+                        // the journal immediately.
+                        let total = {
+                            let mut inbox = lock(&shared.inbox);
+                            inbox.outputs_received += 1;
+                            inbox.done = Some(stats);
+                            inbox.outputs_received
+                        };
+                        send_ctl(&Msg::AckOut {
+                            outputs_received: total,
+                        });
+                        shared.cv.notify_all();
+                        return;
+                    }
+                    Msg::Error { code, detail } => {
+                        die(NetError::Remote { code, detail });
+                        return;
+                    }
+                    Msg::Ping => send_ctl(&Msg::Pong),
+                    // PONG refreshes `last_traffic`; anything else late
+                    // or duplicated is ignored.
+                    _ => {}
+                }
             }
-            Msg::Error { code, detail } => return Err(NetError::Remote { code, detail }),
-            // Control traffic from a resilience-aware server (input
-            // acks, heartbeat replies) is harmless to a plain client.
-            Msg::AckIn { .. } | Msg::Ping | Msg::Pong => {}
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "unexpected {:?} while streaming outputs",
-                    other.msg_type()
-                )))
+            ReadEvent::Idle => {
+                if liveness.is_some_and(|limit| last_traffic.elapsed() >= limit) {
+                    die(NetError::Io(std::io::Error::new(
+                        ErrorKind::TimedOut,
+                        "server silent for two heartbeat intervals",
+                    )));
+                    return;
+                }
+            }
+            ReadEvent::Gone => {
+                die(NetError::Io(ErrorKind::UnexpectedEof.into()));
+                return;
+            }
+            ReadEvent::Malformed(e) => {
+                // Corrupted server output: framing is untrustworthy.
+                // A resume replays everything not counted in
+                // `outputs_received`, so nothing is lost.
+                die(NetError::Wire(e));
+                return;
             }
         }
+    }
+}
+
+/// Pings the server every half heartbeat so both sides see traffic
+/// well inside the liveness window.
+fn keepalive_loop(write: &Mutex<FaultyStream>, stop: &AtomicBool, heartbeat: Duration) {
+    let interval = (heartbeat / 2).max(Duration::from_millis(1));
+    let step = interval.min(Duration::from_millis(25));
+    loop {
+        let mut slept = Duration::ZERO;
+        while slept < interval {
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            std::thread::sleep(step);
+            slept += step;
+        }
+        if send_pooled(&mut *lock(write), &Msg::Ping, 0).is_err() {
+            return;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{NetConfig, NetServer};
+    use hdvb_core::CodecId;
+    use hdvb_frame::Resolution;
+    use hdvb_seq::{Sequence, SequenceId};
+
+    /// A zero budget is the plain client: every input buffer goes back
+    /// to the pool after its write, where a resumable client holds the
+    /// unacked ones for replay.
+    #[test]
+    fn zero_budget_client_keeps_no_replay_queue() {
+        let net = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+        let res = Resolution::new(48, 32);
+        let spec = SessionSpec::encode(CodecId::Mpeg2, res);
+        let seq = Sequence::new(SequenceId::BlueSky, res);
+        // Under the server's ACK_IN interval, so no ack can trim the
+        // resumable client's queue before it is inspected.
+        let n = 5u32;
+        for (max_reconnects, held) in [(0, 0), (16, n as usize)] {
+            let policy = RetryPolicy {
+                max_reconnects,
+                ..RetryPolicy::default()
+            };
+            let mut client =
+                NetClient::with_faults(net.local_addr(), policy, None).expect("client");
+            client.open(spec, Priority::Batch).expect("open");
+            for i in 0..n {
+                client
+                    .send(SessionInput::Frame(seq.frame(i)))
+                    .expect("send");
+            }
+            assert_eq!(client.replay.len(), held, "budget {max_reconnects}");
+            let (result, _) = client.finish().expect("finish");
+            assert_eq!(result.stats.completed, u64::from(n));
+        }
+        net.shutdown();
     }
 }

@@ -21,6 +21,11 @@
 //!   goodput, per-class p50/p99 and rejection rate — the knee where
 //!   admission starts refusing batch is the machine's honest capacity.
 //!
+//! Every session is driven by one client, [`NetClient`]. Its
+//! [`RetryPolicy`] budget decides what a lost connection costs: at zero
+//! it is the plain client (no resume, first failure ends the session
+//! with its cause); above zero it reconnects and resumes byte-identically.
+//!
 //! A loopback TCP transcode is byte-identical to the same session run
 //! in-process through [`hdvb_serve::Server`] — the wire moves bytes,
 //! never changes them (enforced in `tests/net.rs`).
@@ -36,18 +41,16 @@ pub mod golden;
 mod loadcurve;
 mod reader;
 mod resume;
-mod retry;
 mod server;
 pub mod wire;
 
 pub use admission::{Rejection, SloPolicy, TokenBucket};
 pub use chaos::{run_campaign, ChaosConfig, ChaosReport, ChaosTrial};
-pub use client::{ClientResult, NetClient, NetError};
+pub use client::{ClientResult, NetClient, NetError, RetryPolicy, RetryStats};
 pub use faults::{FaultyStream, NetFaultKind, NetFaultPlan};
 pub use loadcurve::{
     loadcurve_json, loadcurve_markdown, run_load_curve, ClassCell, LoadCurveCell, LoadCurveReport,
     LoadCurveSpec,
 };
-pub use retry::{RetryClient, RetryPolicy, RetryStats};
 pub use server::{NetConfig, NetServer, NetStats};
 pub use wire::{DoneStats, ErrorCode, Msg, MsgType, WireError};

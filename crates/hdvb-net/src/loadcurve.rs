@@ -13,19 +13,19 @@
 //! asserts.
 //!
 //! Each client paces its own inputs open-loop (arrival times fixed in
-//! advance, jitter from [`splitmix64`]), so a saturated server sees the
-//! offered load it was promised rather than a politely backing-off one.
+//! advance by [`arrival_ns`], the in-process load generator's formula),
+//! so a saturated server sees the offered load it was promised rather
+//! than a politely backing-off one. Clients run with a zero reconnect
+//! budget: a plain session, as a real fleet's first attempt would be.
 
 use crate::admission::SloPolicy;
-use crate::client::{NetClient, NetError};
+use crate::client::{NetClient, NetError, RetryPolicy};
 use crate::server::{NetConfig, NetServer, NetStats};
 use crate::wire::ErrorCode;
-use hdvb_core::{
-    encode_sequence, splitmix64, CodecId, CodingOptions, Priority, SessionInput, SessionSpec,
-};
-use hdvb_frame::{BufferPool, Frame, FramePool, Resolution};
+use hdvb_core::{CodecId, CodingOptions, Priority, SessionSpec};
+use hdvb_frame::Resolution;
 use hdvb_seq::{Sequence, SequenceId};
-use hdvb_serve::{PoolsReport, ServeMode, ServerConfig};
+use hdvb_serve::{arrival_ns, PoolsReport, ServeMode, ServerConfig, SessionFeed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -151,55 +151,6 @@ pub struct LoadCurveReport {
     pub pools: PoolsReport,
 }
 
-/// The input material every client replays.
-enum Feed {
-    Frames(Vec<Frame>),
-    Packets(Vec<Vec<u8>>),
-}
-
-impl Feed {
-    fn input(&self, i: u32) -> SessionInput {
-        match self {
-            Feed::Frames(f) => {
-                let src = &f[i as usize % f.len()];
-                let mut frame = FramePool::global().take(src.width(), src.height());
-                frame.copy_from(src);
-                SessionInput::Frame(frame)
-            }
-            Feed::Packets(p) => {
-                let src = &p[i as usize % p.len()];
-                let mut data = BufferPool::global().take(src.len());
-                data.extend_from_slice(src);
-                SessionInput::Packet(data)
-            }
-        }
-    }
-}
-
-fn coding_options(spec: &LoadCurveSpec) -> CodingOptions {
-    CodingOptions::default()
-        .with_qscale(spec.qscale)
-        .with_b_frames(spec.b_frames)
-}
-
-fn build_feed(spec: &LoadCurveSpec, items: u32) -> Result<Feed, String> {
-    let seq = Sequence::new(SequenceId::ALL[0], spec.resolution);
-    match spec.mode {
-        ServeMode::Encode => Ok(Feed::Frames((0..items).map(|i| seq.frame(i)).collect())),
-        ServeMode::Decode | ServeMode::Transcode => {
-            let source = match spec.mode {
-                ServeMode::Decode => spec.codec,
-                _ => CodecId::Mpeg2,
-            };
-            let encoded = encode_sequence(source, seq, items, &coding_options(spec))
-                .map_err(|e| format!("pre-encoding {source} feed: {e}"))?;
-            Ok(Feed::Packets(
-                encoded.packets.into_iter().map(|p| p.data).collect(),
-            ))
-        }
-    }
-}
-
 fn session_spec(spec: &LoadCurveSpec) -> SessionSpec {
     let base = match spec.mode {
         ServeMode::Encode => SessionSpec::encode(spec.codec, spec.resolution),
@@ -224,11 +175,10 @@ enum ClientOutcome {
     Failed,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_client(
     addr: std::net::SocketAddr,
     spec: &LoadCurveSpec,
-    feed: &Feed,
+    feed: &SessionFeed,
     client: u32,
     items: u32,
     epoch: Instant,
@@ -238,7 +188,11 @@ fn run_client(
     if open_at > now {
         std::thread::sleep(open_at - now);
     }
-    let mut conn = match NetClient::connect(addr) {
+    let policy = RetryPolicy {
+        max_reconnects: 0,
+        ..RetryPolicy::default()
+    };
+    let mut conn = match NetClient::with_faults(addr, policy, None) {
         Ok(c) => c,
         Err(_) => return ClientOutcome::Failed,
     };
@@ -250,14 +204,8 @@ fn run_client(
         }) => return ClientOutcome::Rejected,
         Err(_) => return ClientOutcome::Failed,
     }
-    let period_ns = (1_000_000_000f64 / f64::from(spec.fps.max(1))).round() as u64;
     for i in 0..items {
-        let key = spec
-            .seed
-            .wrapping_add(u64::from(client).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(u64::from(i).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        let jitter = splitmix64(key) % period_ns.max(1);
-        let target = open_at + Duration::from_nanos(u64::from(i) * period_ns + jitter);
+        let target = open_at + Duration::from_nanos(arrival_ns(spec.seed, spec.fps, client, i));
         let now = epoch.elapsed();
         if target > now {
             std::thread::sleep(target - now);
@@ -267,7 +215,7 @@ fn run_client(
         }
     }
     match conn.finish() {
-        Ok(result) => {
+        Ok((result, _)) => {
             result.recycle();
             ClientOutcome::Finished
         }
@@ -320,7 +268,11 @@ fn cell_from_stats(
 pub fn run_load_curve(spec: &LoadCurveSpec) -> Result<LoadCurveReport, String> {
     let pools_before = PoolsReport::snapshot();
     let items = ((f64::from(spec.fps) * spec.duration.as_secs_f64()).round() as u32).max(1);
-    let feed = Arc::new(build_feed(spec, items.min(64))?);
+    let seq = Sequence::new(SequenceId::ALL[0], spec.resolution);
+    let options = CodingOptions::default()
+        .with_qscale(spec.qscale)
+        .with_b_frames(spec.b_frames);
+    let feed = SessionFeed::build(spec.mode, spec.codec, seq, items.min(64), &options)?;
     let shared_spec = Arc::new(spec.clone());
 
     let mut cells = Vec::with_capacity(spec.session_counts.len());
@@ -349,7 +301,7 @@ pub fn run_load_curve(spec: &LoadCurveSpec) -> Result<LoadCurveReport, String> {
         let epoch = Instant::now();
         let mut joins = Vec::with_capacity(sessions as usize);
         for c in 0..sessions {
-            let feed = Arc::clone(&feed);
+            let feed = feed.clone();
             let spec = Arc::clone(&shared_spec);
             let open_at = stagger * c;
             joins.push(std::thread::spawn(move || {

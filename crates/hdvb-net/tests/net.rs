@@ -1,15 +1,25 @@
-//! End-to-end tests over real loopback TCP connections.
+//! End-to-end tests over real loopback TCP connections, through plain
+//! (zero reconnect budget) clients.
 
 use hdvb_core::{encode_sequence, CodecId, Priority, SessionInput, SessionSpec};
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Resolution;
-use hdvb_net::{NetClient, NetConfig, NetError, NetServer, SloPolicy};
+use hdvb_net::{NetClient, NetConfig, NetError, NetServer, RetryPolicy, SloPolicy};
 use hdvb_seq::{Sequence, SequenceId};
 use hdvb_serve::{Server, ServerConfig};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 fn qcif() -> Resolution {
     Resolution::new(176, 144)
+}
+
+fn plain(addr: SocketAddr) -> NetClient {
+    let policy = RetryPolicy {
+        max_reconnects: 0,
+        ..RetryPolicy::default()
+    };
+    NetClient::with_faults(addr, policy, None).expect("client")
 }
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -53,12 +63,12 @@ fn loopback_transcode_is_byte_identical_to_in_process_serve() {
 
     // Over TCP: same spec, same inputs, outputs streamed back.
     let net = NetServer::bind("127.0.0.1:0", NetConfig::default()).expect("bind loopback");
-    let mut client = NetClient::connect(net.local_addr()).expect("connect");
+    let mut client = plain(net.local_addr());
     client.open(spec, Priority::Live).expect("open");
     for p in &source.packets {
         client.send_packet(p.clone()).expect("send");
     }
-    let remote = client.finish().expect("finish");
+    let (remote, _) = client.finish().expect("finish");
     net.shutdown();
 
     assert_eq!(remote.stats.completed, source.packets.len() as u64);
@@ -84,7 +94,7 @@ fn mid_stream_disconnect_tears_down_only_that_session() {
 
     // The victim: opens, sends a few frames, then drops the socket
     // without FLUSH or CLOSE — a simulated crash.
-    let mut victim = NetClient::connect(addr).expect("victim connect");
+    let mut victim = plain(addr);
     victim.open(spec, Priority::Batch).expect("victim open");
     for i in 0..3 {
         victim
@@ -93,7 +103,7 @@ fn mid_stream_disconnect_tears_down_only_that_session() {
     }
 
     // The neighbour starts while the victim is still open.
-    let mut neighbour = NetClient::connect(addr).expect("neighbour connect");
+    let mut neighbour = plain(addr);
     neighbour
         .open(spec, Priority::Live)
         .expect("neighbour open");
@@ -103,14 +113,14 @@ fn mid_stream_disconnect_tears_down_only_that_session() {
             .expect("neighbour send");
     }
 
-    victim.abort();
+    drop(victim);
 
     for i in frames / 2..frames {
         neighbour
             .send(SessionInput::Frame(seq.frame(i)))
             .expect("neighbour send after abort");
     }
-    let result = neighbour.finish().expect("neighbour finish");
+    let (result, _) = neighbour.finish().expect("neighbour finish");
 
     // The neighbour's output is exactly what the batch encoder makes of
     // the same frames — the victim's teardown recycled its buffers
@@ -162,7 +172,7 @@ fn batch_opens_are_rejected_while_live_is_still_admitted() {
     let seq = Sequence::new(SequenceId::RushHour, qcif());
 
     // Warm-up: below min_samples everything is admitted, including batch.
-    let mut warm = NetClient::connect(addr).expect("warm connect");
+    let mut warm = plain(addr);
     warm.open(spec, Priority::Batch)
         .expect("warm-up batch open admitted");
     for i in 0..6 {
@@ -172,7 +182,7 @@ fn batch_opens_are_rejected_while_live_is_still_admitted() {
     warm.finish().expect("warm finish");
 
     // The window now holds ≥ min_samples completions: batch must bounce.
-    let mut batch = NetClient::connect(addr).expect("batch connect");
+    let mut batch = plain(addr);
     match batch.open(spec, Priority::Batch) {
         Err(NetError::Remote { code, detail }) => {
             assert_eq!(code, hdvb_net::ErrorCode::Rejected);
@@ -182,14 +192,14 @@ fn batch_opens_are_rejected_while_live_is_still_admitted() {
     }
 
     // Live still clears its (10 s) threshold.
-    let mut live = NetClient::connect(addr).expect("live connect");
+    let mut live = plain(addr);
     live.open(spec, Priority::Live)
         .expect("live open still admitted");
     for i in 0..4 {
         live.send(SessionInput::Frame(seq.frame(i)))
             .expect("live send");
     }
-    let live_result = live.finish().expect("live finish");
+    let (live_result, _) = live.finish().expect("live finish");
     assert_eq!(live_result.stats.completed, 4);
 
     let stats = net.stats();
@@ -213,7 +223,7 @@ fn rate_limited_connection_is_shaped_to_its_contract() {
     let spec = SessionSpec::encode(CodecId::Mpeg2, Resolution::new(48, 32));
     let seq = Sequence::new(SequenceId::Riverbed, Resolution::new(48, 32));
 
-    let mut client = NetClient::connect(net.local_addr()).expect("connect");
+    let mut client = plain(net.local_addr());
     client.open(spec, Priority::Live).expect("open");
     let start = Instant::now();
     // 30 inputs against burst 20 ⇒ 10 tokens of debt ⇒ ≥ 500 ms shaped.
@@ -222,7 +232,7 @@ fn rate_limited_connection_is_shaped_to_its_contract() {
             .send(SessionInput::Frame(seq.frame(i)))
             .expect("send");
     }
-    let result = client.finish().expect("finish");
+    let (result, _) = client.finish().expect("finish");
     let elapsed = start.elapsed();
     net.shutdown();
 

@@ -12,7 +12,7 @@ use hdvb_core::{encode_sequence, CodecId, Priority, SessionInput, SessionSpec};
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::Resolution;
 use hdvb_net::wire::{self, Msg};
-use hdvb_net::{NetClient, NetConfig, NetFaultPlan, NetServer, RetryClient, RetryPolicy};
+use hdvb_net::{NetClient, NetConfig, NetFaultPlan, NetServer, RetryPolicy};
 use hdvb_seq::{Sequence, SequenceId};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -39,6 +39,14 @@ fn thread_count() -> usize {
 
 fn qcif() -> Resolution {
     Resolution::new(96, 80)
+}
+
+fn plain(addr: SocketAddr) -> NetClient {
+    let policy = RetryPolicy {
+        max_reconnects: 0,
+        ..RetryPolicy::default()
+    };
+    NetClient::with_faults(addr, policy, None).expect("client")
 }
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -145,7 +153,7 @@ fn mid_handshake_disconnects_recycle_sessions_and_leak_nothing() {
         // The neighbour runs a full session while the wreckage above is
         // being cleaned up.
         let frames = 8u32;
-        let mut neighbour = NetClient::connect(addr).expect("neighbour connect");
+        let mut neighbour = plain(addr);
         neighbour
             .open(spec, Priority::Live)
             .expect("neighbour open");
@@ -154,7 +162,7 @@ fn mid_handshake_disconnects_recycle_sessions_and_leak_nothing() {
                 .send(SessionInput::Frame(seq.frame(i)))
                 .expect("neighbour send");
         }
-        let result = neighbour.finish().expect("neighbour finish");
+        let (result, _) = neighbour.finish().expect("neighbour finish");
 
         let reference = encode_sequence(
             CodecId::Mpeg2,
@@ -263,7 +271,7 @@ fn silent_peer_is_reaped_within_twice_the_heartbeat() {
 /// Client-side recovery at every handshake stage: the fault plan severs
 /// the very first HELLO, then an OPEN, then truncates a frame
 /// mid-stream. The retrying client still produces output byte-identical
-/// to a fault-free plain client on the same server.
+/// to a fault-free zero-budget client on the same server.
 #[test]
 fn retry_client_survives_handshake_and_stream_faults_byte_identically() {
     let _guard = serialise();
@@ -280,20 +288,20 @@ fn retry_client_survives_handshake_and_stream_faults_byte_identically() {
     let seq = Sequence::new(SequenceId::RushHour, qcif());
     let frames = 8u32;
 
-    let mut reference = NetClient::connect(addr).expect("plain connect");
+    let mut reference = plain(addr);
     reference.open(spec, Priority::Batch).expect("plain open");
     for i in 0..frames {
         reference
             .send(SessionInput::Frame(seq.frame(i)))
             .expect("plain send");
     }
-    let plain = reference.finish().expect("plain finish");
+    let (clean, _) = reference.finish().expect("plain finish");
 
     // Message clock: 0 = first HELLO (dropped), 1/2 = HELLO+OPEN of the
     // second dial (OPEN dropped), 3/4 = third dial's handshake, 5 =
     // frame 0 (truncated mid-message), then HELLO+RESUME+replay.
     let plan = Arc::new(NetFaultPlan::parse("drop@0,drop@2,truncate@5:9,seed=3").expect("plan"));
-    let mut client = RetryClient::with_faults(
+    let mut client = NetClient::with_faults(
         addr,
         RetryPolicy {
             base_backoff: Duration::from_millis(5),
@@ -314,8 +322,8 @@ fn retry_client_survives_handshake_and_stream_faults_byte_identically() {
     assert!(retry.attempts >= 3, "{retry:?}");
     assert!(retry.reconnects >= 1, "{retry:?}");
     assert_eq!(faulted.stats.completed, u64::from(frames));
-    assert_eq!(plain.packets.len(), faulted.packets.len());
-    for (a, b) in plain.packets.iter().zip(&faulted.packets) {
+    assert_eq!(clean.packets.len(), faulted.packets.len());
+    for (a, b) in clean.packets.iter().zip(&faulted.packets) {
         assert_eq!(a.kind, b.kind);
         assert_eq!(a.display_index, b.display_index);
         assert_eq!(a.data, b.data, "faulted output diverged");

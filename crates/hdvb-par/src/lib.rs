@@ -28,4 +28,4 @@ mod cancel;
 mod pool;
 
 pub use cancel::{CancelToken, Cancelled};
-pub use pool::{PoolStats, Scope, TaskPanic, ThreadPool, WorkerStats};
+pub use pool::{panic_text, PoolStats, Scope, TaskPanic, ThreadPool, WorkerStats};

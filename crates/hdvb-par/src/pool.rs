@@ -371,18 +371,16 @@ impl ThreadPool {
         slots
             .into_iter()
             .enumerate()
-            .map(|(i, slot)| {
-                match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            .map(
+                |(i, slot)| match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
                     Some(Ok(v)) => Ok(v),
-                    Some(Err(payload)) => {
-                        let err = TaskPanic::new(i, payload.as_ref());
-                        // Contain a panicking payload Drop (fresh panic).
-                        let _ = catch_unwind(AssertUnwindSafe(move || drop(payload)));
-                        Err(err)
-                    }
+                    Some(Err(payload)) => Err(TaskPanic {
+                        index: i,
+                        message: panic_text(payload),
+                    }),
                     None => unreachable!("scope returned with task {i} never run"),
-                }
-            })
+                },
+            )
             .collect()
     }
 
@@ -527,19 +525,6 @@ pub struct TaskPanic {
     pub message: String,
 }
 
-impl TaskPanic {
-    fn new(index: usize, payload: &(dyn Any + Send)) -> Self {
-        let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_string()
-        };
-        TaskPanic { index, message }
-    }
-}
-
 impl fmt::Display for TaskPanic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "task {} panicked: {}", self.index, self.message)
@@ -547,6 +532,21 @@ impl fmt::Display for TaskPanic {
 }
 
 impl std::error::Error for TaskPanic {}
+
+/// Renders a caught panic payload as text — the `&str` or `String` it
+/// carries, else `"<non-string panic payload>"` — and drops it with any
+/// panic from the payload's own `Drop` contained.
+pub fn panic_text(payload: Box<dyn Any + Send>) -> String {
+    let message = if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_string()
+    };
+    let _ = catch_unwind(AssertUnwindSafe(move || drop(payload)));
+    message
+}
 
 /// Per-worker activity counters.
 #[derive(Clone, Copy, Debug, Default)]
@@ -588,6 +588,23 @@ impl PoolStats {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn panic_text_renders_every_payload_and_contains_its_drop() {
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("payload drop");
+            }
+        }
+        assert_eq!(panic_text(Box::new("static")), "static");
+        assert_eq!(panic_text(Box::new(String::from("owned"))), "owned");
+        assert_eq!(panic_text(Box::new(7u32)), "<non-string panic payload>");
+        assert_eq!(
+            panic_text(Box::new(PanicsOnDrop)),
+            "<non-string panic payload>"
+        );
+    }
 
     #[test]
     fn execute_runs_tasks() {

@@ -35,7 +35,9 @@ mod report;
 mod server;
 
 pub use ladder::{run_ladder_serve, ServeLadder, ServeRung};
-pub use loadgen::{build_schedule, run_serve_bench, Arrival, LoadSpec, ServeMode};
+pub use loadgen::{
+    arrival_ns, build_schedule, run_serve_bench, Arrival, LoadSpec, ServeMode, SessionFeed,
+};
 pub use metrics::SessionMetrics;
 pub use queue::{BoundedQueue, Closed, OverflowPolicy, QueueStats};
 pub use report::{

@@ -18,6 +18,7 @@ use hdvb_core::{encode_sequence, splitmix64, CodecId, CodecSession, CodingOption
 use hdvb_frame::{BufferPool, Frame, FramePool, Resolution};
 use hdvb_seq::{Sequence, SequenceId};
 use hdvb_trace::LatencyHistogram;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What each serve-bench session does with its inputs.
@@ -99,23 +100,29 @@ pub struct Arrival {
     pub item: u32,
 }
 
-/// Builds the deterministic arrival schedule: item `i` of session `s`
-/// arrives at `i × period` plus a uniform jitter in `[0, period)` drawn
-/// from `splitmix64(seed, s, i)`. Per-session arrival times are
-/// non-decreasing in `i`, so sorting by `(at_ns, session, item)`
-/// preserves every session's input order while interleaving sessions.
+/// When input `item` of `session` is due, in ns after that session's
+/// clock starts: `item × period` plus a uniform jitter in `[0, period)`
+/// drawn from `splitmix64(seed, session, item)`. Non-decreasing in
+/// `item`. Both load generators pace by this: [`run_serve_bench`] and
+/// the TCP `serve-load` clients.
+pub fn arrival_ns(seed: u64, fps: u32, session: u32, item: u32) -> u64 {
+    let period_ns = (1_000_000_000f64 / f64::from(fps.max(1))).round() as u64;
+    let key = seed
+        .wrapping_add(u64::from(session).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(u64::from(item).wrapping_mul(0xBF58_476D_1CE4_E5B9));
+    u64::from(item) * period_ns + splitmix64(key) % period_ns.max(1)
+}
+
+/// Builds the deterministic arrival schedule from [`arrival_ns`].
+/// Per-session arrival times are non-decreasing in the item, so sorting
+/// by `(at_ns, session, item)` preserves every session's input order
+/// while interleaving sessions.
 pub fn build_schedule(spec: &LoadSpec, items_per_session: &[u32]) -> Vec<Arrival> {
-    let period_ns = (1_000_000_000f64 / f64::from(spec.fps.max(1))).round() as u64;
     let mut schedule = Vec::new();
     for (s, &items) in items_per_session.iter().enumerate() {
         for i in 0..items {
-            let key = spec
-                .seed
-                .wrapping_add((s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add(u64::from(i).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            let jitter = splitmix64(key) % period_ns.max(1);
             schedule.push(Arrival {
-                at_ns: u64::from(i) * period_ns + jitter,
+                at_ns: arrival_ns(spec.seed, spec.fps, s as u32, i),
                 session: s as u32,
                 item: i,
             });
@@ -126,13 +133,47 @@ pub fn build_schedule(spec: &LoadSpec, items_per_session: &[u32]) -> Vec<Arrival
 }
 
 /// Per-session input material, prepared before the clock starts so the
-/// generator thread only copies into pooled buffers and submits.
-enum SessionFeed {
-    Frames(std::sync::Arc<Vec<Frame>>),
-    Packets(std::sync::Arc<Vec<Vec<u8>>>),
+/// sender only copies into pooled buffers and submits. Clones share the
+/// material.
+#[derive(Clone)]
+pub enum SessionFeed {
+    /// Synthetic frames, for encode sessions.
+    Frames(Arc<Vec<Frame>>),
+    /// Pre-encoded packets, for decode and transcode sessions.
+    Packets(Arc<Vec<Vec<u8>>>),
 }
 
 impl SessionFeed {
+    /// Renders `items` frames of `seq` (encode), or pre-encodes them:
+    /// decode sessions consume their own codec's stream, transcode
+    /// sessions consume MPEG-2 and emit `codec`.
+    ///
+    /// # Errors
+    ///
+    /// Pre-encoding failure.
+    pub fn build(
+        mode: ServeMode,
+        codec: CodecId,
+        seq: Sequence,
+        items: u32,
+        options: &CodingOptions,
+    ) -> Result<SessionFeed, String> {
+        let source = match mode {
+            ServeMode::Encode => {
+                return Ok(SessionFeed::Frames(Arc::new(
+                    (0..items).map(|i| seq.frame(i)).collect(),
+                )))
+            }
+            ServeMode::Decode => codec,
+            ServeMode::Transcode => CodecId::Mpeg2,
+        };
+        let encoded = encode_sequence(source, seq, items, options)
+            .map_err(|e| format!("pre-encoding {source} feed: {e}"))?;
+        Ok(SessionFeed::Packets(Arc::new(
+            encoded.packets.into_iter().map(|p| p.data).collect(),
+        )))
+    }
+
     fn len(&self) -> u32 {
         match self {
             SessionFeed::Frames(f) => f.len() as u32,
@@ -140,19 +181,20 @@ impl SessionFeed {
         }
     }
 
-    /// Materialises input `i` into a pool-backed buffer. The session
-    /// recycles it after consumption, so in steady state the submit
-    /// path allocates nothing.
-    fn input(&self, i: u32) -> SessionInput {
+    /// Materialises input `i` (wrapping past the end) into a
+    /// pool-backed buffer. The session recycles it after consumption,
+    /// so in steady state the submit path allocates nothing.
+    pub fn input(&self, i: u32) -> SessionInput {
+        let i = (i % self.len()) as usize;
         match self {
             SessionFeed::Frames(f) => {
-                let src = &f[i as usize];
+                let src = &f[i];
                 let mut frame = FramePool::global().take(src.width(), src.height());
                 frame.copy_from(src);
                 SessionInput::Frame(frame)
             }
             SessionFeed::Packets(p) => {
-                let src = &p[i as usize];
+                let src = &p[i];
                 let mut data = BufferPool::global().take(src.len());
                 data.extend_from_slice(src);
                 SessionInput::Packet(data)
@@ -166,34 +208,15 @@ impl SessionFeed {
 /// sessions with the same rotation slot.
 fn build_feeds(spec: &LoadSpec, items: u32) -> Result<Vec<SessionFeed>, String> {
     let unique = (SequenceId::ALL.len() as u32).min(spec.sessions).max(1) as usize;
-    let mut cache: Vec<SessionFeed> = Vec::with_capacity(unique);
-    for slot in 0..unique {
-        let seq = Sequence::new(SequenceId::ALL[slot], spec.resolution);
-        let feed = match spec.mode {
-            ServeMode::Encode => {
-                let frames: Vec<Frame> = (0..items).map(|i| seq.frame(i)).collect();
-                SessionFeed::Frames(std::sync::Arc::new(frames))
-            }
-            ServeMode::Decode | ServeMode::Transcode => {
-                // Decode sessions consume their own codec's stream;
-                // transcode sessions consume MPEG-2 and emit the target.
-                let source = match spec.mode {
-                    ServeMode::Decode => spec.codec,
-                    _ => CodecId::Mpeg2,
-                };
-                let encoded = encode_sequence(source, seq, items, &spec.options)
-                    .map_err(|e| format!("pre-encoding {source} feed: {e}"))?;
-                let packets = encoded.packets.into_iter().map(|p| p.data).collect();
-                SessionFeed::Packets(std::sync::Arc::new(packets))
-            }
-        };
-        cache.push(feed);
-    }
-    Ok((0..spec.sessions as usize)
-        .map(|s| match &cache[s % unique] {
-            SessionFeed::Frames(f) => SessionFeed::Frames(std::sync::Arc::clone(f)),
-            SessionFeed::Packets(p) => SessionFeed::Packets(std::sync::Arc::clone(p)),
+    let cache = SequenceId::ALL[..unique]
+        .iter()
+        .map(|&id| {
+            let seq = Sequence::new(id, spec.resolution);
+            SessionFeed::build(spec.mode, spec.codec, seq, items, &spec.options)
         })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((0..spec.sessions as usize)
+        .map(|s| cache[s % unique].clone())
         .collect())
 }
 

@@ -137,10 +137,11 @@ print(f"serve smoke ok: {run['completed']} frames, p99 {p99/1e6:.2f} ms")
 EOF
 
 echo "==> loopback TCP smoke (serve --bind + connect transcode, byte-identical to in-process serve)"
-# Build a small MPEG-2 source, transcode it to H.264 twice — once
-# through the in-process serve path, once over a real TCP connection —
-# and require the output containers to be byte-identical: the wire
-# moves bytes, never changes them.
+# Build a small MPEG-2 source, transcode it to H.264 three times — once
+# through the in-process serve path, then over real TCP connections with
+# the default reconnect budget (a resumable session) and with none (a
+# plain one) — and require the output containers to be byte-identical:
+# the wire moves bytes, never changes them.
 ./target/release/hdvb encode --codec mpeg2 --sequence blue_sky \
     --resolution 96x80 --frames 8 -o "$tmpdir/src.hvb" > /dev/null
 ./target/release/hdvb serve -i "$tmpdir/src.hvb" --codec h264 --threads 1 \
@@ -156,17 +157,22 @@ net_addr=$(sed -n 's/.*listening on //p' "$tmpdir/net.log" | head -1)
 [ -n "$net_addr" ] || { echo "serve --bind never came up" >&2; cat "$tmpdir/net.log" >&2; exit 1; }
 ./target/release/hdvb connect --addr "$net_addr" -i "$tmpdir/src.hvb" \
     --codec h264 --priority live -o "$tmpdir/remote.hvb" > "$tmpdir/connect.txt"
+./target/release/hdvb connect --addr "$net_addr" -i "$tmpdir/src.hvb" \
+    --codec h264 --priority live --retries 0 -o "$tmpdir/remote_plain.hvb" \
+    > "$tmpdir/connect_plain.txt"
 wait "$net_pid"
-cmp "$tmpdir/local.hvb" "$tmpdir/remote.hvb" || {
-    echo "TCP transcode diverged from in-process serve" >&2
-    exit 1
-}
-grep -Eq "live +admitted 1" "$tmpdir/net.log" || {
-    echo "server stats did not count the live session" >&2
+for remote in remote.hvb remote_plain.hvb; do
+    cmp "$tmpdir/local.hvb" "$tmpdir/$remote" || {
+        echo "TCP transcode ($remote) diverged from in-process serve" >&2
+        exit 1
+    }
+done
+grep -Eq "live +admitted 2" "$tmpdir/net.log" || {
+    echo "server stats did not count both live sessions" >&2
     cat "$tmpdir/net.log" >&2
     exit 1
 }
-echo "loopback smoke ok: remote.hvb == local.hvb"
+echo "loopback smoke ok: remote.hvb == remote_plain.hvb == local.hvb"
 
 echo "==> repo benchmark (its own unit tests, then the toy-size smoke of all four workloads)"
 # The smoke asserts every BENCHMARK.json metric name prints once and
