@@ -266,7 +266,7 @@ pub fn measure_tier(level: SimdLevel) -> Vec<KernelMeasurement> {
             let fullpel = black_box(Mv::new(1, -1));
             let (x, y) = target.block.displaced(fullpel);
             win.fill_sixtap(&dsp, &refp, x, y, 16, 16);
-            black_box(refine_qpel(&dsp, &win, &target, fullpel));
+            black_box(refine_qpel(&win, &target, fullpel));
         }),
     );
     push(

@@ -182,6 +182,12 @@ impl SubpelWindow {
     /// Row stride of the slices [`half`](Self::half) returns.
     pub const STRIDE: usize = WIN_STRIDE;
 
+    /// Samples [`fill_sixtap`](Self::fill_sixtap) reads beyond each side
+    /// of the block: columns `x − 3 … x + bw + 2`, rows likewise. A caller
+    /// that knows which full-pel vectors a search visited knows from this
+    /// every reference sample the search and its refinement read.
+    pub const SIXTAP_REACH: usize = 3;
+
     /// An empty window; [`fill_sixtap`](Self::fill_sixtap) or
     /// [`fill_bilinear`](Self::fill_bilinear) it before reading
     /// candidates.
@@ -213,8 +219,9 @@ impl SubpelWindow {
     /// plus full-pel vector) is picture coordinate `(x, y)` of `refp`.
     ///
     /// Reads exactly columns `x − 3 … x + bw + 2` and rows
-    /// `y − 3 … y + bh + 2` — what the 17 `qpel_luma` calls of one
-    /// refinement read between them — and that extent must lie inside
+    /// `y − 3 … y + bh + 2` ([`SIXTAP_REACH`](Self::SIXTAP_REACH)) — what
+    /// the 17 `qpel_luma` calls of one refinement read between them — and
+    /// that extent must lie inside
     /// the padded plane (checked in debug builds; the motion searches
     /// keep their winners 8 samples inside the padding).
     ///
@@ -230,10 +237,11 @@ impl SubpelWindow {
         bw: usize,
         bh: usize,
     ) {
-        Self::check(refp, x, y, bw, bh, 3);
+        const R: usize = SubpelWindow::SIXTAP_REACH;
+        Self::check(refp, x, y, bw, bh, R);
         let k = dsp.kernels();
         let s = refp.stride();
-        let src = refp.row_from(x - 3, y - 3);
+        let src = refp.row_from(x - R as isize, y - R as isize);
         let [g, b, h, j] = &mut self.planes;
         tiled(bw + 2, bw, g, &src[2 * s + 2..], |d, p, w| {
             (k.copy_block)(d, WIN_STRIDE, p, s, w, bh + 2)

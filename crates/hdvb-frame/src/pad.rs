@@ -157,16 +157,6 @@ impl PaddedPlane {
             && x + w as isize <= self.width as isize + pad
             && y + h as isize <= self.height as isize + pad
     }
-
-    /// Copies a `bw`×`bh` block whose top-left corner is at picture
-    /// coordinate `(x, y)` (may be negative / beyond the edge up to the
-    /// padding) into `dst`.
-    pub fn copy_block_to(&self, x: isize, y: isize, bw: usize, bh: usize, dst: &mut [u8]) {
-        for by in 0..bh {
-            let src = self.row_from(x, y + by as isize);
-            dst[by * bw..(by + 1) * bw].copy_from_slice(&src[..bw]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -234,18 +224,5 @@ mod tests {
         let mut recycled = PaddedPlane::from_plane(&a, 4);
         recycled.refill(&b);
         assert_eq!(recycled.data, fresh.data);
-    }
-
-    #[test]
-    fn block_copy_spanning_edge() {
-        let p = gradient_plane(8, 8);
-        let pp = PaddedPlane::from_plane(&p, 4);
-        let mut out = vec![0u8; 4 * 4];
-        pp.copy_block_to(-2, -2, 4, 4, &mut out);
-        // First row: two border-replicated pixels then the first two real.
-        assert_eq!(
-            &out[..4],
-            &[p.get(0, 0), p.get(0, 0), p.get(0, 0), p.get(1, 0)]
-        );
     }
 }

@@ -3,6 +3,7 @@ use crate::config::EncoderConfig;
 use crate::deblock::deblock_frame;
 use crate::intra::{predict16, predict4, predict_chroma8, ChromaMode, Intra16Mode, Intra4Mode};
 use crate::mc::{predict_partition, Partitioning, RefPicture};
+use crate::memo::{Search16, SearchMemo};
 use crate::quant4::{dequant4, Quant4};
 use crate::resid::{
     recon_chroma_plane, recon_luma_mb, transform_chroma_plane, transform_luma_mb,
@@ -88,11 +89,13 @@ impl PicCtx {
 struct EncScratch {
     /// Reconstruction target, `aw`×`ah`; fully overwritten per picture.
     recon: Frame,
-    /// Edge-replicated copy of unaligned input (unused when the source
-    /// frame is already macroblock-aligned).
-    aligned: Frame,
+    /// Edge-replicated copy of unaligned input, created by the first
+    /// such frame (aligned inputs never need it).
+    aligned: Option<Frame>,
     /// Per-picture coding context, reset before each picture.
     ctx: PicCtx,
+    /// The last P picture's 16×16 reference searches.
+    memo: SearchMemo,
 }
 
 /// The H.264-class encoder. See the crate docs for the toolset.
@@ -147,8 +150,9 @@ impl H264Encoder {
             tq_inter: Quant4::new(config.qp, false),
             scratch: Some(EncScratch {
                 recon: Frame::new(aw, ah),
-                aligned: Frame::new(aw, ah),
+                aligned: None,
                 ctx: PicCtx::new(aw / 16, ah / 16),
+                memo: SearchMemo::new(aw, ah),
             }),
             sched: Vec::new(),
             cancel: CancelToken::never(),
@@ -272,11 +276,13 @@ impl H264Encoder {
             recon,
             aligned,
             ctx,
+            memo,
         } = scratch;
         let cur: &Frame = if frame.width() == self.aw && frame.height() == self.ah {
             frame
         } else {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
+            let aligned = aligned.get_or_insert_with(|| Frame::new(self.aw, self.ah));
             aligned.replicate_from(frame);
             aligned
         };
@@ -309,8 +315,11 @@ impl H264Encoder {
         recon.cr_mut().fill(128);
         ctx.reset();
         match kind {
-            PacketKind::I => self.encode_i(&mut w, cur, recon, ctx),
-            PacketKind::P => self.encode_p(&mut w, cur, recon, ctx),
+            PacketKind::I => {
+                memo.clear();
+                self.encode_i(&mut w, cur, recon, ctx);
+            }
+            PacketKind::P => self.encode_p(&mut w, cur, recon, ctx, memo),
             PacketKind::B => self.encode_b(&mut w, cur, recon, ctx),
         }
         if self.config.deblock {
@@ -605,14 +614,42 @@ impl H264Encoder {
             lambda: self.lambda,
             pred: pred_qpel,
         };
-        refine_qpel(&self.dsp, win, &target, fullpel)
+        refine_qpel(win, &target, fullpel)
     }
 
-    fn encode_p(&self, w: &mut BitWriter, cur: &Frame, recon: &mut Frame, ctx: &mut PicCtx) {
+    /// The 16×16 search of one reference picture: hexagon search from the
+    /// median predictor, then SATD quarter-pel refinement.
+    fn search16(
+        &self,
+        win: &mut SubpelWindow,
+        r: &RefPicture,
+        block: BlockRef<'_>,
+        median: Mv,
+    ) -> Search16 {
+        let start = Mv::new(median.x >> 2, median.y >> 2);
+        let params = SearchParams::new(self.config.search_range, self.lambda).with_pred(start);
+        let fp = hexagon_search(&self.dsp, block, &r.y, start, &params);
+        let (mv, cost) = self.refine_satd(win, &r.y, block, fp.mv, median);
+        Search16 {
+            mv,
+            cost,
+            reach: fp.reach,
+        }
+    }
+
+    fn encode_p(
+        &self,
+        w: &mut BitWriter,
+        cur: &Frame,
+        recon: &mut Frame,
+        ctx: &mut PicCtx,
+        memo: &mut SearchMemo,
+    ) {
         let nrefs = usize::from(self.config.num_refs)
             .min(self.refs.len())
             .max(1);
         let mut win = SubpelWindow::new();
+        let (mut searched, mut reused) = (0, 0);
         for mby in 0..self.mbs_y {
             for mbx in 0..self.mbs_x {
                 // One motion-estimation zone spans the 16x16 reference
@@ -627,22 +664,40 @@ impl H264Encoder {
                     w: 16,
                     h: 16,
                 };
+                let prior = memo.recall(cur.y(), mbx, mby, median);
                 let mut best16: Option<(usize, Mv, u32)> = None;
                 for (ri, r) in self.refs.iter().take(nrefs).enumerate() {
-                    let params = SearchParams::new(self.config.search_range, self.lambda)
-                        .with_pred(Mv::new(median.x >> 2, median.y >> 2));
-                    let fp = hexagon_search(
-                        &self.dsp,
-                        block16,
-                        &r.y,
-                        Mv::new(median.x >> 2, median.y >> 2),
-                        &params,
-                    );
-                    let (qmv, qcost) = self.refine_satd(&mut win, &r.y, block16, fp.mv, median);
+                    // Reference ri ≥ 1 is the picture the last P picture
+                    // searched as ri − 1. That picture's reference 0 is now
+                    // refs[1], which stands in for refs[0] wherever the two
+                    // agree on every sample the search read.
+                    let known = match ri {
+                        0 => prior[0].filter(|s| {
+                            let old = self.refs.get(1);
+                            old.is_some_and(|o| s.read_same(&r.y, &o.y, block16.x, block16.y))
+                        }),
+                        _ => prior[ri - 1],
+                    };
+                    let found = match known {
+                        Some(s) => {
+                            reused += 1;
+                            debug_assert_eq!(
+                                s,
+                                self.search16(&mut win, r, block16, median),
+                                "reused search, macroblock ({mbx},{mby}), reference {ri}"
+                            );
+                            s
+                        }
+                        None => {
+                            searched += 1;
+                            self.search16(&mut win, r, block16, median)
+                        }
+                    };
+                    memo.store(mbx, mby, ri, found);
                     let ref_bits = 2 * (32 - (ri as u32 + 1).leading_zeros()) - 1;
-                    let total = qcost + self.lambda * ref_bits;
+                    let total = found.cost + self.lambda * ref_bits;
                     if best16.is_none_or(|(_, _, c)| total < c) {
-                        best16 = Some((ri, qmv, total));
+                        best16 = Some((ri, found.mv, total));
                     }
                 }
                 let (ref_idx, mv16, cost16) =
@@ -742,6 +797,9 @@ impl H264Encoder {
             }
             w.byte_align();
         }
+        memo.finish_picture(nrefs);
+        hdvb_trace::counter_add(hdvb_trace::Counter::Me16Searched, searched);
+        hdvb_trace::counter_add(hdvb_trace::Counter::Me16Reused, reused);
     }
 
     /// Transforms and quantises the residual of one inter macroblock
@@ -1077,6 +1135,79 @@ mod tests {
             assert_eq!(a.encode(&f).unwrap(), b.encode(&f).unwrap(), "frame {i}");
         }
         assert_eq!(a.flush().unwrap(), b.flush().unwrap());
+    }
+
+    /// The premise of reusing a search on a new reference picture: two
+    /// references that agree over a search's read box give it the same
+    /// result, whatever they hold outside the box — and the box is no
+    /// larger than that.
+    #[test]
+    fn a_search_depends_only_on_its_read_box() {
+        let (w, h) = (96, 80);
+        let enc = H264Encoder::new(EncoderConfig::new(w, h).with_search_range(8)).unwrap();
+        let cur = textured_frame(w, h, 0.0);
+        let base = textured_frame(w, h, 2.5);
+        let a = RefPicture::from_frame(&base);
+        let mut win = SubpelWindow::new();
+        let mut state = 7u32;
+        let reach = SubpelWindow::SIXTAP_REACH as isize;
+        let (mut checked, mut interior) = (0, 0);
+        for (mbx, mby) in (1..5).flat_map(|x| (1..4).map(move |y| (x, y))) {
+            for median in [Mv::ZERO, Mv::new(5, -3), Mv::new(-9, 6), Mv::new(14, 2)] {
+                let (x, y) = (mbx * 16, mby * 16);
+                let block = BlockRef {
+                    plane: cur.y(),
+                    x,
+                    y,
+                    w: 16,
+                    h: 16,
+                };
+                let s = enc.search16(&mut win, &a, block, median);
+                // The block swept over the scored vectors, grown by
+                // `margin`; noise everywhere else.
+                let (lo, hi) = s.reach;
+                let swept = |margin: isize| {
+                    let x0 = x as isize + isize::from(lo.x) - margin;
+                    let y0 = y as isize + isize::from(lo.y) - margin;
+                    let x1 = x as isize + isize::from(hi.x) + 15 + margin;
+                    let y1 = y as isize + isize::from(hi.y) + 15 + margin;
+                    (x0..=x1, y0..=y1)
+                };
+                let (bx, by) = swept(reach);
+                let inside = bx.start() >= &0 && by.start() >= &0;
+                let inside = inside && bx.end() < &(w as isize) && by.end() < &(h as isize);
+                for margin in 0..=reach + 1 {
+                    let (xs, ys) = swept(margin);
+                    let mut other = base.clone();
+                    for py in 0..h {
+                        for px in 0..w {
+                            if !(xs.contains(&(px as isize)) && ys.contains(&(py as isize))) {
+                                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                                other.y_mut().set(px, py, (state >> 24) as u8);
+                            }
+                        }
+                    }
+                    let b = RefPicture::from_frame(&other);
+                    let same = s.read_same(&a.y, &b.y, x, y);
+                    if same {
+                        let again = enc.search16(&mut win, &b, block, median);
+                        let what = format!("macroblock ({mbx},{mby}), median {median}");
+                        assert_eq!(s, again, "{what}, margin {margin}");
+                        checked += 1;
+                    }
+                    // Padding replicates the picture's edge, so only a box
+                    // inside the picture sees exactly the noise put there.
+                    if inside {
+                        assert_eq!(same, margin >= reach, "margin {margin}");
+                        interior += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            checked >= 48 && interior >= 48,
+            "{checked} checked, {interior} interior"
+        );
     }
 
     #[test]

@@ -11,7 +11,14 @@
 //! * **variable block-size inter prediction** (16×16, 16×8, 8×16, 8×8)
 //!   with **quarter-pel** 6-tap motion compensation,
 //! * **multiple reference frames** (configurable, paper command uses
-//!   `--ref 16`; default here 3),
+//!   `--ref 16`; default here 3), each searched once: reference *r* of a
+//!   P picture is reference *r − 1* of the P picture before it, so a
+//!   macroblock whose 16×16 source samples and median predictor are
+//!   unchanged since then takes that picture's 16×16 search result
+//!   instead of repeating it — for reference 0, only where the new
+//!   picture equals its predecessor over every sample that search read
+//!   (DESIGN.md §5; debug builds recompute every reused result and
+//!   compare),
 //! * **hexagon motion search** (`--me hex` in the paper) with SATD
 //!   (`--subme 7`-class) sub-pel refinement,
 //! * **in-loop deblocking filter** with the standard α/β/t_c thresholds,
@@ -57,6 +64,7 @@ mod decoder;
 mod encoder;
 mod intra;
 mod mc;
+mod memo;
 mod quant4;
 mod resid;
 mod tables;

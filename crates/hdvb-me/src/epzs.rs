@@ -167,12 +167,7 @@ pub fn epzs_search(
     let mut best = candidates[0];
     let (mut best_cost, mut best_sad) = ev.cost(best);
     if best_sad < t_good {
-        return SearchResult {
-            mv: best,
-            cost: best_cost,
-            sad: best_sad,
-            evaluations: ev.evaluations,
-        };
+        return ev.result(best, best_cost, best_sad);
     }
     for i in 1..candidates.len() {
         let mv = candidates[i];
@@ -185,12 +180,7 @@ pub fn epzs_search(
             best_cost = cost;
             best_sad = sad;
             if sad < t_good {
-                return SearchResult {
-                    mv: best,
-                    cost: best_cost,
-                    sad: best_sad,
-                    evaluations: ev.evaluations,
-                };
+                return ev.result(best, best_cost, best_sad);
             }
         }
     }
@@ -219,12 +209,7 @@ pub fn epzs_search(
             }
         }
     }
-    SearchResult {
-        mv: best,
-        cost: best_cost,
-        sad: best_sad,
-        evaluations: ev.evaluations,
-    }
+    ev.result(best, best_cost, best_sad)
 }
 
 #[cfg(test)]
@@ -353,6 +338,62 @@ mod tests {
             }
         }
         assert!(total_epzs * 10 < total_full, "{total_epzs} vs {total_full}");
+    }
+
+    #[test]
+    fn reach_is_the_span_of_every_scored_vector() {
+        use crate::search::{bounding_box, SCORED};
+        let dsp = Dsp::default();
+        let (mut early, mut descended) = (0, 0);
+        for (dx, dy) in [(4, -3), (6, 2), (0, 0), (-5, 5), (2, 7)] {
+            let (cur, refp) = shifted_pair(dx, dy);
+            let truth = Mv::new(-dx as i16, -dy as i16);
+            let predictor_sets = [
+                Predictors::default(),
+                Predictors {
+                    left: truth,
+                    top: truth,
+                    top_right: Mv::new(3, -1),
+                    collocated: Mv::new(-2, 4),
+                },
+                Predictors {
+                    left: Mv::new(7, -7),
+                    top: Mv::new(-6, 2),
+                    top_right: Mv::new(1, 5),
+                    collocated: truth,
+                },
+            ];
+            for (x, y) in [(0, 0), (32, 32), (80, 64), (48, 16)] {
+                let block = BlockRef {
+                    plane: &cur,
+                    x,
+                    y,
+                    w: 16,
+                    h: 16,
+                };
+                for preds in &predictor_sets {
+                    SCORED.with(|s| s.borrow_mut().clear());
+                    let r = epzs_search(
+                        &dsp,
+                        block,
+                        &refp,
+                        preds,
+                        &EpzsThresholds::default(),
+                        &SearchParams::new(16, 2).with_pred(preds.median()),
+                    );
+                    let scored = SCORED.with(|s| s.take());
+                    assert_eq!(scored.len(), r.evaluations as usize);
+                    assert_eq!(r.reach, bounding_box(&scored), "block at ({x},{y})");
+                    early += usize::from(r.evaluations == 1);
+                    // The predictor phase scores at most six vectors.
+                    descended += usize::from(r.evaluations > 6);
+                }
+            }
+        }
+        assert!(
+            early > 0 && descended > 0,
+            "{early} early, {descended} descended"
+        );
     }
 
     #[test]

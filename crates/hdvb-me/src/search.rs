@@ -75,6 +75,11 @@ pub struct SearchResult {
     /// descent circles all the way round onto an older step — while a
     /// `diamond_search` step can still meet a point from two steps back.
     pub evaluations: u32,
+    /// `(min, max)`, component-wise, of every full-pel vector scored. A
+    /// search reads the reference only at its block displaced by those
+    /// vectors, so the block rectangle swept over this span bounds every
+    /// sample it read.
+    pub reach: (Mv, Mv),
 }
 
 /// Shared candidate evaluator: clamps displacement bounds once, then
@@ -94,6 +99,29 @@ pub(crate) struct Evaluator<'a> {
     pub(crate) min: Mv,
     pub(crate) max: Mv,
     pub(crate) evaluations: u32,
+    /// Span of the vectors scored so far (empty: `min > max`).
+    reach: (Mv, Mv),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Every vector an [`Evaluator`] on this thread scored, in order — the
+    /// tests' record of what a search actually read.
+    pub(crate) static SCORED: std::cell::RefCell<Vec<Mv>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// The component-wise `(min, max)` of a set of vectors (tests only).
+#[cfg(test)]
+pub(crate) fn bounding_box<'v>(mvs: impl IntoIterator<Item = &'v Mv>) -> (Mv, Mv) {
+    let mut it = mvs.into_iter();
+    let first = *it.next().expect("no vector scored");
+    it.fold((first, first), |(lo, hi), v| {
+        (
+            Mv::new(lo.x.min(v.x), lo.y.min(v.y)),
+            Mv::new(hi.x.max(v.x), hi.y.max(v.y)),
+        )
+    })
 }
 
 impl<'a> Evaluator<'a> {
@@ -130,6 +158,7 @@ impl<'a> Evaluator<'a> {
             min: Mv::new(min_x.min(0) as i16, min_y.min(0) as i16),
             max: Mv::new(max_x.max(0) as i16, max_y.max(0) as i16),
             evaluations: 0,
+            reach: (Mv::new(i16::MAX, i16::MAX), Mv::new(i16::MIN, i16::MIN)),
         }
     }
 
@@ -139,6 +168,11 @@ impl<'a> Evaluator<'a> {
 
     pub(crate) fn sad(&mut self, mv: Mv) -> u32 {
         self.evaluations += 1;
+        let (lo, hi) = &mut self.reach;
+        *lo = Mv::new(lo.x.min(mv.x), lo.y.min(mv.y));
+        *hi = Mv::new(hi.x.max(mv.x), hi.y.max(mv.y));
+        #[cfg(test)]
+        SCORED.with(|s| s.borrow_mut().push(mv));
         let (rx, ry) = self.block.displaced(mv);
         let refrow = self.refp.row_from(rx, ry);
         (self.sad)(
@@ -154,6 +188,18 @@ impl<'a> Evaluator<'a> {
     pub(crate) fn cost(&mut self, mv: Mv) -> (u32, u32) {
         let sad = self.sad(mv);
         (sad + self.lambda * mv_bits(mv, self.pred), sad)
+    }
+
+    /// The search's result with winner `mv`, and the evaluation count and
+    /// reach so far.
+    pub(crate) fn result(&self, mv: Mv, cost: u32, sad: u32) -> SearchResult {
+        SearchResult {
+            mv,
+            cost,
+            sad,
+            evaluations: self.evaluations,
+            reach: self.reach,
+        }
     }
 }
 
@@ -184,12 +230,7 @@ pub fn full_search(
             }
         }
     }
-    SearchResult {
-        mv: best,
-        cost: best_cost,
-        sad: best_sad,
-        evaluations: ev.evaluations,
-    }
+    ev.result(best, best_cost, best_sad)
 }
 
 /// A coarse search pattern and, per move, the points a step after that
@@ -325,12 +366,7 @@ pub fn diamond_search(
     let _me = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
     let mut ev = Evaluator::new(dsp, block, refp, params);
     let (mv, cost, sad) = pattern_descent(&mut ev, start, &LARGE_DIAMOND, &SMALL_DIAMOND);
-    SearchResult {
-        mv,
-        cost,
-        sad,
-        evaluations: ev.evaluations,
-    }
+    ev.result(mv, cost, sad)
 }
 
 /// Hexagon-based search (Zhu, Lin, Chau 2002) — the H.264 search used by
@@ -346,12 +382,7 @@ pub fn hexagon_search(
     let _me = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
     let mut ev = Evaluator::new(dsp, block, refp, params);
     let (mv, cost, sad) = pattern_descent(&mut ev, start, &HEXAGON, &SQUARE8);
-    SearchResult {
-        mv,
-        cost,
-        sad,
-        evaluations: ev.evaluations,
-    }
+    ev.result(mv, cost, sad)
 }
 
 #[cfg(test)]
@@ -502,15 +533,39 @@ mod tests {
         assert_eq!(r.mv, Mv::new(2, 0));
     }
 
+    #[test]
+    fn full_search_reach_is_the_clamp_window() {
+        let (cur, refp) = shifted_pair(3, -2);
+        let dsp = Dsp::default();
+        // A centred block, and corner blocks whose window the padding cuts.
+        for (x, y, range) in [(32, 32, 4), (0, 0, 24), (80, 64, 500)] {
+            let block = BlockRef {
+                plane: &cur,
+                x,
+                y,
+                w: 16,
+                h: 16,
+            };
+            let params = SearchParams::new(range, 2);
+            let ev = Evaluator::new(&dsp, block, &refp, &params);
+            let r = full_search(&dsp, block, &refp, Mv::new(1, 1), &params);
+            assert_eq!(
+                r.reach,
+                (ev.min, ev.max),
+                "block at ({x},{y}), range {range}"
+            );
+        }
+    }
+
     /// `pattern_descent` as it was before de-duplication: every step
-    /// rescores its whole pattern. Returns the result and the number of
-    /// distinct points it scored.
+    /// rescores its whole pattern. Returns the result and the distinct
+    /// points it scored.
     fn rescoring_descent(
         ev: &mut Evaluator<'_>,
         start: Mv,
         pattern: &[(i16, i16)],
         refine: &[(i16, i16)],
-    ) -> ((Mv, u32, u32), usize) {
+    ) -> ((Mv, u32, u32), std::collections::HashSet<Mv>) {
         let mut seen = std::collections::HashSet::new();
         let mut score = |ev: &mut Evaluator<'_>, mv: Mv| {
             seen.insert(mv);
@@ -544,7 +599,7 @@ mod tests {
                 }
             }
         }
-        ((best, best_cost, best_sad), seen.len())
+        ((best, best_cost, best_sad), seen)
     }
 
     #[test]
@@ -570,9 +625,10 @@ mod tests {
             let mut ev = Evaluator::new(&dsp, block, &refp, &params);
             let got = pattern_descent(&mut ev, start, &HEXAGON, &SQUARE8);
             let mut old = Evaluator::new(&dsp, block, &refp, &params);
-            let (want, distinct) = rescoring_descent(&mut old, start, &HEXAGON.points, &SQUARE8);
+            let (want, seen) = rescoring_descent(&mut old, start, &HEXAGON.points, &SQUARE8);
             assert_eq!(got, want, "hexagon, block {n}");
-            assert_eq!(ev.evaluations as usize, distinct, "hexagon, block {n}");
+            assert_eq!(ev.evaluations as usize, seen.len(), "hexagon, block {n}");
+            assert_eq!(ev.reach, bounding_box(&seen), "hexagon, block {n}");
             moves += usize::from(got.0 != start);
             saved += old.evaluations - ev.evaluations;
             // A diamond descent can meet a point from two steps back, so
@@ -580,10 +636,11 @@ mod tests {
             let mut ev = Evaluator::new(&dsp, block, &refp, &params);
             let got = pattern_descent(&mut ev, start, &LARGE_DIAMOND, &SMALL_DIAMOND);
             let mut old = Evaluator::new(&dsp, block, &refp, &params);
-            let (want, _) =
+            let (want, seen) =
                 rescoring_descent(&mut old, start, &LARGE_DIAMOND.points, &SMALL_DIAMOND);
             assert_eq!(got, want, "diamond, block {n}");
             assert!(ev.evaluations <= old.evaluations, "diamond, block {n}");
+            assert_eq!(ev.reach, bounding_box(&seen), "diamond, block {n}");
         }
         assert!(
             moves > 300 && saved > 0,

@@ -102,14 +102,8 @@ pub fn refine_hpel(win: &SubpelWindow, target: &SubpelTarget<'_>, fullpel: Mv) -
 /// each scored by the target's fused compare on its two
 /// [`quarter_sources`](hdvb_dsp::SubpelWindow::quarter_sources) — one path
 /// for SAD and SATD targets. Returns the best vector in **quarter-pel**
-/// units and its cost. (`_dsp` is unused: the target's metric carries
-/// the tier's kernels.)
-pub fn refine_qpel(
-    _dsp: &Dsp,
-    win: &SubpelWindow,
-    target: &SubpelTarget<'_>,
-    fullpel: Mv,
-) -> (Mv, u32) {
+/// units and its cost. The target's metric carries the tier's kernels.
+pub fn refine_qpel(win: &SubpelWindow, target: &SubpelTarget<'_>, fullpel: Mv) -> (Mv, u32) {
     let _me = hdvb_trace::zone!(hdvb_trace::Stage::MotionEstimation);
     let center = fullpel.scaled(4);
     let (half, mut best_cost) = best_half(win, target, center, 2);
@@ -285,7 +279,7 @@ mod tests {
                     let want = reference_refine_qpel(&dsp, &refp, &t, bx, by, bw, bh, fullpel);
                     let (x, y) = block.displaced(fullpel);
                     win.fill_sixtap(&dsp, &refp, x, y, bw, bh);
-                    let got = refine_qpel(&dsp, &win, &t, fullpel);
+                    let got = refine_qpel(&win, &t, fullpel);
                     assert_eq!(got, want, "{level:?} block {n} ({bw}x{bh}, flat {flat})");
                     moved += usize::from(got.0 != fullpel.scaled(4));
                 }
@@ -363,7 +357,7 @@ mod tests {
         let mut win = SubpelWindow::new();
         win.fill_sixtap(&dsp, &refp, 9, 7, 16, 16);
         let fullpel = Mv::new(1, -1);
-        assert_eq!(refine_qpel(&dsp, &win, &t, fullpel), (fullpel.scaled(4), 0));
+        assert_eq!(refine_qpel(&win, &t, fullpel), (fullpel.scaled(4), 0));
     }
 
     #[test]

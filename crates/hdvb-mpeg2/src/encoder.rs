@@ -127,9 +127,9 @@ impl RowState {
 struct EncScratch {
     /// Reconstruction target, `aw`×`ah`; fully overwritten per picture.
     recon: Frame,
-    /// Edge-replicated copy of unaligned input (unused when the source
-    /// frame is already macroblock-aligned).
-    aligned: Frame,
+    /// Edge-replicated copy of unaligned input, created by the first
+    /// such frame (aligned inputs never need it).
+    aligned: Option<Frame>,
     /// Motion field of the picture being coded (anchors swap it into
     /// their [`RefPicture`] for EPZS temporal prediction).
     mvs: MvField,
@@ -184,7 +184,7 @@ impl Mpeg2Encoder {
             last_anchor: None,
             scratch: Some(EncScratch {
                 recon: Frame::new(aw, ah),
-                aligned: Frame::new(aw, ah),
+                aligned: None,
                 mvs: MvField::new(aw / 16, ah / 16),
                 b_mvs: MvField::new(aw / 16, ah / 16),
             }),
@@ -318,6 +318,7 @@ impl Mpeg2Encoder {
             frame
         } else {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
+            let aligned = aligned.get_or_insert_with(|| Frame::new(self.aw, self.ah));
             aligned.replicate_from(frame);
             aligned
         };

@@ -321,8 +321,9 @@ pub(crate) fn dc_coords(mbx: usize, mby: usize, b: usize) -> (usize, usize) {
 struct EncScratch {
     /// Reconstruction target, `aw`×`ah`; fully overwritten per picture.
     recon: Frame,
-    /// Edge-replicated copy of unaligned input.
-    aligned: Frame,
+    /// Edge-replicated copy of unaligned input, created by the first
+    /// such frame (aligned inputs never need it).
+    aligned: Option<Frame>,
     /// Full-pel field of the picture being coded (EPZS temporal
     /// predictors; anchors swap it into their [`RefPicture`]).
     mvs_full: MvField,
@@ -376,7 +377,7 @@ impl Mpeg4Encoder {
             last_anchor: None,
             scratch: Some(EncScratch {
                 recon: Frame::new(aw, ah),
-                aligned: Frame::new(aw, ah),
+                aligned: None,
                 mvs_full: MvField::new(aw / 16, ah / 16),
                 mvs_qpel: MvField::new(aw / 16, ah / 16),
                 b_full: MvField::new(aw / 16, ah / 16),
@@ -512,6 +513,7 @@ impl Mpeg4Encoder {
             frame
         } else {
             let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
+            let aligned = aligned.get_or_insert_with(|| Frame::new(self.aw, self.ah));
             aligned.replicate_from(frame);
             aligned
         };
@@ -985,7 +987,7 @@ impl Mpeg4Encoder {
             lambda: self.lambda(),
             pred: pred_qpel,
         };
-        refine_qpel(&self.dsp, win, &target, fullpel)
+        refine_qpel(win, &target, fullpel)
     }
 
     /// Transforms and quantises the six residual blocks; returns blocks

@@ -133,7 +133,8 @@ impl Stage {
     }
 }
 
-/// Monotonic counters recorded per thread (execution-engine telemetry).
+/// Monotonic counters recorded per thread: execution-engine telemetry
+/// and how often the H.264 encoder's 16×16 reference search ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Counter {
@@ -143,14 +144,25 @@ pub enum Counter {
     Executed,
     /// Times a worker parked on the wakeup condvar.
     Park,
+    /// 16×16 P-macroblock reference searches run.
+    Me16Searched,
+    /// 16×16 P-macroblock reference searches answered from the previous
+    /// P picture's results instead.
+    Me16Reused,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 3;
+pub const COUNTER_COUNT: usize = 5;
 
 impl Counter {
     /// All counters in declaration order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [Counter::Steal, Counter::Executed, Counter::Park];
+    pub const ALL: [Counter; COUNTER_COUNT] = [
+        Counter::Steal,
+        Counter::Executed,
+        Counter::Park,
+        Counter::Me16Searched,
+        Counter::Me16Reused,
+    ];
 
     /// Stable name used in reports and the chrome trace.
     pub fn name(self) -> &'static str {
@@ -158,6 +170,8 @@ impl Counter {
             Counter::Steal => "steals",
             Counter::Executed => "executed",
             Counter::Park => "parks",
+            Counter::Me16Searched => "me16_searched",
+            Counter::Me16Reused => "me16_reused",
         }
     }
 }
@@ -332,7 +346,7 @@ impl ThreadBuf {
             hist: (0..STAGE_COUNT * HIST_BUCKETS)
                 .map(|_| AtomicU32::new(0))
                 .collect(),
-            counters: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 

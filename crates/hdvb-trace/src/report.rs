@@ -216,7 +216,7 @@ impl TraceReport {
                     let _ = writeln!(out, "counters:");
                     any = true;
                 }
-                let _ = writeln!(out, "  {:<10} {v}", c.name());
+                let _ = writeln!(out, "  {:<13} {v}", c.name());
             }
         }
         let dropped = self.dropped_total();
@@ -231,8 +231,9 @@ impl TraceReport {
 
     /// Serialises the trace in Chrome Trace Event JSON (the format
     /// chrome://tracing and https://ui.perfetto.dev load directly):
-    /// one `M` thread-name metadata record and one `C` counter record per
-    /// thread, plus an `X` complete event per recorded span.
+    /// one `M` thread-name metadata record and one `C` record of every
+    /// [`Counter`] per thread, plus an `X` complete event per recorded
+    /// span.
     pub fn chrome_trace_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
         let mut first = true;
@@ -267,15 +268,16 @@ impl TraceReport {
                 );
             }
             if t.counters.iter().any(|&c| c > 0) || t.dropped > 0 {
+                let mut args = String::new();
+                for c in Counter::ALL {
+                    let _ = write!(args, "\"{}\":{},", c.name(), t.counters[c as usize]);
+                }
                 push(
                     &mut out,
                     &format!(
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"name\":\"worker_counters\",\"ts\":{:.3},\"args\":{{\"steals\":{},\"executed\":{},\"parks\":{},\"dropped_events\":{}}}}}",
+                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{},\"name\":\"counters\",\"ts\":{:.3},\"args\":{{{args}\"dropped_events\":{}}}}}",
                         t.tid,
                         last_ts as f64 / 1000.0,
-                        t.counters[Counter::Steal as usize],
-                        t.counters[Counter::Executed as usize],
-                        t.counters[Counter::Park as usize],
                         t.dropped
                     ),
                 );
@@ -370,12 +372,14 @@ mod tests {
             }
         }
         crate::counter_add(Counter::Steal, 2);
+        crate::counter_add(Counter::Me16Reused, 3);
         set_enabled(false);
         let r = collect();
         let table = r.summary_table();
         assert!(table.contains("encode_frame"), "{table}");
         assert!(table.contains("entropy_coding"), "{table}");
         assert!(table.contains("steals"), "{table}");
+        assert!(table.contains("me16_reused   3"), "{table}");
 
         let json = r.chrome_trace_json();
         let v = crate::json::parse(&json).expect("strict parse");
@@ -396,6 +400,17 @@ mod tests {
             assert!(e.get("ts").and_then(|t| t.as_f64()).unwrap() >= 0.0);
             assert!(e.get("dur").and_then(|t| t.as_f64()).unwrap() >= 0.0);
         }
+        // Every counter is an argument of the thread's counter record.
+        let counted = |name: &str| {
+            events
+                .iter()
+                .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("C"))
+                .filter_map(|e| e.get("args")?.get(name)?.as_f64())
+                .sum::<f64>()
+        };
+        assert_eq!(counted("steals"), 2.0);
+        assert_eq!(counted("me16_reused"), 3.0);
+        assert_eq!(counted("me16_searched"), 0.0);
     }
 
     #[test]

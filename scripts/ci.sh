@@ -38,6 +38,19 @@ grep -q "stage coverage of encode_frame" "$tmpdir/summary.txt" || {
     cat "$tmpdir/summary.txt" >&2
     exit 1
 }
+# Seven consecutive P pictures of a slow pan, one encoder (no GOP split):
+# the H.264 encoder must answer some 16x16 reference searches from the
+# previous P picture's results (DESIGN.md section 5, "Reusing a reference
+# search").
+./target/release/hdvb encode --codec h264 --sequence rush_hour \
+    --resolution 96x80 --frames 8 --b-frames 0 --threads 1 --trace "$tmpdir/trace_b0.json" \
+    -o "$tmpdir/out_b0.hvb" 2> "$tmpdir/summary_b0.txt"
+python3 scripts/check_trace.py "$tmpdir/trace_b0.json"
+grep -Eq "^  me16_reused +[1-9]" "$tmpdir/summary_b0.txt" || {
+    echo "P-only H.264 encode reused no 16x16 reference search" >&2
+    cat "$tmpdir/summary_b0.txt" >&2
+    exit 1
+}
 
 echo "==> disabled-path overhead guard (probe must stay one atomic load)"
 cargo test -q -p hdvb-trace disabled_probe_is_cheap

@@ -21,6 +21,7 @@ use hd_videobench::bench::{encode_sequence, CodecId, CodingOptions};
 use hd_videobench::bits::hash::{fnv1a64_update, FNV1A64_INIT};
 use hd_videobench::frame::Resolution;
 use hd_videobench::seq::{Sequence, SequenceId};
+use hd_videobench::trace::{self, Counter};
 
 /// One pinned configuration and its digests in `SequenceId::ALL` order
 /// (blue_sky, pedestrian_area, riverbed, rush_hour).
@@ -189,4 +190,63 @@ fn coded_streams_match_pinned_digests() {
         "coded bytes changed:\n{}",
         mismatches.join("\n")
     );
+}
+
+/// The H.264 encoder answers a 16×16 reference search it would repeat
+/// from the previous P picture's result (DESIGN.md §5, "Reusing a
+/// reference search"). On the 176x144 P-only row every reference slot of
+/// every P macroblock is either searched or reused, the three sequences
+/// with static or slowly moving regions reuse some, and the bytes stay
+/// the pinned ones with the counters on.
+#[test]
+fn p_only_row_reuses_reference_searches() {
+    let pin = PINNED
+        .iter()
+        .find(|p| p.codec == CodecId::H264 && p.b_frames == 0 && p.width == 176)
+        .expect("the 176x144 P-only row");
+    // After the I picture the reference list grows by one per P picture
+    // up to the configured count.
+    let refs = u32::from(CodingOptions::default().h264_refs);
+    let slots: u32 = (1..pin.frames).map(|p| p.min(refs)).sum();
+    let per_clip = u64::from(slots * (pin.width / 16) * (pin.height / 16));
+
+    trace::set_enabled(true);
+    let digests: Vec<u64> = std::thread::scope(|s| {
+        SequenceId::ALL
+            .into_iter()
+            .map(|sid| {
+                // One named thread per clip: counters are kept per thread.
+                std::thread::Builder::new()
+                    .name(format!("memo-{sid}"))
+                    .spawn_scoped(s, move || pin.digest(sid))
+                    .expect("spawn")
+                    .join()
+                    .expect("encode")
+            })
+            .collect()
+    });
+    trace::set_enabled(false);
+    let report = trace::collect();
+    for (sid, (got, want)) in SequenceId::ALL
+        .into_iter()
+        .zip(digests.into_iter().zip(pin.digests))
+    {
+        assert_eq!(
+            got,
+            want,
+            "{}: bytes changed with tracing on",
+            pin.name(sid)
+        );
+        let t = report
+            .threads
+            .iter()
+            .find(|t| t.name == format!("memo-{sid}"))
+            .expect("the clip's thread recorded");
+        let searched = t.counters[Counter::Me16Searched as usize];
+        let reused = t.counters[Counter::Me16Reused as usize];
+        assert_eq!(searched + reused, per_clip, "{}", pin.name(sid));
+        if sid != SequenceId::Riverbed {
+            assert!(reused > 0, "{}: no search reused", pin.name(sid));
+        }
+    }
 }
