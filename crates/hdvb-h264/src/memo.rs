@@ -16,7 +16,7 @@ use hdvb_frame::{PaddedPlane, Plane};
 use hdvb_me::Mv;
 
 /// Most reference pictures a P picture searches (`num_refs` ≤ 4).
-pub(crate) const MAX_REFS: usize = 4;
+const MAX_REFS: usize = 4;
 
 /// One reference's 16×16 search: hexagon search, then SATD quarter-pel
 /// refinement.
