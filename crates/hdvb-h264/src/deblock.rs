@@ -129,4 +129,96 @@ mod tests {
         deblock_frame(&Dsp::new(SimdLevel::Sse2), &mut b, 26);
         assert_eq!(a, b);
     }
+
+    /// The filter as a plain column walk: vertical edges one sample at a
+    /// time, horizontal edges through the scalar kernel.
+    fn column_walk_plane(plane: &mut Plane, step: usize, qp: u8) {
+        let dsp = Dsp::new(SimdLevel::Scalar);
+        let alpha = i32::from(ALPHA[usize::from(qp.min(51))]);
+        let beta = i32::from(BETA[usize::from(qp.min(51))]);
+        let tc = i32::from(TC0[usize::from(qp.min(51))]).max(1);
+        if alpha == 0 {
+            return;
+        }
+        let (w, h) = (plane.width(), plane.height());
+        let stride = plane.stride();
+        let data = plane.data_mut();
+        let mut x = step;
+        while x < w {
+            for y in 0..h {
+                let i = y * stride + x;
+                let p1 = i32::from(data[i - 2]);
+                let p0 = i32::from(data[i - 1]);
+                let q0 = i32::from(data[i]);
+                let q1 = i32::from(data[i + (x + 1 < w) as usize]);
+                if (p0 - q0).abs() < alpha && (p1 - p0).abs() < beta && (q1 - q0).abs() < beta {
+                    let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-tc, tc);
+                    data[i - 1] = (p0 + delta).clamp(0, 255) as u8;
+                    data[i] = (q0 - delta).clamp(0, 255) as u8;
+                }
+            }
+            x += step;
+        }
+        let mut y = step;
+        while y + 1 < h {
+            dsp.deblock_horiz_edge(data, stride, y * stride, w, alpha, beta, tc);
+            y += step;
+        }
+    }
+
+    /// Blocky seeded content: a level per 4×4 block plus a little noise,
+    /// with some blocks pinned at 0 or 255 so the filter's clamps fire.
+    fn blocky_plane(plane: &mut Plane, seed: u32) {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            state >> 16
+        };
+        let (w, h) = (plane.width(), plane.height());
+        let bw = w.div_ceil(4);
+        let levels: Vec<i32> = (0..bw * h.div_ceil(4))
+            .map(|_| match next() % 8 {
+                0 => 0,
+                1 => 255,
+                _ => 96 + (next() % 64) as i32,
+            })
+            .collect();
+        for y in 0..h {
+            for x in 0..w {
+                let noise = (next() % 7) as i32 - 3;
+                let v = (levels[(y / 4) * bw + x / 4] + noise).clamp(0, 255);
+                plane.set(x, y, v as u8);
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_the_column_walk() {
+        let mut seed = 1;
+        for (w, h) in [(16, 16), (48, 32), (176, 112), (176, 144), (1280, 720)] {
+            let mut src = Frame::new(w, h);
+            let (y, cb, cr) = src.planes_mut();
+            for p in [y, cb, cr] {
+                blocky_plane(p, seed);
+                seed += 1;
+            }
+            for qp in [10, 21, 30, 45] {
+                let mut want = src.clone();
+                let (y, cb, cr) = want.planes_mut();
+                for p in [y, cb, cr] {
+                    column_walk_plane(p, 4, qp);
+                }
+                assert_eq!(qp == 10, want == src, "{w}x{h} qp {qp}: filter activity");
+                for level in SimdLevel::supported_tiers() {
+                    let mut got = src.clone();
+                    deblock_frame(&Dsp::new(level), &mut got, qp);
+                    assert!(
+                        got == want,
+                        "{w}x{h} qp {qp} {}: differs from the column walk",
+                        level.tier_name()
+                    );
+                }
+            }
+        }
+    }
 }
