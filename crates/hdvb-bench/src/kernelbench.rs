@@ -74,7 +74,7 @@ fn coeff_block(seed: u32, range: i16) -> Block8 {
 }
 
 /// The kernels measured per tier, in report order.
-pub const KERNEL_NAMES: [&str; 20] = [
+pub const KERNEL_NAMES: [&str; 21] = [
     "sad_16x16",
     "satd_16x16",
     "satd_8x8",
@@ -95,6 +95,7 @@ pub const KERNEL_NAMES: [&str; 20] = [
     "quant8",
     "dequant8",
     "deblock_edge_64",
+    "deblock_vert_64x16",
 ];
 
 /// Runs every kernel at one tier and returns the measurements in
@@ -304,6 +305,14 @@ pub fn measure_tier(level: SimdLevel) -> Vec<KernelMeasurement> {
         "deblock_edge_64",
         ns_per_call(|| {
             dsp.deblock_horiz_edge(&mut deblock_data, 64, 8 * 64, 64, 15, 6, 1);
+            black_box(deblock_data[0]);
+        }),
+    );
+    // Every vertical edge of a 64x16 block: 15 edges by 16 rows.
+    push(
+        "deblock_vert_64x16",
+        ns_per_call(|| {
+            dsp.deblock_vert_edges(&mut deblock_data, 64, 64, 16, 15, 6, 1);
             black_box(deblock_data[0]);
         }),
     );

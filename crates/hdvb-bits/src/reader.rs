@@ -7,6 +7,22 @@ use crate::BitsError;
 /// past the end returns [`BitsError::Eof`] instead of panicking, so a
 /// truncated stream is always a recoverable error for the decoders.
 ///
+/// Multi-bit reads go through a 64-bit window: one big-endian load of
+/// the 8 bytes under the read position, zero past the end of data and
+/// shifted left by the position's bit offset, so it holds at least 57
+/// valid bits. `get_bits`, `peek_bits` and
+/// [`VlcTable::decode`](crate::VlcTable::decode) each cost one window
+/// load instead of one step per bit, `get_ue` two; `get_bit` reads its
+/// one byte.
+///
+/// Errors leave [`bit_pos`](Self::bit_pos) where a bit-at-a-time reader
+/// would leave it, because the decoders report corruption at that
+/// offset: `get_bit` at the end of data does not move; `get_bits` and
+/// `skip_bits` short of data move to the end; `get_ue` fails with
+/// [`BitsError::Overlong`] after exactly 33 zeros (only when 33 bits
+/// remain) and with [`BitsError::Eof`] at the end when its zero run
+/// reaches the end of data.
+///
 /// # Example
 ///
 /// ```
@@ -36,8 +52,31 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits remaining.
+    #[inline]
     pub fn bits_left(&self) -> u64 {
         self.data.len() as u64 * 8 - self.pos
+    }
+
+    /// The next 64 bits from the read position, MSB first: at least 57
+    /// of them are stream bits, and bits past the end of data are zero.
+    #[inline]
+    fn window(&self) -> u64 {
+        let byte = (self.pos / 8) as usize;
+        let word = match self.data.get(byte..byte + 8) {
+            Some(bytes) => u64::from_be_bytes(bytes.try_into().expect("8 bytes")),
+            None => self.last_word(byte),
+        };
+        word << (self.pos % 8)
+    }
+
+    /// The bytes from `byte` to the end of data (fewer than 8), padded
+    /// with zeros to a big-endian word.
+    #[cold]
+    fn last_word(&self, byte: usize) -> u64 {
+        let tail = &self.data[byte.min(self.data.len())..];
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        u64::from_be_bytes(word)
     }
 
     /// Reads one bit.
@@ -47,6 +86,8 @@ impl<'a> BitReader<'a> {
     /// [`BitsError::Eof`] at end of data.
     #[inline]
     pub fn get_bit(&mut self) -> Result<bool, BitsError> {
+        // One byte, not the window: a single bit needs no more, and the
+        // byte load is the cheaper of the two.
         let byte = self
             .data
             .get((self.pos / 8) as usize)
@@ -72,10 +113,11 @@ impl<'a> BitReader<'a> {
             self.pos = self.data.len() as u64 * 8;
             return Err(BitsError::Eof);
         }
-        let mut v = 0u32;
-        for _ in 0..n {
-            v = (v << 1) | u32::from(self.get_bit()?);
+        if n == 0 {
+            return Ok(0);
         }
+        let v = (self.window() >> (64 - n)) as u32;
+        self.pos += u64::from(n);
         Ok(v)
     }
 
@@ -86,14 +128,13 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `n > 32`.
+    #[inline]
     pub fn peek_bits(&self, n: u32) -> u32 {
         assert!(n <= 32, "cannot peek more than 32 bits at once");
-        let mut clone = self.clone();
-        let mut v = 0u32;
-        for _ in 0..n {
-            v = (v << 1) | u32::from(clone.get_bit().unwrap_or(false));
+        if n == 0 {
+            return 0;
         }
-        v
+        (self.window() >> (64 - n)) as u32
     }
 
     /// Consumes `n` bits without interpreting them.
@@ -101,6 +142,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// [`BitsError::Eof`] if fewer than `n` bits remain.
+    #[inline]
     pub fn skip_bits(&mut self, n: u32) -> Result<(), BitsError> {
         if self.bits_left() < u64::from(n) {
             self.pos = self.data.len() as u64 * 8;
@@ -117,13 +159,19 @@ impl<'a> BitReader<'a> {
     /// [`BitsError::Eof`] on truncation, [`BitsError::Overlong`] if the
     /// code has more than 32 leading zeros (corrupt stream).
     pub fn get_ue(&mut self) -> Result<u32, BitsError> {
-        let mut zeros = 0u32;
-        while !self.get_bit()? {
-            zeros += 1;
-            if zeros > 32 {
-                return Err(BitsError::Overlong);
+        // A one in the window is a stream bit (the zero fill has none),
+        // and the first 33 window bits are all stream bits whenever 33
+        // bits remain.
+        let zeros = self.window().leading_zeros();
+        if zeros > 32 {
+            if self.bits_left() < 33 {
+                self.pos = self.data.len() as u64 * 8;
+                return Err(BitsError::Eof);
             }
+            self.pos += 33;
+            return Err(BitsError::Overlong);
         }
+        self.pos += u64::from(zeros) + 1;
         if zeros == 0 {
             return Ok(0);
         }

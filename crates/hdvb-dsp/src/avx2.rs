@@ -889,6 +889,50 @@ pub(crate) unsafe fn dequant8_avx2(
 
 // ------------------------------------------------------------ deblock --
 
+/// The deblocking filter's thresholds, broadcast to sixteen i16 lanes.
+#[derive(Clone, Copy)]
+struct DeblockParams {
+    alpha: __m256i,
+    beta: __m256i,
+    tc: __m256i,
+    neg_tc: __m256i,
+}
+
+impl DeblockParams {
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn new(alpha: i32, beta: i32, tc: i32) -> Self {
+        DeblockParams {
+            alpha: _mm256_set1_epi16(alpha as i16),
+            beta: _mm256_set1_epi16(beta as i16),
+            tc: _mm256_set1_epi16(tc as i16),
+            neg_tc: _mm256_set1_epi16(-tc as i16),
+        }
+    }
+
+    /// The filter on sixteen sample quadruples (samples in `0..=255`):
+    /// the delta that `p0 += delta`, `q0 -= delta` apply, zero in every
+    /// lane whose edge is left alone.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn delta(&self, p1: __m256i, p0: __m256i, q0: __m256i, q1: __m256i) -> __m256i {
+        let cond = _mm256_and_si256(
+            _mm256_cmpgt_epi16(self.alpha, _mm256_abs_epi16(_mm256_sub_epi16(p0, q0))),
+            _mm256_and_si256(
+                _mm256_cmpgt_epi16(self.beta, _mm256_abs_epi16(_mm256_sub_epi16(p1, p0))),
+                _mm256_cmpgt_epi16(self.beta, _mm256_abs_epi16(_mm256_sub_epi16(q1, q0))),
+            ),
+        );
+        let diff4 = _mm256_slli_epi16::<2>(_mm256_sub_epi16(q0, p0));
+        let raw = _mm256_srai_epi16::<3>(_mm256_add_epi16(
+            _mm256_add_epi16(diff4, _mm256_sub_epi16(p1, q1)),
+            _mm256_set1_epi16(4),
+        ));
+        let delta = _mm256_max_epi16(self.neg_tc, _mm256_min_epi16(self.tc, raw));
+        _mm256_and_si256(delta, cond)
+    }
+}
+
 /// Horizontal-edge deblock, 16 samples per op; SSE2/scalar tail.
 ///
 /// # Safety
@@ -907,11 +951,7 @@ pub(crate) unsafe fn deblock_horiz_edge_avx2(
 ) {
     debug_assert!(q0_off >= 2 * stride);
     debug_assert!(width == 0 || data.len() >= q0_off + stride + width);
-    let valpha = _mm256_set1_epi16(alpha as i16);
-    let vbeta = _mm256_set1_epi16(beta as i16);
-    let vtc = _mm256_set1_epi16(tc as i16);
-    let vntc = _mm256_set1_epi16(-tc as i16);
-    let four = _mm256_set1_epi16(4);
+    let params = DeblockParams::new(alpha, beta, tc);
     let mut x = 0;
     while x + 16 <= width {
         let i = q0_off + x;
@@ -919,30 +959,118 @@ pub(crate) unsafe fn deblock_horiz_edge_avx2(
         let p0 = load16_epi16(data.as_ptr().add(i - stride));
         let q0 = load16_epi16(data.as_ptr().add(i));
         let q1 = load16_epi16(data.as_ptr().add(i + stride));
-        let cond = _mm256_and_si256(
-            _mm256_cmpgt_epi16(valpha, _mm256_abs_epi16(_mm256_sub_epi16(p0, q0))),
-            _mm256_and_si256(
-                _mm256_cmpgt_epi16(vbeta, _mm256_abs_epi16(_mm256_sub_epi16(p1, p0))),
-                _mm256_cmpgt_epi16(vbeta, _mm256_abs_epi16(_mm256_sub_epi16(q1, q0))),
-            ),
-        );
-        let diff4 = _mm256_slli_epi16::<2>(_mm256_sub_epi16(q0, p0));
-        let raw = _mm256_srai_epi16::<3>(_mm256_add_epi16(
-            _mm256_add_epi16(diff4, _mm256_sub_epi16(p1, q1)),
-            four,
-        ));
-        let delta = _mm256_max_epi16(vntc, _mm256_min_epi16(vtc, raw));
-        let masked = _mm256_and_si256(delta, cond);
+        let delta = params.delta(p1, p0, q0, q1);
         store16_u8(
             data.as_mut_ptr().add(i - stride),
-            _mm256_add_epi16(p0, masked),
+            _mm256_add_epi16(p0, delta),
         );
-        store16_u8(data.as_mut_ptr().add(i), _mm256_sub_epi16(q0, masked));
+        store16_u8(data.as_mut_ptr().add(i), _mm256_sub_epi16(q0, delta));
         x += 16;
     }
     if x < width {
         crate::sse2::deblock_horiz_edge_sse2(data, stride, q0_off + x, width - x, alpha, beta, tc);
     }
+}
+
+/// The SSE2 kernel's `deblock_vert_load` on eight edges of two rows: 32
+/// bytes at `pa` and at `pb`. The packs interleave the rows within each
+/// 128-bit half, so lanes 0–3 and 8–11 are the edges of row `pa` (left
+/// to right), lanes 4–7 and 12–15 those of row `pb`; the unpacks undo it
+/// half by half.
+///
+/// # Safety
+/// Requires AVX2 and 32 readable and writable bytes at `pa` and `pb`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn deblock_vert_load(params: &DeblockParams, pa: *mut u8, pb: *mut u8, lanes: __m256i) {
+    let byte = _mm256_set1_epi32(0xFF);
+    let a = _mm256_loadu_si256(pa as *const __m256i);
+    let b = _mm256_loadu_si256(pb as *const __m256i);
+    let p1 = _mm256_packs_epi32(_mm256_and_si256(a, byte), _mm256_and_si256(b, byte));
+    let p0 = _mm256_packs_epi32(
+        _mm256_and_si256(_mm256_srli_epi32::<8>(a), byte),
+        _mm256_and_si256(_mm256_srli_epi32::<8>(b), byte),
+    );
+    let q0 = _mm256_packs_epi32(
+        _mm256_and_si256(_mm256_srli_epi32::<16>(a), byte),
+        _mm256_and_si256(_mm256_srli_epi32::<16>(b), byte),
+    );
+    let q1 = _mm256_packs_epi32(_mm256_srli_epi32::<24>(a), _mm256_srli_epi32::<24>(b));
+    let delta = _mm256_and_si256(params.delta(p1, p0, q0, q1), lanes);
+    let packed = _mm256_packus_epi16(_mm256_add_epi16(p0, delta), _mm256_sub_epi16(q0, delta));
+    let pq = _mm256_unpacklo_epi8(packed, _mm256_srli_si256::<8>(packed));
+    let zero = _mm256_setzero_si256();
+    let keep_p1_q1 = _mm256_set1_epi32(0xFF00_00FF_u32 as i32);
+    let out_a = _mm256_or_si256(
+        _mm256_and_si256(a, keep_p1_q1),
+        _mm256_slli_epi32::<8>(_mm256_unpacklo_epi16(pq, zero)),
+    );
+    let out_b = _mm256_or_si256(
+        _mm256_and_si256(b, keep_p1_q1),
+        _mm256_slli_epi32::<8>(_mm256_unpackhi_epi16(pq, zero)),
+    );
+    _mm256_storeu_si256(pa as *mut __m256i, out_a);
+    _mm256_storeu_si256(pb as *mut __m256i, out_b);
+}
+
+/// Vertical-edge deblock, eight edges of two rows per load pair — the
+/// SSE2 kernel's plan with 32-byte loads (whole loads, then one masked
+/// load ending at the last edge). Planes with fewer than eight edges go
+/// to the SSE2 kernel.
+///
+/// # Safety
+/// Requires AVX2 and a plane that fits `data`
+/// ([`vert_edges_fit`](crate::deblock::vert_edges_fit)).
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn deblock_vert_edges_avx2(
+    data: &mut [u8],
+    stride: usize,
+    width: usize,
+    height: usize,
+    alpha: i32,
+    beta: i32,
+    tc: i32,
+) {
+    debug_assert!(crate::deblock::vert_edges_fit(
+        data.len(),
+        stride,
+        width,
+        height
+    ));
+    let edges = crate::deblock::vector_edges(width, height, 8);
+    if edges == 0 {
+        return crate::sse2::deblock_vert_edges_sse2(data, stride, width, height, alpha, beta, tc);
+    }
+    let params = DeblockParams::new(alpha, beta, tc);
+    let all = _mm256_set1_epi16(-1);
+    let (loads, left) = (edges / 8, edges % 8);
+    // Edge j of a load sits in lanes j and j + 4 (j < 4), or j + 4 and
+    // j + 8 (j >= 4).
+    let on = |lane: usize| {
+        let j = lane % 4 + 4 * (lane / 8);
+        -i16::from(j >= 8 - left)
+    };
+    let left_lanes: [i16; 16] = std::array::from_fn(on);
+    let left_lanes = _mm256_loadu_si256(left_lanes.as_ptr().cast());
+    let last_load = 4 * (edges - 7) - 2;
+    let base = data.as_mut_ptr();
+    let mut y = 0;
+    while y < height {
+        let (ra, rb) = (
+            base.add(y * stride),
+            base.add((y + 1).min(height - 1) * stride),
+        );
+        // As in the SSE2 kernel: every load ends at or before column
+        // 4 * edges + 1 < width, and the overlapping one goes first.
+        if left > 0 {
+            deblock_vert_load(&params, ra.add(last_load), rb.add(last_load), left_lanes);
+        }
+        for g in 0..loads {
+            deblock_vert_load(&params, ra.add(2 + 32 * g), rb.add(2 + 32 * g), all);
+        }
+        y += 2;
+    }
+    crate::deblock::deblock_vert_edges_after(edges, data, stride, width, height, alpha, beta, tc);
 }
 
 // ----------------------------------------------- dispatch-table entries --
@@ -1165,6 +1293,21 @@ fn deblock_horiz_edge_entry(
     unsafe { deblock_horiz_edge_avx2(data, stride, q0_off, width, alpha, beta, tc) }
 }
 
+fn deblock_vert_edges_entry(
+    data: &mut [u8],
+    stride: usize,
+    width: usize,
+    height: usize,
+    alpha: i32,
+    beta: i32,
+    tc: i32,
+) {
+    assert_avx2();
+    // SAFETY: the one caller, `Dsp::deblock_vert_edges`, asserts that
+    // the plane fits `data` (`vert_edges_fit`), the kernel's precondition.
+    unsafe { deblock_vert_edges_avx2(data, stride, width, height, alpha, beta, tc) }
+}
+
 // -------------------------------------------------------------- scale --
 
 /// # Safety
@@ -1308,6 +1451,7 @@ pub(crate) static AVX2_KERNELS: KernelTable = KernelTable {
     add_residual8: add_residual8_entry,
     diff_block8: diff_block8_entry,
     deblock_horiz_edge: deblock_horiz_edge_entry,
+    deblock_vert_edges: deblock_vert_edges_entry,
     scale_h: scale_h_entry,
     scale_v: scale_v_entry,
 };

@@ -218,8 +218,12 @@ pub type SixtapFn = fn(&mut [u8], usize, &[u8], usize, usize, usize);
 pub type AddResidual8Fn = fn(&mut [u8], usize, &[u8], usize, &Block8);
 /// Residual computation: `res = cur - pred`.
 pub type DiffBlock8Fn = fn(&mut Block8, &[u8], usize, &[u8], usize);
-/// Horizontal deblocking edge filter.
+/// Horizontal deblocking edge filter:
+/// `(data, stride, q0_off, width, alpha, beta, tc)`.
 pub type DeblockHorizFn = fn(&mut [u8], usize, usize, usize, i32, i32, i32);
+/// Every vertical deblocking edge of a plane:
+/// `(data, stride, width, height, alpha, beta, tc)`.
+pub type DeblockVertFn = fn(&mut [u8], usize, usize, usize, i32, i32, i32);
 /// Horizontal polyphase resample of one row:
 /// `(dst, src, offsets, taps)` — output `i` is the 4-tap dot product of
 /// `src[offsets[i]..offsets[i]+4]` with `taps[4i..4i+4]` (weights sum to
@@ -257,6 +261,7 @@ pub(crate) struct KernelTable {
     pub(crate) add_residual8: AddResidual8Fn,
     pub(crate) diff_block8: DiffBlock8Fn,
     pub(crate) deblock_horiz_edge: DeblockHorizFn,
+    pub(crate) deblock_vert_edges: DeblockVertFn,
     pub(crate) scale_h: ScaleHFn,
     pub(crate) scale_v: ScaleVFn,
 }
@@ -285,6 +290,7 @@ pub(crate) static SCALAR_KERNELS: KernelTable = KernelTable {
     add_residual8: crate::pixel::add_residual8_scalar,
     diff_block8: crate::pixel::diff_block8,
     deblock_horiz_edge: crate::deblock::deblock_horiz_edge_scalar,
+    deblock_vert_edges: crate::deblock::deblock_vert_edges_scalar,
     scale_h: crate::scale::scale_row_h_scalar,
     scale_v: crate::scale::scale_row_v_scalar,
 };

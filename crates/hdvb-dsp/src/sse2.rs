@@ -772,6 +772,53 @@ pub(crate) unsafe fn add_residual8_sse2(
 
 // ----------------------------------------------------------- deblock --
 
+/// The deblocking filter's thresholds, broadcast to eight i16 lanes.
+#[derive(Clone, Copy)]
+struct DeblockParams {
+    alpha: __m128i,
+    beta: __m128i,
+    tc: __m128i,
+    neg_tc: __m128i,
+}
+
+impl DeblockParams {
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn new(alpha: i32, beta: i32, tc: i32) -> Self {
+        DeblockParams {
+            alpha: _mm_set1_epi16(alpha as i16),
+            beta: _mm_set1_epi16(beta as i16),
+            tc: _mm_set1_epi16(tc as i16),
+            neg_tc: _mm_set1_epi16(-tc as i16),
+        }
+    }
+
+    /// The filter on eight sample quadruples (samples in `0..=255`): the
+    /// delta that `p0 += delta`, `q0 -= delta` apply, zero in every lane
+    /// whose edge is left alone.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn delta(&self, p1: __m128i, p0: __m128i, q0: __m128i, q1: __m128i) -> __m128i {
+        let zero = _mm_setzero_si128();
+        let abs16 = |v: __m128i| _mm_max_epi16(v, _mm_sub_epi16(zero, v));
+        let cond = _mm_and_si128(
+            _mm_cmplt_epi16(abs16(_mm_sub_epi16(p0, q0)), self.alpha),
+            _mm_and_si128(
+                _mm_cmplt_epi16(abs16(_mm_sub_epi16(p1, p0)), self.beta),
+                _mm_cmplt_epi16(abs16(_mm_sub_epi16(q1, q0)), self.beta),
+            ),
+        );
+        // delta = clamp(((q0-p0)*4 + (p1-q1) + 4) >> 3, -tc, tc)
+        let diff4 = _mm_slli_epi16::<2>(_mm_sub_epi16(q0, p0));
+        let raw = _mm_srai_epi16::<3>(_mm_add_epi16(
+            _mm_add_epi16(diff4, _mm_sub_epi16(p1, q1)),
+            _mm_set1_epi16(4),
+        ));
+        let delta = _mm_max_epi16(self.neg_tc, _mm_min_epi16(self.tc, raw));
+        _mm_and_si128(delta, cond)
+    }
+}
+
 /// Horizontal-edge deblock, 8 samples per iteration; bit-exact with the
 /// scalar kernel.
 ///
@@ -792,11 +839,7 @@ pub(crate) unsafe fn deblock_horiz_edge_sse2(
     debug_assert!(q0_off >= 2 * stride);
     debug_assert!(width == 0 || data.len() >= q0_off + stride + width);
     let zero = _mm_setzero_si128();
-    let valpha = _mm_set1_epi16(alpha as i16);
-    let vbeta = _mm_set1_epi16(beta as i16);
-    let vtc = _mm_set1_epi16(tc as i16);
-    let vntc = _mm_set1_epi16(-tc as i16);
-    let four = _mm_set1_epi16(4);
+    let params = DeblockParams::new(alpha, beta, tc);
     let mut x = 0;
     while x + 8 <= width {
         let i = q0_off + x;
@@ -816,24 +859,9 @@ pub(crate) unsafe fn deblock_horiz_edge_sse2(
             _mm_loadl_epi64(data.as_ptr().add(i + stride) as *const __m128i),
             zero,
         );
-        let abs16 = |v: __m128i| _mm_max_epi16(v, _mm_sub_epi16(zero, v));
-        let cond = _mm_and_si128(
-            _mm_cmplt_epi16(abs16(_mm_sub_epi16(p0, q0)), valpha),
-            _mm_and_si128(
-                _mm_cmplt_epi16(abs16(_mm_sub_epi16(p1, p0)), vbeta),
-                _mm_cmplt_epi16(abs16(_mm_sub_epi16(q1, q0)), vbeta),
-            ),
-        );
-        // delta = clamp(((q0-p0)*4 + (p1-q1) + 4) >> 3, -tc, tc)
-        let diff4 = _mm_slli_epi16::<2>(_mm_sub_epi16(q0, p0));
-        let raw = _mm_srai_epi16::<3>(_mm_add_epi16(
-            _mm_add_epi16(diff4, _mm_sub_epi16(p1, q1)),
-            four,
-        ));
-        let delta = _mm_max_epi16(vntc, _mm_min_epi16(vtc, raw));
-        let masked = _mm_and_si128(delta, cond);
-        let new_p0 = _mm_packus_epi16(_mm_add_epi16(p0, masked), zero);
-        let new_q0 = _mm_packus_epi16(_mm_sub_epi16(q0, masked), zero);
+        let delta = params.delta(p1, p0, q0, q1);
+        let new_p0 = _mm_packus_epi16(_mm_add_epi16(p0, delta), zero);
+        let new_q0 = _mm_packus_epi16(_mm_sub_epi16(q0, delta), zero);
         _mm_storel_epi64(data.as_mut_ptr().add(i - stride) as *mut __m128i, new_p0);
         _mm_storel_epi64(data.as_mut_ptr().add(i) as *mut __m128i, new_q0);
         x += 8;
@@ -850,6 +878,114 @@ pub(crate) unsafe fn deblock_horiz_edge_sse2(
             tc,
         );
     }
+}
+
+/// Filters the four vertical edges whose `[p1 p0 q0 q1]` groups are the
+/// 16 bytes at `pa` and at `pb` (two rows, or one row twice), in the
+/// edges whose i16 lanes of `lanes` are set: lanes 0–3 are the edges of
+/// row `pa`, lanes 4–7 those of row `pb`, left to right.
+///
+/// # Safety
+/// Requires SSE2 and 16 readable and writable bytes at `pa` and `pb`.
+#[inline]
+#[target_feature(enable = "sse2")]
+unsafe fn deblock_vert_load(params: &DeblockParams, pa: *mut u8, pb: *mut u8, lanes: __m128i) {
+    let byte = _mm_set1_epi32(0xFF);
+    let a = _mm_loadu_si128(pa as *const __m128i);
+    let b = _mm_loadu_si128(pb as *const __m128i);
+    // Byte k of every 32-bit lane of both rows as eight i16 lanes.
+    let p1 = _mm_packs_epi32(_mm_and_si128(a, byte), _mm_and_si128(b, byte));
+    let p0 = _mm_packs_epi32(
+        _mm_and_si128(_mm_srli_epi32::<8>(a), byte),
+        _mm_and_si128(_mm_srli_epi32::<8>(b), byte),
+    );
+    let q0 = _mm_packs_epi32(
+        _mm_and_si128(_mm_srli_epi32::<16>(a), byte),
+        _mm_and_si128(_mm_srli_epi32::<16>(b), byte),
+    );
+    let q1 = _mm_packs_epi32(_mm_srli_epi32::<24>(a), _mm_srli_epi32::<24>(b));
+    let delta = _mm_and_si128(params.delta(p1, p0, q0, q1), lanes);
+    // Saturate to bytes, pair each edge's new p0 with its new q0 in one
+    // i16 lane, and widen back to one edge per 32-bit lane.
+    let packed = _mm_packus_epi16(_mm_add_epi16(p0, delta), _mm_sub_epi16(q0, delta));
+    let pq = _mm_unpacklo_epi8(packed, _mm_srli_si128::<8>(packed));
+    let zero = _mm_setzero_si128();
+    let keep_p1_q1 = _mm_set1_epi32(0xFF00_00FF_u32 as i32);
+    let out_a = _mm_or_si128(
+        _mm_and_si128(a, keep_p1_q1),
+        _mm_slli_epi32::<8>(_mm_unpacklo_epi16(pq, zero)),
+    );
+    let out_b = _mm_or_si128(
+        _mm_and_si128(b, keep_p1_q1),
+        _mm_slli_epi32::<8>(_mm_unpackhi_epi16(pq, zero)),
+    );
+    _mm_storeu_si128(pa as *mut __m128i, out_a);
+    _mm_storeu_si128(pb as *mut __m128i, out_b);
+}
+
+/// Vertical-edge deblock, four edges of two rows per load pair;
+/// bit-exact with the scalar kernel.
+///
+/// Edge `k` (at x = 4k) reads columns 4k−2 … 4k+1 — its `[p1 p0 q0 q1]`,
+/// one 32-bit lane — and writes only its p0 and q0, so lanes, loads and
+/// rows are independent and the visiting order cannot change the result.
+/// Whole loads cover edges 1–4, 5–8, …; the 1–3 edges left over share
+/// one more load ending at the last edge, with the lanes of edges the
+/// whole loads filter masked off. A last edge without a q1 (width
+/// 4k + 1), and planes with fewer than four edges, go to the scalar
+/// kernel.
+///
+/// # Safety
+/// Requires SSE2 and a plane that fits `data`
+/// ([`vert_edges_fit`](crate::deblock::vert_edges_fit)).
+#[target_feature(enable = "sse2")]
+pub(crate) unsafe fn deblock_vert_edges_sse2(
+    data: &mut [u8],
+    stride: usize,
+    width: usize,
+    height: usize,
+    alpha: i32,
+    beta: i32,
+    tc: i32,
+) {
+    debug_assert!(crate::deblock::vert_edges_fit(
+        data.len(),
+        stride,
+        width,
+        height
+    ));
+    let edges = crate::deblock::vector_edges(width, height, 4);
+    if edges > 0 {
+        let params = DeblockParams::new(alpha, beta, tc);
+        let all = _mm_set1_epi16(-1);
+        let (loads, left) = (edges / 4, edges % 4);
+        let on = |j: usize| -i16::from(j >= 4 - left);
+        let left_lanes = _mm_setr_epi16(on(0), on(1), on(2), on(3), on(0), on(1), on(2), on(3));
+        // p1 of the first of the last four edges.
+        let last_load = 4 * (edges - 3) - 2;
+        let base = data.as_mut_ptr();
+        let mut y = 0;
+        while y < height {
+            // An odd last row is filtered as both rows of the pair.
+            let (ra, rb) = (
+                base.add(y * stride),
+                base.add((y + 1).min(height - 1) * stride),
+            );
+            // Every load spans columns 4k − 2 … 4k + 13 of edges k … k + 3
+            // ≤ `edges`, so it ends at column 4 * edges + 1 < width, inside
+            // rows y and y + 1 < height of `data`. The overlapping load goes
+            // first: a load right after a store to some of its bytes would
+            // wait for that store.
+            if left > 0 {
+                deblock_vert_load(&params, ra.add(last_load), rb.add(last_load), left_lanes);
+            }
+            for g in 0..loads {
+                deblock_vert_load(&params, ra.add(2 + 16 * g), rb.add(2 + 16 * g), all);
+            }
+            y += 2;
+        }
+    }
+    crate::deblock::deblock_vert_edges_after(edges, data, stride, width, height, alpha, beta, tc);
 }
 
 // ----------------------------------------------------------------- SSD --
@@ -1357,6 +1493,20 @@ fn deblock_horiz_edge_entry(
     unsafe { deblock_horiz_edge_sse2(data, stride, q0_off, width, alpha, beta, tc) }
 }
 
+fn deblock_vert_edges_entry(
+    data: &mut [u8],
+    stride: usize,
+    width: usize,
+    height: usize,
+    alpha: i32,
+    beta: i32,
+    tc: i32,
+) {
+    // SAFETY: the one caller, `Dsp::deblock_vert_edges`, asserts that
+    // the plane fits `data` (`vert_edges_fit`), the kernel's precondition.
+    unsafe { deblock_vert_edges_sse2(data, stride, width, height, alpha, beta, tc) }
+}
+
 // -------------------------------------------------------------- scale --
 
 /// # Safety
@@ -1485,6 +1635,7 @@ pub(crate) static SSE2_KERNELS: KernelTable = KernelTable {
     add_residual8: add_residual8_entry,
     diff_block8: diff_block8_entry,
     deblock_horiz_edge: deblock_horiz_edge_entry,
+    deblock_vert_edges: deblock_vert_edges_entry,
     scale_h: scale_h_entry,
     scale_v: scale_v_entry,
 };

@@ -314,6 +314,87 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn deblock_vert_edges_matches(
+        raw in pixels(VERT_STRIDE * 16),
+        smooth in any::<bool>(),
+        alpha in 1i32..=40,
+        beta in 1i32..=12,
+    ) {
+        // Smooth content (a level plus small steps) passes the filter's
+        // thresholds often; raw noise mostly does not.
+        let data: Vec<u8> = if smooth {
+            raw.iter().map(|&b| 100 + b % 16).collect()
+        } else {
+            raw
+        };
+        check_vert_edges(&data, alpha, beta);
+    }
+}
+
+/// Row pitch of the vertical-edge tests: wider than every tested width,
+/// and not a multiple of 16.
+const VERT_STRIDE: usize = 651;
+
+/// Every tier against scalar on the vertical-edge kernel, over widths
+/// with too few edges for a load, whole 16- and 32-byte loads, every
+/// count of edges left over after them (36…64 has 8…15 edges), a last
+/// edge without a q1 column (4k + 1), odd and even heights, and every
+/// `tc` in 0..=6.
+fn check_vert_edges(data: &[u8], alpha: i32, beta: i32) {
+    const WIDTHS: [usize; 18] = [
+        4, 8, 12, 16, 17, 20, 21, 36, 40, 44, 48, 49, 52, 56, 60, 64, 88, 640,
+    ];
+    let (s, tiers) = reference_and_tiers();
+    for width in WIDTHS {
+        for &height in &[1usize, 2, 3, 16] {
+            for tc in 0..=6 {
+                let mut want = data.to_vec();
+                s.deblock_vert_edges(&mut want, VERT_STRIDE, width, height, alpha, beta, tc);
+                for v in &tiers {
+                    let mut got = data.to_vec();
+                    v.deblock_vert_edges(&mut got, VERT_STRIDE, width, height, alpha, beta, tc);
+                    assert!(
+                        got == want,
+                        "{} {width}x{height} alpha {alpha} beta {beta} tc {tc}",
+                        v.level().tier_name()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Columns of saturated samples (0, 255 and their near neighbours), where
+/// `p0 ± delta` leaves `0..=255` and the kernels' clamps decide.
+#[test]
+fn deblock_vert_edges_matches_on_saturated_columns() {
+    const LEVELS: [u8; 6] = [0, 1, 11, 244, 254, 255];
+    let mut state = 7u32;
+    let columns: Vec<u8> = (0..VERT_STRIDE)
+        .map(|_| {
+            state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+            LEVELS[(state >> 24) as usize % LEVELS.len()]
+        })
+        .collect();
+    let data: Vec<u8> = (0..16)
+        .flat_map(|y| {
+            columns
+                .iter()
+                .map(move |&c| if y % 5 == 4 { 255 - c } else { c })
+        })
+        .collect();
+    let (s, _) = reference_and_tiers();
+    let mut clamped = data.clone();
+    s.deblock_vert_edges(&mut clamped, VERT_STRIDE, 640, 16, 255, 18, 6);
+    assert_ne!(
+        clamped, data,
+        "the saturated pattern must trigger the filter"
+    );
+    for (alpha, beta) in [(1, 1), (40, 12), (255, 12), (255, 18)] {
+        check_vert_edges(&data, alpha, beta);
+    }
 }
 
 /// The SATD total must also agree with a direct sum over 4×4 tiles so the

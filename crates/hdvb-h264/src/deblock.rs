@@ -3,18 +3,19 @@
 //! Both the encoder's reconstruction loop and the decoder run this
 //! filter on every reconstructed picture before it becomes a reference,
 //! exactly once and with identical parameters, so references never
-//! diverge. Horizontal edges run through the dispatched SIMD kernel in
-//! `hdvb-dsp` (real decoders vectorise deblocking too); vertical edges
-//! are scalar at both levels. Simplifications vs. the full standard
-//! (documented in DESIGN.md): a single boundary strength (the bS=1 t_c0
-//! row) on every 4×4 edge, and no p1/q1 update.
+//! diverge. Both edge directions run through dispatched kernels in
+//! `hdvb-dsp` (real decoders vectorise deblocking too): all vertical
+//! edges of a plane in one call, then each horizontal edge.
+//! Simplifications vs. the full standard (documented in DESIGN.md): a
+//! single boundary strength (the bS=1 t_c0 row) on every 4×4 edge, and
+//! no p1/q1 update.
 
 use crate::tables::{ALPHA, BETA, TC0};
 use hdvb_dsp::Dsp;
 use hdvb_frame::{Frame, Plane};
 
-/// Filters one plane on a grid of `step`-aligned edges.
-fn deblock_plane(dsp: &Dsp, plane: &mut Plane, step: usize, qp: u8) {
+/// Filters one plane on the grid of 4-aligned edges.
+fn deblock_plane(dsp: &Dsp, plane: &mut Plane, qp: u8) {
     let alpha = i32::from(ALPHA[usize::from(qp.min(51))]);
     let beta = i32::from(BETA[usize::from(qp.min(51))]);
     let tc = i32::from(TC0[usize::from(qp.min(51))]).max(1);
@@ -23,41 +24,25 @@ fn deblock_plane(dsp: &Dsp, plane: &mut Plane, step: usize, qp: u8) {
     }
     let (w, h) = (plane.width(), plane.height());
     let stride = plane.stride();
-    // Vertical edges (filter across columns) — scalar at both levels.
     let data = plane.data_mut();
-    let mut x = step;
-    while x < w {
-        for y in 0..h {
-            let i = y * stride + x;
-            let p1 = i32::from(data[i - 2]);
-            let p0 = i32::from(data[i - 1]);
-            let q0 = i32::from(data[i]);
-            let q1 = i32::from(data[i + (x + 1 < w) as usize]);
-            if (p0 - q0).abs() < alpha && (p1 - p0).abs() < beta && (q1 - q0).abs() < beta {
-                let delta = (((q0 - p0) * 4 + (p1 - q1) + 4) >> 3).clamp(-tc, tc);
-                data[i - 1] = (p0 + delta).clamp(0, 255) as u8;
-                data[i] = (q0 - delta).clamp(0, 255) as u8;
-            }
-        }
-        x += step;
-    }
-    // Horizontal edges — dispatched kernel. The bottom row of q1 samples
-    // must exist; the last filterable edge is at y <= h - 2.
-    let mut y = step;
+    dsp.deblock_vert_edges(data, stride, w, h, alpha, beta, tc);
+    // Horizontal edges. The bottom row of q1 samples must exist; the
+    // last filterable edge is at y <= h - 2.
+    let mut y = 4;
     while y + 1 < h {
         dsp.deblock_horiz_edge(data, stride, y * stride, w, alpha, beta, tc);
-        y += step;
+        y += 4;
     }
 }
 
 /// Runs the in-loop filter over a reconstructed frame.
 pub(crate) fn deblock_frame(dsp: &Dsp, frame: &mut Frame, qp: u8) {
     let _z = hdvb_trace::zone!(hdvb_trace::Stage::Deblock);
-    deblock_plane(dsp, frame.y_mut(), 4, qp);
+    deblock_plane(dsp, frame.y_mut(), qp);
     // Chroma uses the 8x8 luma grid = 4x4 in chroma samples, with the
     // chroma QP (same value here: no chroma QP offset).
-    deblock_plane(dsp, frame.cb_mut(), 4, qp);
-    deblock_plane(dsp, frame.cr_mut(), 4, qp);
+    deblock_plane(dsp, frame.cb_mut(), qp);
+    deblock_plane(dsp, frame.cr_mut(), qp);
 }
 
 #[cfg(test)]

@@ -23,8 +23,13 @@ HDVB_SIMD=scalar cargo test -q --workspace
 echo "==> cargo test (HDVB_SIMD=auto)"
 HDVB_SIMD=auto cargo test -q --workspace
 
-echo "==> coded-stream digests on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
-HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance
+echo "==> coded-stream digests and decode error pins on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
+HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance \
+    --test decoder_robustness
+
+echo "==> kernel tier equivalence and the bit reader, optimised (the unsafe kernels and the reader's window)"
+cargo test -q --release -p hdvb-dsp --test simd_equivalence
+cargo test -q --release -p hdvb-bits
 
 echo "==> traced smoke encode + chrome-trace check"
 tmpdir=$(mktemp -d)
