@@ -1,7 +1,7 @@
 //! The `hdvb` subcommand implementations.
 
 use crate::args::Parsed;
-use hdvb_bench::kernelbench;
+use crate::kernelbench;
 use hdvb_core::{
     cpu_model, create_encoder, decode_sequence, encode_sequence, encode_sequence_parallel,
     figure1_markdown, machine_attribution, measure_figure1_row, measure_rd_point, read_stream,

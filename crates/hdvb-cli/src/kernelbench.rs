@@ -3,9 +3,9 @@
 //! `hdvb kernels`/`hdvb bench --json` commands write to
 //! `BENCH_kernels.json`.
 //!
-//! Unlike the criterion bench targets, this harness has no external
-//! dependencies and runs inside the CLI, so the perf trajectory file can
-//! be regenerated on any host with one command.
+//! The harness has no external dependencies and runs inside the CLI, so
+//! the perf trajectory file can be regenerated on any host with one
+//! command.
 
 use hdvb_dsp::{Block8, Dsp, SimdLevel, SubpelWindow, MPEG_DEFAULT_INTRA, MPEG_DEFAULT_NONINTRA};
 use hdvb_frame::{PaddedPlane, Plane};

@@ -6,6 +6,7 @@
 
 mod args;
 mod commands;
+mod kernelbench;
 
 use std::process::ExitCode;
 

@@ -3,7 +3,9 @@ use hdvb_dsp::SimdLevel;
 
 /// Encoder configuration. Defaults mirror the paper's x264 command:
 /// constant QP 26, two B frames, hexagon search with range 24, only the
-/// first picture intra.
+/// first picture intra. The in-loop deblocking filter always runs; the
+/// picture header still carries its on/off bit (always 1 from this
+/// encoder), which the decoder obeys.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EncoderConfig {
     /// Picture width (even, ≥ 16).
@@ -23,9 +25,6 @@ pub struct EncoderConfig {
     pub num_refs: u8,
     /// Kernel dispatch level.
     pub simd: SimdLevel,
-    /// Whether the in-loop deblocking filter runs (ablation knob;
-    /// signalled in the stream so encoder and decoder always agree).
-    pub deblock: bool,
 }
 
 impl EncoderConfig {
@@ -40,7 +39,6 @@ impl EncoderConfig {
             search_range: 24,
             num_refs: 3,
             simd: SimdLevel::detect(),
-            deblock: true,
         }
     }
 
@@ -77,12 +75,6 @@ impl EncoderConfig {
     /// Sets the periodic intra interval.
     pub fn with_intra_period(mut self, period: Option<u32>) -> Self {
         self.intra_period = period;
-        self
-    }
-
-    /// Enables or disables the in-loop deblocking filter.
-    pub fn with_deblock(mut self, deblock: bool) -> Self {
-        self.deblock = deblock;
         self
     }
 

@@ -298,7 +298,7 @@ impl H264Encoder {
             write_picture_prefix(&mut w, MAGIC, &prefix);
             w.put_ue(u32::from(self.config.qp));
             w.put_ue(u32::from(self.config.num_refs));
-            w.put_bit(self.config.deblock);
+            w.put_bit(true); // deblocking filter on
             w
         };
 
@@ -322,9 +322,7 @@ impl H264Encoder {
             PacketKind::P => self.encode_p(&mut w, cur, recon, ctx, memo),
             PacketKind::B => self.encode_b(&mut w, cur, recon, ctx),
         }
-        if self.config.deblock {
-            deblock_frame(&self.dsp, recon, self.config.qp);
-        }
+        deblock_frame(&self.dsp, recon, self.config.qp);
         if kind != PacketKind::B {
             let keep = usize::from(self.config.num_refs).max(2);
             while self.refs.len() + 1 > keep {

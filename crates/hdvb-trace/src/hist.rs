@@ -141,16 +141,15 @@ impl LatencyHistogram {
         )
     }
 
-    /// Builds a histogram over pre-counted buckets (the collector's
-    /// per-stage rows). The exact sum and max are unknown there, so the
-    /// nominal last-bucket bound stands in for the max and only count
-    /// and percentiles are meaningful on the result.
-    pub(crate) fn from_buckets(buckets: &[u64; HIST_BUCKETS]) -> LatencyHistogram {
+    /// Builds a histogram over pre-counted buckets and their exact max
+    /// (the collector's per-stage rows). The exact sum is unknown there,
+    /// so only count, max and percentiles are meaningful on the result.
+    pub(crate) fn from_buckets(buckets: &[u64; HIST_BUCKETS], max_ns: u64) -> LatencyHistogram {
         LatencyHistogram {
             buckets: *buckets,
             count: buckets.iter().sum(),
             sum_ns: 0,
-            max_ns: 1u64 << (HIST_BUCKETS - 1),
+            max_ns,
         }
     }
 }

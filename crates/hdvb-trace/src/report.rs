@@ -36,7 +36,7 @@ pub struct StageRow {
     /// Mean span duration in nanoseconds.
     pub mean_ns: u64,
     /// Approximate 99th-percentile duration (log2-histogram upper bound,
-    /// aggregated over all parents of this stage).
+    /// aggregated over all parents of this stage), capped at `max_ns`.
     pub p99_ns: u64,
     /// Longest single span in nanoseconds.
     pub max_ns: u64,
@@ -128,9 +128,14 @@ impl TraceReport {
     }
 
     /// Approximate p99 duration for `stage` from its log2 histogram: the
-    /// upper bound of the bucket containing the 99th percentile.
+    /// upper bound of the bucket containing the 99th percentile, capped
+    /// at the stage's longest span.
     pub fn p99_ns(&self, stage: Stage) -> u64 {
-        crate::LatencyHistogram::from_buckets(&self.hist[stage as usize]).percentile(0.99)
+        let max_ns = (0..=STAGE_COUNT)
+            .map(|p| self.slots[(stage as usize) * (STAGE_COUNT + 1) + p][2])
+            .max()
+            .unwrap_or(0);
+        crate::LatencyHistogram::from_buckets(&self.hist[stage as usize], max_ns).percentile(0.99)
     }
 
     /// All non-empty `(stage, parent)` rows, parents first, children
@@ -155,7 +160,9 @@ impl TraceReport {
                     count,
                     total_ns,
                     mean_ns: total_ns / count,
-                    p99_ns: self.p99_ns(stage),
+                    // The histogram spans every parent of the stage;
+                    // this row's own longest span bounds its p99.
+                    p99_ns: self.p99_ns(stage).min(max_ns),
                     max_ns,
                     pct_of_parent: if parent_total == 0 {
                         0.0
@@ -432,6 +439,36 @@ mod tests {
         assert_eq!(r.stage_count(Stage::Deblock), 100);
         let p99 = r.p99_ns(Stage::Deblock);
         assert!(p99 < u64::MAX);
+    }
+
+    #[test]
+    fn no_row_prints_a_p99_above_its_max() {
+        let _g = test_gate();
+        set_enabled(true);
+        reset();
+        // Spans of ≈ 3 ms (not a power of two) at top level, and shorter
+        // ones of the same stage under a parent, so the stage's merged
+        // histogram reaches past the nested row's max.
+        for _ in 0..3 {
+            let _z = zone!(Stage::Deblock);
+            std::thread::sleep(std::time::Duration::from_millis(3));
+        }
+        {
+            let _f = span!(Stage::EncodeFrame);
+            let _z = zone!(Stage::Deblock);
+        }
+        set_enabled(false);
+        let r = collect();
+        let rows = r.rows();
+        assert!(
+            rows.iter()
+                .filter(|row| row.stage == Stage::Deblock)
+                .count()
+                >= 2
+        );
+        for row in &rows {
+            assert!(row.p99_ns <= row.max_ns, "{row:?}");
+        }
     }
 
     #[test]

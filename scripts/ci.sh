@@ -25,10 +25,10 @@ HDVB_SIMD=auto cargo test -q --workspace
 
 echo "==> coded-stream digests and decode error pins on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
 HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance \
-    --test decoder_robustness
+    --test decoder_robustness --test pooled_identity
 
 echo "==> kernel tier equivalence and the bit reader, optimised (the unsafe kernels and the reader's window)"
-cargo test -q --release -p hdvb-dsp --test simd_equivalence
+cargo test -q --release --test simd_equivalence --test dct_reference --test bit_serial_oracle
 cargo test -q --release -p hdvb-bits
 
 echo "==> traced smoke encode + chrome-trace check"
@@ -65,7 +65,7 @@ echo "==> allocation-regression gate (steady-state sessions: 0 heap allocs/frame
 # API: after the warm-up window, a single step that allocates fails the
 # build (see DESIGN.md section 14). --nocapture prints the per-stage
 # table.
-cargo test --release -q -p hdvb-bench --test alloc_gate -- --nocapture
+cargo test --release -q --test alloc_gate -- --nocapture
 
 echo "==> deterministic fuzz smoke (replays tests/corpus, then 20s of mutation)"
 ./target/release/hdvb fuzz --seconds 20 --seed 7 --corpus tests/corpus

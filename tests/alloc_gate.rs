@@ -12,10 +12,10 @@
 //! process-global, so a parallel test in the same binary could steal
 //! warm buffers and turn a legitimate pool miss into a false positive.
 //!
-//! Run with `cargo test -p hdvb-bench --test alloc_gate -- --nocapture`
-//! to see the per-stage table.
+//! Run with `cargo test --release --test alloc_gate -- --nocapture` to
+//! see the per-stage table.
 
-use hdvb_bench::alloccount::{thread_allocs, CountingAlloc};
+use alloccount::{thread_allocs, CountingAlloc};
 use hdvb_core::{
     encode_sequence, CodecId, CodecSession, CodingOptions, SessionInput, SessionOutput,
 };
@@ -156,4 +156,63 @@ fn steady_state_sessions_allocate_nothing() {
         WARMUP,
         ITEMS
     );
+}
+
+/// A counting global allocator for this gate.
+///
+/// Counters are thread-local (`const`-initialised, so reading them does
+/// not itself allocate on any tier-1 platform) and monotone; the gate
+/// measures a region by differencing [`thread_allocs`] around it. Only
+/// `alloc`/`realloc` count — frees are irrelevant to a "no new memory"
+/// gate, and `realloc` counts because a growing pooled buffer is
+/// exactly the kind of hidden allocation the gate exists to catch.
+mod alloccount {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Heap allocations performed by the current thread since it started
+    /// (counting `alloc`, `alloc_zeroed` and `realloc` calls).
+    pub fn thread_allocs() -> u64 {
+        ALLOCS.with(Cell::get)
+    }
+
+    /// A [`System`]-backed allocator that counts per-thread allocations.
+    pub struct CountingAlloc;
+
+    impl CountingAlloc {
+        #[inline]
+        fn count() {
+            // try_with: an allocation during TLS teardown must not abort
+            // the process; an uncounted alloc at thread exit is harmless.
+            let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+        }
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`, so its
+    // layout and pointer contracts hold; counting touches only a
+    // thread-local `Cell` and never allocates.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            Self::count();
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            Self::count();
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            Self::count();
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
 }
