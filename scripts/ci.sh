@@ -31,6 +31,9 @@ echo "==> kernel tier equivalence and the bit reader, optimised (the unsafe kern
 cargo test -q --release --test simd_equivalence --test dct_reference --test bit_serial_oracle
 cargo test -q --release -p hdvb-bits
 
+echo "==> camera-sequence golden hashes, the 720p and 1088p rows included (release only)"
+cargo test -q --release --test sequence_golden -- --include-ignored
+
 echo "==> traced smoke encode + chrome-trace check"
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
