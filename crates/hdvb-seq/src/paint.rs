@@ -25,17 +25,20 @@ impl Ycc {
     }
 }
 
-/// Fills the whole frame by evaluating `f(x, y) -> Ycc` per luma pixel;
-/// chroma is written from the even-coordinate samples (simple 4:2:0
-/// siting, adequate for synthetic content).
-pub(crate) fn fill_with<F: FnMut(usize, usize) -> Ycc>(frame: &mut Frame, mut f: F) {
+/// Fills the whole frame by evaluating `f(x, y, chroma) -> Ycc` per luma
+/// pixel, in raster order; chroma is written from the even-coordinate
+/// samples (simple 4:2:0 siting, adequate for synthetic content).
+/// `chroma` is true exactly there, so a shader may skip computing
+/// `cb`/`cr` where it is false: they are discarded.
+pub(crate) fn fill_with<F: FnMut(usize, usize, bool) -> Ycc>(frame: &mut Frame, mut f: F) {
     let (w, h) = (frame.width(), frame.height());
     let (yp, cb, cr) = frame.planes_mut();
     for y in 0..h {
         for x in 0..w {
-            let c = f(x, y);
+            let chroma = x % 2 == 0 && y % 2 == 0;
+            let c = f(x, y, chroma);
             yp.set(x, y, c.y);
-            if x % 2 == 0 && y % 2 == 0 {
+            if chroma {
                 cb.set(x / 2, y / 2, c.cb);
                 cr.set(x / 2, y / 2, c.cr);
             }
@@ -113,10 +116,33 @@ mod tests {
     #[test]
     fn fill_with_covers_every_pixel() {
         let mut f = Frame::new(16, 8);
-        fill_with(&mut f, |_, _| Ycc::new(9, 10, 11));
+        fill_with(&mut f, |_, _, _| Ycc::new(9, 10, 11));
         assert!(f.y().data().iter().all(|&v| v == 9));
         assert!(f.cb().data().iter().all(|&v| v == 10));
         assert!(f.cr().data().iter().all(|&v| v == 11));
+    }
+
+    #[test]
+    fn fill_with_asks_for_chroma_exactly_where_it_is_kept() {
+        let mut f = Frame::new(8, 6);
+        let mut asked = Vec::new();
+        fill_with(&mut f, |x, y, chroma| {
+            if chroma {
+                asked.push((x, y));
+                Ycc::new(1, (x / 2) as u8, (y / 2) as u8)
+            } else {
+                Ycc::new(2, 0, 0) // dropped chroma must not land anywhere
+            }
+        });
+        let even: Vec<(usize, usize)> = (0..6)
+            .step_by(2)
+            .flat_map(|y| (0..8).step_by(2).map(move |x| (x, y)))
+            .collect();
+        assert_eq!(asked, even);
+        for (x, y) in even {
+            assert_eq!(f.cb().get(x / 2, y / 2), (x / 2) as u8);
+            assert_eq!(f.cr().get(x / 2, y / 2), (y / 2) as u8);
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! camera; people pass very close to the camera; high depth of field
 //! (paper Table III).
 
-use crate::noise::ValueNoise;
+use crate::noise::{FbmCursor, ValueNoise};
 use crate::paint::{fill_ellipse, fill_with, Ycc};
 use hdvb_frame::{Frame, Resolution};
 
@@ -79,13 +79,13 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
     let w = resolution.width();
     let h = resolution.height();
     let mut frame = Frame::new(w, h);
-    let pavement = ValueNoise::new(0xCAFE);
-    let facade = ValueNoise::new(0xFACA);
+    let mut pavement = FbmCursor::<3>::new(ValueNoise::new(0xCAFE));
+    let mut facade = FbmCursor::<3>::new(ValueNoise::new(0xFACA));
 
     // Static background: building facades above, cobbled pavement below.
     // "High depth of field" = sharp detail everywhere, no blur.
     let horizon = 0.45 * h as f64;
-    fill_with(&mut frame, |px, py| {
+    fill_with(&mut frame, |px, py, _| {
         let u = px as f64 / h as f64;
         let v = py as f64 / h as f64;
         if (py as f64) < horizon {
@@ -94,12 +94,12 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
             let wy = (v * 7.0).fract();
             let window = wx > 0.25 && wx < 0.8 && wy > 0.3 && wy < 0.85;
             let base = if window { 62.0 } else { 148.0 };
-            let tex = 14.0 * facade.fbm(u * 40.0, v * 40.0, 3);
+            let tex = 14.0 * facade.at(u * 40.0, v * 40.0);
             Ycc::new((base + tex).clamp(20.0, 220.0) as u8, 126, 131)
         } else {
             // Pavement: diagonal cobble pattern with fine noise.
             let cobble = ((u * 24.0 + v * 8.0).sin() * (v * 30.0 - u * 6.0).sin()) * 12.0;
-            let tex = 10.0 * pavement.fbm(u * 55.0, v * 55.0, 3);
+            let tex = 10.0 * pavement.at(u * 55.0, v * 55.0);
             let fall = (v - 0.45) * 30.0; // slightly brighter toward camera
             Ycc::new(
                 (120.0 + cobble + tex + fall).clamp(40.0, 220.0) as u8,
@@ -122,9 +122,10 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
         let (luma, cb, cr) = (wk.luma, wk.cb, wk.cr);
         let seed_off = i as f64 * 13.7;
         // Body.
+        let mut cloth = FbmCursor::<2>::new(clothes);
         fill_ellipse(&mut frame, cx, cy, rx, ry, |dx, dy| {
             let shade = (1.0 - dx * dx * 0.7) * (1.0 - dy * dy * 0.3);
-            let tex = 10.0 * clothes.fbm(dx * 6.0 + seed_off, dy * 6.0, 2);
+            let tex = 10.0 * cloth.at(dx * 6.0 + seed_off, dy * 6.0);
             Ycc::new(
                 (f64::from(luma) * shade + tex).clamp(10.0, 235.0) as u8,
                 cb,

@@ -3,7 +3,7 @@
 //! decorrelation: every frame the water refracts differently, so motion
 //! compensation finds almost nothing to predict from.
 
-use crate::noise::ValueNoise;
+use crate::noise::{FbmCursor, ValueNoise};
 use crate::paint::{fill_with, Ycc};
 use crate::SplitMix;
 use hdvb_frame::{Frame, Resolution};
@@ -12,24 +12,24 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
     let w = resolution.width();
     let h = resolution.height();
     let mut frame = Frame::new(w, h);
-    let bed = ValueNoise::new(0xBED);
+    let mut bed = FbmCursor::<3>::new(ValueNoise::new(0xBED));
     // A *different* refraction field every frame: temporal decorrelation
     // is the defining property of this sequence.
-    let refract_x = ValueNoise::new(0xAA00 + u64::from(index));
-    let refract_y = ValueNoise::new(0xBB00 + u64::from(index));
+    let mut refract_x = FbmCursor::<2>::new(ValueNoise::new(0xAA00 + u64::from(index)));
+    let mut refract_y = FbmCursor::<2>::new(ValueNoise::new(0xBB00 + u64::from(index)));
     let sparkle_seed = u64::from(index);
 
     let s = 1.0 / h as f64;
-    fill_with(&mut frame, |px, py| {
+    fill_with(&mut frame, |px, py, chroma| {
         let u = px as f64 * s;
         let v = py as f64 * s;
         // Water refraction warps the sampling position of the static bed
         // by a large, frame-unique displacement.
         let wob = 0.08;
-        let du = wob * refract_x.fbm(u * 14.0, v * 14.0, 2);
-        let dv = wob * refract_y.fbm(u * 14.0 + 7.0, v * 14.0, 2);
+        let du = wob * refract_x.at(u * 14.0, v * 14.0);
+        let dv = wob * refract_y.at(u * 14.0 + 7.0, v * 14.0);
         // Static pebble bed, fine-grained.
-        let stones = bed.fbm((u + du) * 45.0, (v + dv) * 45.0, 3);
+        let stones = bed.at((u + du) * 45.0, (v + dv) * 45.0);
         let mut luma = 95.0 + 55.0 * stones;
         // Specular sparkle: independent salt noise per frame.
         let hash = SplitMix::hash3(px as u64, py as u64, sparkle_seed);
@@ -38,9 +38,13 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
         } else {
             luma += ((hash >> 32) % 17) as f64 - 8.0; // fine shimmer
         }
+        let luma = luma.clamp(8.0, 245.0) as u8;
+        if !chroma {
+            return Ycc::new(luma, 0, 0); // chroma discarded here
+        }
         let cb = (132.0 + 8.0 * stones) as u8; // slightly blue water
         let cr = (118.0 - 6.0 * stones) as u8;
-        Ycc::new(luma.clamp(8.0, 245.0) as u8, cb, cr)
+        Ycc::new(luma, cb, cr)
     });
     frame
 }

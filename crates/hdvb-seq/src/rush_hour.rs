@@ -1,7 +1,7 @@
 //! "Rush hour": rush-hour traffic in Munich — many cars moving slowly,
 //! high depth of focus, fixed camera, summer haze (paper Table III).
 
-use crate::noise::ValueNoise;
+use crate::noise::{FbmCursor, ValueNoise};
 use crate::paint::{fill_rect, fill_with, Ycc};
 use crate::SplitMix;
 use hdvb_frame::{Frame, Resolution};
@@ -46,12 +46,13 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
     let h = resolution.height();
     let mut frame = Frame::new(w, h);
     let tex = ValueNoise::new(0x0AD5);
+    let (mut building_tex, mut asphalt_tex) = (FbmCursor::<2>::new(tex), FbmCursor::<2>::new(tex));
     let scale = h as f64 / 576.0;
 
     // Static scene: buildings at the top, road below, haze lifting
     // contrast toward the top ("summer haze").
     let road_top = 0.40 * h as f64;
-    fill_with(&mut frame, |px, py| {
+    fill_with(&mut frame, |px, py, _| {
         let u = px as f64 / h as f64;
         let v = py as f64 / h as f64;
         let haze = ((road_top / h as f64 - v).max(0.0) * 60.0).min(45.0);
@@ -61,7 +62,7 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
             let wy = (v * 10.0).fract();
             let window = wx > 0.2 && wx < 0.75 && wy > 0.25 && wy < 0.8;
             let base = if window { 88.0 } else { 128.0 };
-            let t = 8.0 * tex.fbm(u * 30.0, v * 30.0, 2);
+            let t = 8.0 * building_tex.at(u * 30.0, v * 30.0);
             Ycc::new((base + t + haze).clamp(30.0, 235.0) as u8, 127, 128)
         } else {
             // Asphalt with lane markings.
@@ -69,7 +70,7 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
             let in_lane = ((py as f64 - road_top) / lane_h).fract();
             let dash = ((u * 20.0).fract() < 0.5) && in_lane < 0.06;
             let base = if dash { 190.0 } else { 92.0 };
-            let t = 7.0 * tex.fbm(u * 50.0, v * 50.0 + 9.0, 2);
+            let t = 7.0 * asphalt_tex.at(u * 50.0, v * 50.0 + 9.0);
             Ycc::new((base + t).clamp(30.0, 220.0) as u8, 127, 129)
         }
     });

@@ -85,7 +85,7 @@ impl ScreenContent {
 
         // Wallpaper: a flat vertical gradient (large static, slowly
         // varying regions) with a faint 1-px diagonal weave.
-        fill_with(&mut frame, |px, py| {
+        fill_with(&mut frame, |px, py, _| {
             let base = 52 + (py * 22 / h) as i32;
             let weave = if (px + py) % s(32) == 0 { 4 } else { 0 };
             Ycc::new((base + weave) as u8, 134, 123)
