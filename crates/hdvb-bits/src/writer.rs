@@ -19,9 +19,11 @@
 #[derive(Clone, Debug, Default)]
 pub struct BitWriter {
     bytes: Vec<u8>,
-    /// Bits accumulated in `acc`, 0..=7.
+    /// The last `pending` bits written, not yet stored in `bytes`, in the
+    /// low bits of `acc` (bits above them are stale).
+    acc: u64,
+    /// Bits waiting in `acc`, 0..=31: a full 32 are stored at once.
     pending: u32,
-    acc: u8,
 }
 
 impl BitWriter {
@@ -32,11 +34,7 @@ impl BitWriter {
 
     /// Creates an empty writer with capacity for `bytes` output bytes.
     pub fn with_capacity(bytes: usize) -> Self {
-        BitWriter {
-            bytes: Vec::with_capacity(bytes),
-            pending: 0,
-            acc: 0,
-        }
+        Self::from_vec(Vec::with_capacity(bytes))
     }
 
     /// Creates an empty writer on top of an existing (e.g. pooled)
@@ -46,8 +44,8 @@ impl BitWriter {
         bytes.clear();
         BitWriter {
             bytes,
-            pending: 0,
             acc: 0,
+            pending: 0,
         }
     }
 
@@ -59,13 +57,7 @@ impl BitWriter {
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {
-        self.acc = (self.acc << 1) | u8::from(bit);
-        self.pending += 1;
-        if self.pending == 8 {
-            self.bytes.push(self.acc);
-            self.acc = 0;
-            self.pending = 0;
-        }
+        self.put_bits(u32::from(bit), 1);
     }
 
     /// Appends the `n` least-significant bits of `value`,
@@ -81,19 +73,27 @@ impl BitWriter {
             n == 32 || value < (1u32 << n),
             "value {value:#x} does not fit in {n} bits"
         );
-        for i in (0..n).rev() {
-            self.put_bit((value >> i) & 1 == 1);
+        // At most 31 waiting bits plus 32 new ones: `acc` holds them all.
+        self.acc = (self.acc << n) | (u64::from(value) & ((1u64 << n) - 1));
+        self.pending += n;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let word = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&word.to_be_bytes());
         }
     }
 
     /// Appends an unsigned Exp-Golomb code (H.264 `ue(v)`).
     pub fn put_ue(&mut self, value: u32) {
         let code = u64::from(value) + 1;
-        let len = 64 - code.leading_zeros(); // bits in `code`
-        self.put_bits(0, len - 1);
-        for i in (0..len).rev() {
-            self.put_bit((code >> i) & 1 == 1);
+        let zeros = 63 - code.leading_zeros(); // 0..=32
+        self.put_bits(0, zeros);
+        // `code` is `zeros + 1` bits long; only `u32::MAX`'s 33-bit code
+        // needs its leading one written on its own.
+        if zeros == 32 {
+            self.put_bit(true);
         }
+        self.put_bits(code as u32, (zeros + 1).min(32));
     }
 
     /// Appends a signed Exp-Golomb code (H.264 `se(v)`).
@@ -108,8 +108,10 @@ impl BitWriter {
 
     /// Pads with zero bits to the next byte boundary.
     pub fn byte_align(&mut self) {
-        while self.pending != 0 {
-            self.put_bit(false);
+        self.put_bits(0, (8 - self.pending % 8) % 8);
+        while self.pending > 0 {
+            self.pending -= 8;
+            self.bytes.push((self.acc >> self.pending) as u8);
         }
     }
 
@@ -119,7 +121,8 @@ impl BitWriter {
     ///
     /// Panics if the writer is not at a byte boundary.
     pub fn put_bytes(&mut self, data: &[u8]) {
-        assert_eq!(self.pending, 0, "put_bytes requires byte alignment");
+        assert_eq!(self.pending % 8, 0, "put_bytes requires byte alignment");
+        self.byte_align(); // stores the whole bytes still waiting in `acc`
         self.bytes.extend_from_slice(data);
     }
 

@@ -1,4 +1,4 @@
-//! `BitReader` against a bit-serial oracle.
+//! `BitReader` and `BitWriter` against bit-serial oracles.
 //!
 //! `SerialReader` below reads one bit per step, the simplest reader that
 //! can be written for this bitstream format, and its end-of-data and
@@ -7,6 +7,10 @@
 //! at the failure). Random byte strings and random scripts of reader
 //! operations run through both readers; after every operation the
 //! results — errors included — and the bit positions must agree.
+//!
+//! `SerialWriter` appends one bit per step. Random scripts of writer
+//! operations run through it and `BitWriter`; after every operation the
+//! bytes either would finish with, and the bit lengths, must agree.
 
 use hdvb_bits::{BitReader, BitWriter, BitsError, VlcTable};
 use proptest::prelude::*;
@@ -386,4 +390,168 @@ fn vlc_codes_cut_by_the_end_of_data() {
             check_script(data, &[Op::Vlc(t); 12], &tables);
         }
     }
+}
+
+/// The bit-serial reference writer: one `bool` per bit.
+#[derive(Default)]
+struct SerialWriter {
+    bits: Vec<bool>,
+}
+
+impl SerialWriter {
+    fn put_bits(&mut self, value: u64, n: u32) {
+        for i in (0..n).rev() {
+            self.bits.push((value >> i) & 1 == 1);
+        }
+    }
+
+    fn put_ue(&mut self, value: u32) {
+        let code = u64::from(value) + 1;
+        let len = 64 - code.leading_zeros();
+        self.put_bits(0, len - 1);
+        self.put_bits(code, len);
+    }
+
+    fn put_se(&mut self, value: i32) {
+        let v = i64::from(value);
+        self.put_ue(if v > 0 { 2 * v - 1 } else { -2 * v } as u32);
+    }
+
+    fn byte_align(&mut self) {
+        while !self.bits.len().is_multiple_of(8) {
+            self.bits.push(false);
+        }
+    }
+
+    /// The bytes `finish` would return now.
+    fn bytes(&self) -> Vec<u8> {
+        self.bits
+            .chunks(8)
+            .map(|c| {
+                c.iter()
+                    .chain(std::iter::repeat(&false))
+                    .take(8)
+                    .fold(0u8, |b, &bit| (b << 1) | u8::from(bit))
+            })
+            .collect()
+    }
+}
+
+/// One writer operation of a script.
+#[derive(Clone, Debug)]
+enum WriteOp {
+    Bit(bool),
+    /// `put_bits(value, n)` with `value` below `2^n`.
+    Bits(u32, u32),
+    Ue(u32),
+    Se(i32),
+    ByteAlign,
+    /// `byte_align` followed by `put_bytes`.
+    Bytes(Vec<u8>),
+}
+
+fn write_op(kind: u8, a: u32, b: u32) -> WriteOp {
+    match kind {
+        0 => WriteOp::Bit(a & 1 == 1),
+        1 => {
+            let n = b % 33;
+            WriteOp::Bits(if n == 32 { a } else { a & ((1 << n) - 1) }, n)
+        }
+        // Exp-Golomb values of every length.
+        2 => WriteOp::Ue(a.checked_shr(b % 33).unwrap_or(0)),
+        3 => WriteOp::Se(match b % 4 {
+            0 => i32::MIN / 4,
+            1 => (a as i32).max(i32::MIN + 1),
+            _ => (a as i32) >> (b % 31),
+        }),
+        4 => WriteOp::ByteAlign,
+        _ => WriteOp::Bytes(a.to_be_bytes()[..(b % 5) as usize].to_vec()),
+    }
+}
+
+/// Runs `ops` through both writers, asserting equal bytes and equal bit
+/// lengths after every step.
+fn check_writer_script(ops: &[WriteOp]) {
+    let mut fast = BitWriter::new();
+    let mut slow = SerialWriter::default();
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            WriteOp::Bit(bit) => {
+                fast.put_bit(bit);
+                slow.put_bits(u64::from(bit), 1);
+            }
+            WriteOp::Bits(value, n) => {
+                fast.put_bits(value, n);
+                slow.put_bits(u64::from(value), n);
+            }
+            WriteOp::Ue(v) => {
+                fast.put_ue(v);
+                slow.put_ue(v);
+            }
+            WriteOp::Se(v) => {
+                fast.put_se(v);
+                slow.put_se(v);
+            }
+            WriteOp::ByteAlign => {
+                fast.byte_align();
+                slow.byte_align();
+            }
+            WriteOp::Bytes(ref data) => {
+                fast.byte_align();
+                slow.byte_align();
+                fast.put_bytes(data);
+                for &b in data {
+                    slow.put_bits(u64::from(b), 8);
+                }
+            }
+        }
+        assert_eq!(
+            fast.bit_len(),
+            slow.bits.len() as u64,
+            "bit_len after step {i} {op:?}"
+        );
+        assert_eq!(
+            fast.clone().finish(),
+            slow.bytes(),
+            "bytes after step {i} {op:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_scripts_match_the_serial_writer(
+        script in proptest::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 0..64),
+    ) {
+        let ops: Vec<WriteOp> = script.iter().map(|&(kind, a, b)| write_op(kind, a, b)).collect();
+        check_writer_script(&ops);
+    }
+}
+
+#[test]
+fn writer_edge_codes_match_the_serial_writer() {
+    // Every ue length, the extremes of se, and full-width writes that
+    // straddle the 32-bit store at every offset.
+    let mut ops = Vec::new();
+    for shift in 0..32 {
+        ops.push(WriteOp::Ue(u32::MAX >> shift));
+        ops.push(WriteOp::Ue((1 << shift) - 1));
+    }
+    ops.extend([
+        WriteOp::Ue(u32::MAX),
+        WriteOp::Se(i32::MIN / 4),
+        WriteOp::Se(i32::MIN + 1),
+        WriteOp::Se(i32::MAX),
+        WriteOp::Se(0),
+    ]);
+    for lead in 0..32 {
+        ops.push(WriteOp::ByteAlign);
+        ops.push(WriteOp::Bits(0, lead));
+        ops.push(WriteOp::Bits(0xDEAD_BEEF, 32));
+        ops.push(WriteOp::Bits(0, 0));
+        ops.push(WriteOp::Bytes(vec![0xA5, 0x5A, 0xFF]));
+    }
+    check_writer_script(&ops);
 }
