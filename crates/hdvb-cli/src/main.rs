@@ -174,7 +174,10 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    if command == "--help" || command == "-h" || command == "help" {
+    // `--help` / `-h` after a command asks for the usage too, rather than
+    // being rejected as an unknown option (`hdvb encode --help`).
+    let is_help = |a: &String| a == "--help" || a == "-h";
+    if command == "help" || argv.iter().any(is_help) {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }

@@ -25,6 +25,21 @@ fn help_lists_commands() {
 }
 
 #[test]
+fn help_after_a_command_prints_the_usage() {
+    for args in [
+        &["encode", "--help"][..],
+        &["table5", "-h"],
+        &["serve", "--codec", "h264", "--help"],
+    ] {
+        let out = hdvb().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?} failed");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains("table5"), "{args:?} printed no usage");
+        assert!(out.stderr.is_empty(), "{args:?} wrote to stderr");
+    }
+}
+
+#[test]
 fn unknown_command_fails() {
     let out = hdvb().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
