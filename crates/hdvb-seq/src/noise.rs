@@ -5,8 +5,6 @@ use crate::SplitMix;
 ///
 /// Sampling is stateless: `sample(x, y)` is a pure function of the seed
 /// and coordinates, so generators can evaluate any frame independently.
-/// (The generators sample through a crate-private cursor that caches
-/// lattice corners between calls; it returns the same values.)
 ///
 /// # Example
 ///
@@ -102,7 +100,7 @@ impl ValueNoise {
 }
 
 /// A lattice cell and its four corner values `v00, v10, v01, v11`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 struct Cell {
     ix: i64,
     iy: i64,
@@ -134,6 +132,9 @@ impl<const OCTAVES: usize> FbmCursor<OCTAVES> {
     }
 }
 
+/// 2^52: from here up every finite `f64` is an integer.
+const TWO_POW_52: f64 = (1u64 << 52) as f64;
+
 /// `x.floor()` without the libm call that the baseline x86-64 target
 /// (no SSE4.1 `roundsd`) makes for it. Below 2^52 in magnitude the
 /// truncating conversion is exact and the floor is one step below it
@@ -142,7 +143,7 @@ impl<const OCTAVES: usize> FbmCursor<OCTAVES> {
 /// infinities and NaN take `f64::floor`.
 #[inline]
 fn floor(x: f64) -> f64 {
-    if x.abs() < 4_503_599_627_370_496.0 {
+    if x.abs() < TWO_POW_52 {
         let t = (x as i64 as f64).copysign(x);
         if t > x {
             t - 1.0
@@ -205,7 +206,7 @@ mod tests {
 
     #[test]
     fn floor_matches_libm_bit_for_bit() {
-        let two52 = 4_503_599_627_370_496.0_f64;
+        let two52 = TWO_POW_52;
         let below = |v: f64| f64::from_bits(v.to_bits() - 1); // one ulp toward zero
         let mut cases = vec![
             0.0,
