@@ -27,7 +27,7 @@ echo "==> coded-stream digests and decode error pins on the SSE2 tier (auto pick
 HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance \
     --test decoder_robustness --test pooled_identity
 
-echo "==> kernel tier equivalence and the bit reader, optimised (the unsafe kernels and the reader's window)"
+echo "==> kernel tier equivalence and the bit reader and writer, optimised (the unsafe kernels, the reader's window, the writer's accumulator)"
 cargo test -q --release --test simd_equivalence --test dct_reference --test bit_serial_oracle
 cargo test -q --release -p hdvb-bits
 

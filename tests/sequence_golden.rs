@@ -90,7 +90,11 @@ fn hd_frames_match_the_checked_in_hashes() {
 #[test]
 fn corpus_is_exactly_the_grid() {
     // No stray files: every vector on disk belongs to one of the two
-    // grids above.
+    // grids above. A rewriting run checks on its next plain run: the
+    // other tests may still be writing the corpus.
+    if std::env::var("HDVB_WRITE_GOLDEN").is_ok() {
+        return;
+    }
     let mut stems: Vec<String> = std::fs::read_dir(corpus_dir())
         .expect("corpus dir readable")
         .filter_map(|e| {
