@@ -1168,9 +1168,10 @@ fn mezzanine(
     let mut enc = create_encoder(codec, res, &mezz_opts).map_err(|e| e.to_string())?;
     let mut packets: Vec<Packet> = Vec::new();
     for f in raw {
-        packets.extend(enc.encode_frame(f).map_err(|e| e.to_string())?);
+        enc.encode_frame_into(f, &mut packets)
+            .map_err(|e| e.to_string())?;
     }
-    packets.extend(enc.finish().map_err(|e| e.to_string())?);
+    enc.finish_into(&mut packets).map_err(|e| e.to_string())?;
     let t0 = Instant::now();
     let decoded = decode_sequence(codec, &packets, options.simd).map_err(|e| e.to_string())?;
     Ok((decoded.frames, t0.elapsed()))
@@ -1355,9 +1356,10 @@ pub fn screen(p: &Parsed) -> CmdResult {
         let mut packets: Vec<Packet> = Vec::new();
         let t0 = Instant::now();
         for f in &source {
-            packets.extend(enc.encode_frame(f).map_err(|e| e.to_string())?);
+            enc.encode_frame_into(f, &mut packets)
+                .map_err(|e| e.to_string())?;
         }
-        packets.extend(enc.finish().map_err(|e| e.to_string())?);
+        enc.finish_into(&mut packets).map_err(|e| e.to_string())?;
         let encode_time = t0.elapsed();
         let decoded = decode_sequence(codec, &packets, options.simd).map_err(|e| e.to_string())?;
         if decoded.frames.len() != source.len() {

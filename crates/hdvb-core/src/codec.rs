@@ -1,10 +1,19 @@
-//! The codec registry: one entry per application of the paper's Table II,
-//! unified behind object-safe encoder/decoder traits.
+//! The codec registry — one entry per application of the paper's
+//! Table II — and the one stream lifecycle every codec runs under: the
+//! paper codes all three with one GOP and one set of options (Section
+//! IV), so scheduling, cancellation, the input copy and display
+//! reordering are the benchmark's, written once here, and the codec
+//! crates only code pictures.
 
 use crate::{BenchError, CodingOptions};
+use hdvb_bits::picture::{CodecError, GopScheduler, Scheduled};
 pub use hdvb_bits::picture::{Packet, PacketKind};
+use hdvb_bits::BitReader;
 use hdvb_dsp::SimdLevel;
-use hdvb_frame::{Frame, Resolution};
+use hdvb_frame::{Frame, FramePool, Resolution};
+use hdvb_h264::{H264Decoder, H264Encoder};
+use hdvb_mpeg2::{Mpeg2Decoder, Mpeg2Encoder};
+use hdvb_mpeg4::{Mpeg4Decoder, Mpeg4Encoder};
 use hdvb_par::CancelToken;
 use std::fmt;
 
@@ -71,98 +80,178 @@ impl fmt::Display for CodecId {
     }
 }
 
-/// An object-safe encoder: display-order frames in, coding-order packets
-/// out.
-///
-/// The write-into-caller forms are the required methods (the built-in
-/// codecs route them through their pooled zero-allocation paths); the
-/// allocating forms are provided on top of them.
-pub trait VideoEncoder {
-    /// Encodes the next display-order frame, appending the coded packets
-    /// to `out`.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific configuration or geometry errors; packets appended
-    /// before an error stay in `out`.
-    fn encode_frame_into(&mut self, frame: &Frame, out: &mut Vec<Packet>)
-        -> Result<(), BenchError>;
-
-    /// Flushes buffered frames at end of stream into `out`.
-    ///
-    /// # Errors
-    ///
-    /// Codec-specific errors.
-    fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError>;
-
-    /// Allocating form of [`encode_frame_into`](Self::encode_frame_into).
-    ///
-    /// # Errors
-    ///
-    /// As [`encode_frame_into`](Self::encode_frame_into).
-    fn encode_frame(&mut self, frame: &Frame) -> Result<Vec<Packet>, BenchError> {
-        let mut out = Vec::new();
-        self.encode_frame_into(frame, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocating form of [`finish_into`](Self::finish_into).
-    ///
-    /// # Errors
-    ///
-    /// As [`finish_into`](Self::finish_into).
-    fn finish(&mut self) -> Result<Vec<Packet>, BenchError> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Installs a cooperative cancellation token, checked at picture
-    /// boundaries; once it fires, encoding stops with
-    /// [`BenchError::Cancelled`]. Implementations that cannot cancel
-    /// may ignore the token (the default).
-    fn set_cancel(&mut self, _cancel: CancelToken) {}
+/// A codec's picture encoder: the part of an [`Encoder`] that differs
+/// between codecs.
+enum PictureEncoder {
+    Mpeg2(Box<Mpeg2Encoder>),
+    Mpeg4(Box<Mpeg4Encoder>),
+    H264(Box<H264Encoder>),
 }
 
-/// An object-safe decoder: coding-order packets in, display-order frames
-/// out. As with [`VideoEncoder`], the write-into-caller forms are the
-/// required methods.
-pub trait VideoDecoder {
-    /// Decodes one packet, appending display-order frames to `out`. The
-    /// built-in codecs take output frames from the global frame pool
-    /// (they can be returned to it).
+/// A codec's picture decoder: the part of a [`Decoder`] that differs
+/// between codecs.
+enum PictureDecoder {
+    Mpeg2(Box<Mpeg2Decoder>),
+    Mpeg4(Box<Mpeg4Decoder>),
+    H264(Box<H264Decoder>),
+}
+
+/// The encode half of the stream lifecycle, one for every codec:
+/// display-order frames in, coding-order packets out.
+///
+/// It copies each frame into a pooled lookahead slot, orders the slots
+/// into the paper's I-P-B-B coding order ([`GopScheduler`]), checks the
+/// cancellation token before each picture and hands the picture to the
+/// codec's picture encoder. At steady state a submitted frame performs
+/// zero heap allocations.
+pub struct Encoder {
+    coder: PictureEncoder,
+    width: usize,
+    height: usize,
+    gop: GopScheduler<Frame>,
+    /// Reusable coding-order buffer handed to the GOP scheduler.
+    sched: Vec<Scheduled<Frame>>,
+    /// Cooperative cancellation, checkpointed before each coded picture.
+    cancel: CancelToken,
+}
+
+impl Encoder {
+    /// Encodes the next display-order frame, appending the packets that
+    /// can now be coded (coding order) to `out`. Packet payloads come
+    /// from the global [`BufferPool`](hdvb_frame::BufferPool).
     ///
     /// # Errors
     ///
-    /// [`BenchError::Corrupt`] on malformed input; nothing is appended.
-    fn decode_packet_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), BenchError>;
-
-    /// Appends the final buffered frames at end of stream to `out`.
-    fn finish_into(&mut self, out: &mut Vec<Frame>);
-
-    /// Allocating form of [`decode_packet_into`](Self::decode_packet_into).
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_packet_into`](Self::decode_packet_into).
-    fn decode_packet(&mut self, data: &[u8]) -> Result<Vec<Frame>, BenchError> {
-        let mut out = Vec::new();
-        self.decode_packet_into(data, &mut out)?;
-        Ok(out)
+    /// [`BenchError::Codec`] if the frame geometry differs from the
+    /// encoder's; [`BenchError::Cancelled`] once the token fires.
+    /// Packets appended before an error stay in `out`.
+    pub fn encode_frame_into(
+        &mut self,
+        frame: &Frame,
+        out: &mut Vec<Packet>,
+    ) -> Result<(), BenchError> {
+        let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
+        if (frame.width(), frame.height()) != (self.width, self.height) {
+            return Err(CodecError::FrameMismatch {
+                expected: (self.width, self.height),
+                actual: (frame.width(), frame.height()),
+            }
+            .into());
+        }
+        let pooled = {
+            let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
+            let mut f = FramePool::global().take(self.width, self.height);
+            f.copy_from(frame);
+            f
+        };
+        self.gop.push_into(pooled, &mut self.sched);
+        self.code_scheduled(out)
     }
 
-    /// Allocating form of [`finish_into`](Self::finish_into).
-    fn finish(&mut self) -> Vec<Frame> {
-        let mut out = Vec::new();
-        self.finish_into(&mut out);
-        out
+    /// Codes the frames still buffered at end of stream into `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Cancelled`] once the token fires.
+    pub fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError> {
+        let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
+        self.gop.finish_into(&mut self.sched);
+        self.code_scheduled(out)
+    }
+
+    /// Installs a cooperative cancellation token, checked before each
+    /// coded picture; once it fires, encoding stops with
+    /// [`BenchError::Cancelled`].
+    pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.cancel = cancel;
+    }
+
+    /// Codes every scheduled picture, recycling each input frame to the
+    /// global pool afterwards (also on cancellation).
+    fn code_scheduled(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError> {
+        let mut result = Ok(());
+        for s in self.sched.drain(..) {
+            if result.is_ok() {
+                if self.cancel.is_cancelled() {
+                    result = Err(BenchError::Cancelled);
+                } else {
+                    let (frame, kind, index) = (&s.item, s.kind, s.display_index);
+                    out.push(match &mut self.coder {
+                        PictureEncoder::Mpeg2(c) => c.encode_picture(frame, kind, index),
+                        PictureEncoder::Mpeg4(c) => c.encode_picture(frame, kind, index),
+                        PictureEncoder::H264(c) => c.encode_picture(frame, kind, index),
+                    });
+                }
+            }
+            FramePool::global().put(s.item);
+        }
+        result
+    }
+}
+
+/// The decode half of the stream lifecycle, one for every codec:
+/// coding-order packets in, display-order frames out.
+///
+/// Each I or P picture is held back until the next one arrives (a B
+/// picture in between displays first); [`finish_into`](Self::finish_into)
+/// releases the last. Output frames come from the global frame pool
+/// (they can be returned to it).
+pub struct Decoder {
+    codec: CodecId,
+    coder: PictureDecoder,
+    /// The newest anchor's display picture, held until the next anchor
+    /// arrives (display reordering).
+    pending: Option<Frame>,
+    /// Cooperative cancellation, checkpointed at each packet boundary.
+    cancel: CancelToken,
+}
+
+impl Decoder {
+    /// Decodes one packet, appending the frames it completes (display
+    /// order) to `out`.
+    ///
+    /// # Errors
+    ///
+    /// [`BenchError::Corrupt`] on malformed input, with the bit offset
+    /// the parse stopped at; [`BenchError::Cancelled`] once the token
+    /// fires. Nothing is appended, and the stream state is untouched, so
+    /// later packets still decode.
+    pub fn decode_packet_into(
+        &mut self,
+        data: &[u8],
+        out: &mut Vec<Frame>,
+    ) -> Result<(), BenchError> {
+        let _span = hdvb_trace::span!(hdvb_trace::Stage::DecodeFrame);
+        if self.cancel.is_cancelled() {
+            return Err(BenchError::Cancelled);
+        }
+        let mut r = BitReader::new(data);
+        let decoded = match &mut self.coder {
+            PictureDecoder::Mpeg2(c) => c.decode_picture(&mut r),
+            PictureDecoder::Mpeg4(c) => c.decode_picture(&mut r),
+            PictureDecoder::H264(c) => c.decode_picture(&mut r),
+        };
+        let (kind, picture) =
+            decoded.map_err(|e| BenchError::from_decode(self.codec, e.at_bit(r.bit_pos())))?;
+        if kind == PacketKind::B {
+            out.push(picture);
+        } else if let Some(previous) = self.pending.replace(picture) {
+            out.push(previous);
+        }
+        Ok(())
+    }
+
+    /// Appends the last held-back frame at end of stream to `out`.
+    pub fn finish_into(&mut self, out: &mut Vec<Frame>) {
+        out.extend(self.pending.take());
     }
 
     /// Installs a cooperative cancellation token, checked at packet
     /// boundaries; once it fires, decoding stops with
-    /// [`BenchError::Cancelled`]. Implementations that cannot cancel
-    /// may ignore the token (the default).
-    fn set_cancel(&mut self, _cancel: CancelToken) {}
+    /// [`BenchError::Cancelled`].
+    pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.cancel = cancel;
+    }
 }
 
 /// Creates an encoder for `codec` at the benchmark's coding options.
@@ -174,111 +263,50 @@ pub fn create_encoder(
     codec: CodecId,
     resolution: Resolution,
     options: &CodingOptions,
-) -> Result<Box<dyn VideoEncoder + Send>, BenchError> {
-    let (w, h) = (resolution.width(), resolution.height());
-    match codec {
+) -> Result<Encoder, BenchError> {
+    if options.b_frames > 4 {
+        return Err(CodecError::BadConfig("at most 4 b-frames supported").into());
+    }
+    let (width, height) = (resolution.width(), resolution.height());
+    let (q, range, simd) = (options.mpeg_qscale, options.search_range, options.simd);
+    let coder = match codec {
         CodecId::Mpeg2 => {
-            let config = hdvb_mpeg2::EncoderConfig::new(w, h)
-                .with_qscale(options.mpeg_qscale)
-                .with_b_frames(options.b_frames)
-                .with_search_range(options.search_range)
-                .with_intra_period(options.intra_period)
-                .with_simd(options.simd);
-            Ok(Box::new(hdvb_mpeg2::Mpeg2Encoder::new(config)?))
+            PictureEncoder::Mpeg2(Box::new(Mpeg2Encoder::new(width, height, q, range, simd)?))
         }
         CodecId::Mpeg4 => {
-            let config = hdvb_mpeg4::EncoderConfig::new(w, h)
-                .with_qscale(options.mpeg_qscale)
-                .with_b_frames(options.b_frames)
-                .with_search_range(options.search_range)
-                .with_intra_period(options.intra_period)
-                .with_simd(options.simd);
-            Ok(Box::new(hdvb_mpeg4::Mpeg4Encoder::new(config)?))
+            PictureEncoder::Mpeg4(Box::new(Mpeg4Encoder::new(width, height, q, range, simd)?))
         }
         CodecId::H264 => {
-            let config = hdvb_h264::EncoderConfig::new(w, h)
-                .with_qp(options.h264_qp())
-                .with_b_frames(options.b_frames)
-                .with_search_range(options.search_range)
-                .with_intra_period(options.intra_period)
-                .with_num_refs(options.h264_refs)
-                .with_simd(options.simd);
-            Ok(Box::new(hdvb_h264::H264Encoder::new(config)?))
+            let (qp, refs) = (options.h264_qp(), options.h264_refs);
+            PictureEncoder::H264(Box::new(H264Encoder::new(
+                width, height, qp, refs, range, simd,
+            )?))
         }
-    }
+    };
+    Ok(Encoder {
+        coder,
+        width,
+        height,
+        gop: GopScheduler::new(options.b_frames, options.intra_period),
+        sched: Vec::new(),
+        cancel: CancelToken::never(),
+    })
 }
 
 /// Creates a decoder for `codec` at the given SIMD level.
-pub fn create_decoder(codec: CodecId, simd: SimdLevel) -> Box<dyn VideoDecoder + Send> {
-    match codec {
-        CodecId::Mpeg2 => Box::new(hdvb_mpeg2::Mpeg2Decoder::with_simd(simd)),
-        CodecId::Mpeg4 => Box::new(hdvb_mpeg4::Mpeg4Decoder::with_simd(simd)),
-        CodecId::H264 => Box::new(hdvb_h264::H264Decoder::with_simd(simd)),
+pub fn create_decoder(codec: CodecId, simd: SimdLevel) -> Decoder {
+    let coder = match codec {
+        CodecId::Mpeg2 => PictureDecoder::Mpeg2(Box::new(Mpeg2Decoder::new(simd))),
+        CodecId::Mpeg4 => PictureDecoder::Mpeg4(Box::new(Mpeg4Decoder::new(simd))),
+        CodecId::H264 => PictureDecoder::H264(Box::new(H264Decoder::new(simd))),
+    };
+    Decoder {
+        codec,
+        coder,
+        pending: None,
+        cancel: CancelToken::never(),
     }
 }
-
-/// Implements the harness traits directly on a codec's encoder and
-/// decoder: the codecs already speak [`Packet`] and `CodecError`, so this
-/// only opens the frame span, renames the methods and lifts the error.
-macro_rules! impl_codec {
-    ($enc:ty, $dec:ty, $codec:expr) => {
-        impl VideoEncoder for $enc {
-            fn encode_frame_into(
-                &mut self,
-                frame: &Frame,
-                out: &mut Vec<Packet>,
-            ) -> Result<(), BenchError> {
-                let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
-                self.encode_into(frame, out).map_err(BenchError::from)
-            }
-
-            fn finish_into(&mut self, out: &mut Vec<Packet>) -> Result<(), BenchError> {
-                let _span = hdvb_trace::span!(hdvb_trace::Stage::EncodeFrame);
-                self.flush_into(out).map_err(BenchError::from)
-            }
-
-            fn set_cancel(&mut self, cancel: CancelToken) {
-                <$enc>::set_cancel(self, cancel);
-            }
-        }
-
-        impl VideoDecoder for $dec {
-            fn decode_packet_into(
-                &mut self,
-                data: &[u8],
-                out: &mut Vec<Frame>,
-            ) -> Result<(), BenchError> {
-                let _span = hdvb_trace::span!(hdvb_trace::Stage::DecodeFrame);
-                self.decode_into(data, out)
-                    .map_err(|e| BenchError::from_decode($codec, e))
-            }
-
-            fn finish_into(&mut self, out: &mut Vec<Frame>) {
-                self.flush_into(out);
-            }
-
-            fn set_cancel(&mut self, cancel: CancelToken) {
-                <$dec>::set_cancel(self, cancel);
-            }
-        }
-    };
-}
-
-impl_codec!(
-    hdvb_mpeg2::Mpeg2Encoder,
-    hdvb_mpeg2::Mpeg2Decoder,
-    CodecId::Mpeg2
-);
-impl_codec!(
-    hdvb_mpeg4::Mpeg4Encoder,
-    hdvb_mpeg4::Mpeg4Decoder,
-    CodecId::Mpeg4
-);
-impl_codec!(
-    hdvb_h264::H264Encoder,
-    hdvb_h264::H264Decoder,
-    CodecId::H264
-);
 
 #[cfg(test)]
 mod tests {
@@ -302,22 +330,35 @@ mod tests {
     }
 
     #[test]
-    fn every_codec_roundtrips_through_the_trait_objects() {
+    fn every_codec_roundtrips_through_the_driver() {
         let res = Resolution::new(48, 32);
         let options = CodingOptions::default();
         for codec in CodecId::ALL {
             let mut enc = create_encoder(codec, res, &options).unwrap();
             let mut dec = create_decoder(codec, options.simd);
-            let frame = Frame::new(48, 32);
-            let mut packets = enc.encode_frame(&frame).unwrap();
-            packets.extend(enc.finish().unwrap());
+            let mut packets = Vec::new();
+            enc.encode_frame_into(&Frame::new(48, 32), &mut packets)
+                .unwrap();
+            enc.finish_into(&mut packets).unwrap();
             let mut out = Vec::new();
             for p in &packets {
-                out.extend(dec.decode_packet(&p.data).unwrap());
+                dec.decode_packet_into(&p.data, &mut out).unwrap();
             }
-            out.extend(dec.finish());
+            dec.finish_into(&mut out);
             assert_eq!(out.len(), 1, "{codec}");
             assert_eq!(packets[0].kind, PacketKind::I);
+        }
+    }
+
+    #[test]
+    fn wrong_frame_size_is_rejected() {
+        let options = CodingOptions::default();
+        for codec in CodecId::ALL {
+            let mut enc = create_encoder(codec, Resolution::new(64, 48), &options).unwrap();
+            let err = enc
+                .encode_frame_into(&Frame::new(32, 32), &mut Vec::new())
+                .unwrap_err();
+            assert!(matches!(err, BenchError::Codec(_)), "{codec}: {err}");
         }
     }
 
@@ -326,9 +367,12 @@ mod tests {
         let res = Resolution::new(48, 32);
         let options = CodingOptions::default();
         let mut enc = create_encoder(CodecId::Mpeg2, res, &options).unwrap();
-        let mut packets = enc.encode_frame(&Frame::new(48, 32)).unwrap();
-        packets.extend(enc.finish().unwrap());
+        let mut packets = Vec::new();
+        enc.encode_frame_into(&Frame::new(48, 32), &mut packets)
+            .unwrap();
         let mut dec = create_decoder(CodecId::H264, options.simd);
-        assert!(dec.decode_packet(&packets[0].data).is_err());
+        assert!(dec
+            .decode_packet_into(&packets[0].data, &mut Vec::new())
+            .is_err());
     }
 }

@@ -342,14 +342,12 @@ fn encode_cell(
         scaler.scale_into(&source[i as usize], &mut scaled);
         scale_time += t.elapsed();
         let t = Instant::now();
-        let out = enc.encode_frame(&scaled)?;
+        enc.encode_frame_into(&scaled, &mut packets)?;
         encode_time += t.elapsed();
-        packets.extend(out);
     }
     let t = Instant::now();
-    let tail = enc.finish()?;
+    enc.finish_into(&mut packets)?;
     encode_time += t.elapsed();
-    packets.extend(tail);
     for p in &mut packets {
         p.display_index += start;
     }

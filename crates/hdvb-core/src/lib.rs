@@ -39,9 +39,7 @@ mod spec;
 mod stream;
 mod sweep;
 
-pub use codec::{
-    create_decoder, create_encoder, CodecId, Packet, PacketKind, VideoDecoder, VideoEncoder,
-};
+pub use codec::{create_decoder, create_encoder, CodecId, Decoder, Encoder, Packet, PacketKind};
 pub use error::BenchError;
 pub use faults::{parse_fault_spec, FaultPlan, FaultTarget, FaultToken};
 /// The workspace's checksums ([`hdvb_bits::hash`]), re-exported for the

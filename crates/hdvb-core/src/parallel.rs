@@ -283,14 +283,12 @@ pub fn encode_sequence_parallel(
         for i in start..end {
             let frame = seq.frame(i); // untimed: input generation
             let t = Instant::now();
-            let out = enc.encode_frame(&frame)?;
+            enc.encode_frame_into(&frame, &mut packets)?;
             elapsed += t.elapsed();
-            packets.extend(out);
         }
         let t = Instant::now();
-        let tail = enc.finish()?;
+        enc.finish_into(&mut packets)?;
         elapsed += t.elapsed();
-        packets.extend(tail);
         // Rebase display indices from chunk-local to sequence order.
         for p in &mut packets {
             p.display_index += start;

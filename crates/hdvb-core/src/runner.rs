@@ -100,14 +100,12 @@ pub fn encode_sequence_cancellable(
         }
         let frame = seq.frame(i); // untimed: input generation
         let t0 = Instant::now();
-        let out = enc.encode_frame(&frame)?;
+        enc.encode_frame_into(&frame, &mut packets)?;
         elapsed += t0.elapsed();
-        packets.extend(out);
     }
     let t0 = Instant::now();
-    let tail = enc.finish()?;
+    enc.finish_into(&mut packets)?;
     elapsed += t0.elapsed();
-    packets.extend(tail);
     let bits = packets.iter().map(Packet::bits).sum();
     Ok(EncodeResult {
         packets,
@@ -150,14 +148,12 @@ pub fn decode_sequence_cancellable(
     let mut elapsed = Duration::ZERO;
     for p in packets {
         let t0 = Instant::now();
-        let out = dec.decode_packet(&p.data)?;
+        dec.decode_packet_into(&p.data, &mut frames)?;
         elapsed += t0.elapsed();
-        frames.extend(out);
     }
     let t0 = Instant::now();
-    let tail = dec.finish();
+    dec.finish_into(&mut frames);
     elapsed += t0.elapsed();
-    frames.extend(tail);
     Ok(DecodeResult { frames, elapsed })
 }
 
@@ -186,12 +182,11 @@ pub fn decode_sequence_resilient(
     let mut frames = Vec::new();
     let mut dropped = Vec::new();
     for (i, p) in packets.iter().enumerate() {
-        match dec.decode_packet(&p.data) {
-            Ok(out) => frames.extend(out),
-            Err(e) => dropped.push((i, e)),
+        if let Err(e) = dec.decode_packet_into(&p.data, &mut frames) {
+            dropped.push((i, e));
         }
     }
-    frames.extend(dec.finish());
+    dec.finish_into(&mut frames);
     ResilientDecode { frames, dropped }
 }
 

@@ -9,15 +9,14 @@
 //! returns whatever outputs the codec can emit so far, and flushes the
 //! rest on [`finish`](CodecSession::finish).
 //!
-//! The session calls exactly the same [`VideoEncoder`]/[`VideoDecoder`]
-//! trait objects in exactly the same order as the batch path, so a
+//! The session calls exactly the same [`Encoder`]/[`Decoder`] in exactly
+//! the same order as the batch path, so a
 //! single-session serve run is bit-identical to `encode`/`decode` on
 //! the same input and options (enforced by tests here and in
 //! `hdvb-serve`).
 
 use crate::{
-    create_decoder, create_encoder, BenchError, CodecId, CodingOptions, Packet, VideoDecoder,
-    VideoEncoder,
+    create_decoder, create_encoder, BenchError, CodecId, CodingOptions, Decoder, Encoder, Packet,
 };
 use hdvb_dsp::SimdLevel;
 use hdvb_frame::{BufferPool, Frame, FramePool, Resolution};
@@ -78,12 +77,9 @@ impl SessionOutput {
 }
 
 enum Engine {
-    Encode(Box<dyn VideoEncoder + Send>),
-    Decode(Box<dyn VideoDecoder + Send>),
-    Transcode {
-        decoder: Box<dyn VideoDecoder + Send>,
-        encoder: Box<dyn VideoEncoder + Send>,
-    },
+    Encode(Encoder),
+    Decode(Decoder),
+    Transcode { decoder: Decoder, encoder: Encoder },
 }
 
 /// An incremental encode, decode or transcode state machine.
@@ -329,7 +325,7 @@ impl CodecSession {
     /// means the packet was dropped and counted, with any partial
     /// output recycled so `out` is untouched.
     fn decode_step(
-        dec: &mut Box<dyn VideoDecoder + Send>,
+        dec: &mut Decoder,
         data: &[u8],
         resilient: bool,
         dropped: &mut u64,
@@ -355,7 +351,7 @@ impl CodecSession {
     /// Encodes and recycles every staged frame, draining `frames` even
     /// on error so no pooled frame leaks.
     fn encode_all(
-        enc: &mut Box<dyn VideoEncoder + Send>,
+        enc: &mut Encoder,
         frames: &mut Vec<Frame>,
         out: &mut Vec<Packet>,
     ) -> Result<(), BenchError> {

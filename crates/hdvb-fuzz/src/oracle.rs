@@ -135,10 +135,14 @@ pub fn decode_entry(data: &[u8], simd: SimdLevel) -> EntryOutcome {
     let mut outcomes = Vec::with_capacity(packets.len());
     let mut hasher = Fnv::new();
     let mut frame_count = 0u32;
+    let mut frames = Vec::new();
     for p in &packets {
-        let result = catch_unwind(AssertUnwindSafe(|| dec.decode_packet(&p.data)));
+        frames.clear();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            dec.decode_packet_into(&p.data, &mut frames)
+        }));
         match result {
-            Ok(Ok(frames)) => {
+            Ok(Ok(())) => {
                 frame_count += frames.len() as u32;
                 hash_frames(&mut hasher, &frames);
                 outcomes.push(PacketOutcome::Frames(frames.len() as u32));
@@ -159,9 +163,10 @@ pub fn decode_entry(data: &[u8], simd: SimdLevel) -> EntryOutcome {
         .iter()
         .any(|o| matches!(o, PacketOutcome::Panic(_)))
     {
-        if let Ok(tail) = catch_unwind(AssertUnwindSafe(|| dec.finish())) {
-            frame_count += tail.len() as u32;
-            hash_frames(&mut hasher, &tail);
+        frames.clear();
+        if catch_unwind(AssertUnwindSafe(|| dec.finish_into(&mut frames))).is_ok() {
+            frame_count += frames.len() as u32;
+            hash_frames(&mut hasher, &frames);
         } else {
             outcomes.push(PacketOutcome::Panic("panic in decoder flush".into()));
         }

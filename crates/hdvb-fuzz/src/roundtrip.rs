@@ -110,9 +110,10 @@ fn encode_under(case: &RoundtripCase, simd: SimdLevel) -> Result<Vec<Packet>, St
             create_encoder(case.codec, resolution, &options).map_err(|e| e.to_string())?;
         let mut packets = Vec::new();
         for frame in &case.frames {
-            packets.extend(enc.encode_frame(frame).map_err(|e| e.to_string())?);
+            enc.encode_frame_into(frame, &mut packets)
+                .map_err(|e| e.to_string())?;
         }
-        packets.extend(enc.finish().map_err(|e| e.to_string())?);
+        enc.finish_into(&mut packets).map_err(|e| e.to_string())?;
         Ok(packets)
     };
     catch_unwind(AssertUnwindSafe(run))
@@ -127,21 +128,19 @@ fn decode_under(
 ) -> Result<(usize, u64), String> {
     let run = || -> Result<(usize, u64), String> {
         let mut dec = create_decoder(codec, simd);
-        let mut count = 0usize;
-        let mut hash = FNV1A64_INIT;
-        let mut absorb = |frames: &[Frame]| {
-            count += frames.len();
-            for f in frames {
-                for plane in [f.y(), f.cb(), f.cr()] {
-                    hash = fnv1a64_update(hash, plane.data());
-                }
-            }
-        };
+        let mut frames = Vec::new();
         for p in packets {
-            absorb(&dec.decode_packet(&p.data).map_err(|e| e.to_string())?);
+            dec.decode_packet_into(&p.data, &mut frames)
+                .map_err(|e| e.to_string())?;
         }
-        absorb(&dec.finish());
-        Ok((count, hash))
+        dec.finish_into(&mut frames);
+        let mut hash = FNV1A64_INIT;
+        for f in &frames {
+            for plane in [f.y(), f.cb(), f.cr()] {
+                hash = fnv1a64_update(hash, plane.data());
+            }
+        }
+        Ok((frames.len(), hash))
     };
     catch_unwind(AssertUnwindSafe(run))
         .unwrap_or_else(|p| Err(format!("decoder panic: {}", hdvb_par::panic_text(p))))

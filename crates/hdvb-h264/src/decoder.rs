@@ -10,7 +10,6 @@ use hdvb_bits::{BitReader, CorruptKind};
 use hdvb_dsp::{Dsp, SimdLevel};
 use hdvb_frame::{align_up, Frame, FramePool};
 use hdvb_me::Mv;
-use hdvb_par::CancelToken;
 use std::collections::VecDeque;
 
 /// Per-packet working storage, reused while the coded geometry stays
@@ -20,7 +19,10 @@ struct DecScratch {
     ctx: PicCtx,
 }
 
-/// The H.264-class decoder (mirror of [`H264Encoder`](crate::H264Encoder)).
+/// The H.264-class picture decoder (mirror of
+/// [`H264Encoder`](crate::H264Encoder)): parses one packet into its
+/// display picture and keeps the reference list. Display reordering is
+/// `hdvb-core`'s.
 pub struct H264Decoder {
     dsp: Dsp,
     refs: VecDeque<RefPicture>,
@@ -30,82 +32,36 @@ pub struct H264Decoder {
     /// Spare list backing the borrow-decoupling move in P/B decoding,
     /// kept as a field so the move is allocation-free.
     refs_buf: Vec<RefPicture>,
-    pending: Option<Frame>,
     /// Reusable per-packet working storage.
     scratch: Option<DecScratch>,
-    /// Cooperative cancellation, checkpointed at each packet boundary.
-    cancel: CancelToken,
-}
-
-impl Default for H264Decoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl H264Decoder {
-    /// Creates a decoder at the CPU's best SIMD level.
-    pub fn new() -> Self {
-        Self::with_simd(SimdLevel::detect())
-    }
-
     /// Creates a decoder at an explicit SIMD level (the Figure-1 axis).
-    pub fn with_simd(simd: SimdLevel) -> Self {
+    pub fn new(simd: SimdLevel) -> Self {
         H264Decoder {
             dsp: Dsp::new(simd),
             refs: VecDeque::new(),
             retired: Vec::new(),
             refs_buf: Vec::new(),
-            pending: None,
             scratch: None,
-            cancel: CancelToken::never(),
         }
     }
 
-    /// Installs a cancellation token checked at each packet boundary,
-    /// so a deadline or shutdown stops the decoder before the next
-    /// packet with [`CodecError::Cancelled`].
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Decodes one packet; returns display-order frames.
+    /// Decodes the picture `r` holds and returns its type and its
+    /// display picture, taken from the global [`FramePool`]. I and P
+    /// pictures enter the reference list. Per-packet working state is
+    /// reused while the coded geometry stays constant.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Corrupt`] on malformed input, carrying the bit
-    /// offset the parse stopped at and a [`CorruptKind`] classification.
-    /// A failed packet leaves the decoder's reference state untouched.
-    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<Frame>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free form of [`decode`](Self::decode): appends
-    /// display-order frames to `out`. Output frames come from the
-    /// global [`FramePool`]; return them with `FramePool::global().put`
-    /// to make steady-state decoding allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`decode`](Self::decode); on error nothing is
-    /// appended to `out`.
-    pub fn decode_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), CodecError> {
-        if self.cancel.is_cancelled() {
-            return Err(CodecError::Cancelled);
-        }
-        let mut r = BitReader::new(data);
-        let result = self.decode_inner(&mut r, out);
-        let pos = r.bit_pos();
-        result.map_err(|e| e.at_bit(pos))
-    }
-
-    fn decode_inner(
+    /// [`CodecError::Corrupt`] on malformed input, with a
+    /// [`CorruptKind`]; its offset is left for the caller to stamp from
+    /// `r`. A failed packet leaves the reference state untouched.
+    pub fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<(PacketKind, Frame), CodecError> {
         let prefix = read_picture_prefix(r, MAGIC)?;
         let qp = r.get_ue()?;
         let num_refs = r.get_ue()?;
@@ -142,23 +98,15 @@ impl H264Decoder {
                 }
             }
         };
-        let result = self.decode_picture(
-            r,
-            kind,
-            qp,
-            num_refs,
-            deblock,
-            width,
-            height,
-            &mut scratch,
-            out,
-        );
+        let result = self.decode_body(r, kind, qp, num_refs, deblock, width, height, &mut scratch);
         self.scratch = Some(scratch);
-        result
+        result.map(|display| (kind, display))
     }
 
+    /// Decodes the picture body, crops the display picture out of the
+    /// reconstruction and updates the reference list.
     #[allow(clippy::too_many_arguments)]
-    fn decode_picture(
+    fn decode_body(
         &mut self,
         r: &mut BitReader<'_>,
         kind: PacketKind,
@@ -168,8 +116,7 @@ impl H264Decoder {
         width: usize,
         height: usize,
         scratch: &mut DecScratch,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Frame, CodecError> {
         let DecScratch { recon, ctx } = scratch;
         let aw = recon.width();
         let ah = recon.height();
@@ -212,13 +159,7 @@ impl H264Decoder {
             d.crop_from(recon);
             d
         };
-        if kind == PacketKind::B {
-            out.push(display);
-        } else {
-            if let Some(prev) = self.pending.take() {
-                out.push(prev);
-            }
-            self.pending = Some(display);
+        if kind != PacketKind::B {
             let keep = (num_refs as usize).max(2);
             while self.refs.len() + 1 > keep {
                 match self.refs.pop_back() {
@@ -235,21 +176,7 @@ impl H264Decoder {
             };
             self.refs.push_front(new_ref);
         }
-        Ok(())
-    }
-
-    /// Returns the final buffered anchor at end of stream.
-    pub fn flush(&mut self) -> Vec<Frame> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`flush`](Self::flush).
-    pub fn flush_into(&mut self, out: &mut Vec<Frame>) {
-        if let Some(prev) = self.pending.take() {
-            out.push(prev);
-        }
+        Ok(display)
     }
 
     fn decode_i(
@@ -842,7 +769,6 @@ fn build_b_pred_dec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EncoderConfig;
     use crate::encoder::{write_intra4_mode, H264Encoder};
     use hdvb_bits::BitWriter;
     use hdvb_frame::SequencePsnr;
@@ -867,22 +793,34 @@ mod tests {
         f
     }
 
-    fn roundtrip(qp: u8, frames: usize, b_frames: u8) -> (Vec<Frame>, Vec<Frame>) {
+    fn encoder(w: usize, h: usize, qp: u8, num_refs: u8) -> H264Encoder {
+        H264Encoder::new(w, h, qp, num_refs, 24, SimdLevel::detect())
+            .expect("h264 encoder: config rejected")
+    }
+
+    fn decode(dec: &mut H264Decoder, data: &[u8]) -> Result<(PacketKind, Frame), CodecError> {
+        dec.decode_picture(&mut BitReader::new(data))
+    }
+
+    /// Codes `frames` pictures as I P P … with `num_refs` references and
+    /// decodes each packet as it comes (coding order is display order
+    /// without B pictures).
+    fn roundtrip(qp: u8, num_refs: u8, frames: usize) -> (Vec<Frame>, Vec<Frame>) {
         let (w, h) = (64, 48);
-        let config = EncoderConfig::new(w, h).with_qp(qp).with_b_frames(b_frames);
-        let mut enc = H264Encoder::new(config).expect("h264 encoder: config rejected");
-        let mut dec = H264Decoder::new();
+        let mut enc = encoder(w, h, qp, num_refs);
+        let mut dec = H264Decoder::new(SimdLevel::detect());
         let originals: Vec<Frame> = (0..frames).map(|i| moving_frame(w, h, i as f64)).collect();
-        let mut packets = Vec::new();
-        for f in &originals {
-            packets.extend(enc.encode(f).expect("h264 encoder: encode failed"));
-        }
-        packets.extend(enc.flush().expect("h264 encoder: flush failed"));
-        let mut decoded = Vec::new();
-        for p in &packets {
-            decoded.extend(dec.decode(&p.data).expect("h264 decoder: packet rejected"));
-        }
-        decoded.extend(dec.flush());
+        let decoded = originals
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let kind = if i == 0 { PacketKind::I } else { PacketKind::P };
+                let p = enc.encode_picture(f, kind, i as u32);
+                decode(&mut dec, &p.data)
+                    .expect("h264 decoder: packet rejected")
+                    .1
+            })
+            .collect();
         (originals, decoded)
     }
 
@@ -905,45 +843,15 @@ mod tests {
 
     #[test]
     fn intra_roundtrip_quality() {
-        let (orig, dec) = roundtrip(20, 1, 2);
-        assert_eq!(dec.len(), 1);
+        let (orig, dec) = roundtrip(20, 3, 1);
         let mut acc = SequencePsnr::new();
         acc.add(&orig[0], &dec[0]);
         assert!(acc.y_psnr() > 32.0, "psnr {:.2}", acc.y_psnr());
     }
 
     #[test]
-    fn ipbb_roundtrip_display_order() {
-        let (orig, dec) = roundtrip(26, 7, 2);
-        assert_eq!(dec.len(), 7);
-        for (i, (o, d)) in orig.iter().zip(&dec).enumerate() {
-            let mut acc = SequencePsnr::new();
-            acc.add(o, d);
-            assert!(acc.y_psnr() > 27.0, "frame {i}: {:.2}", acc.y_psnr());
-        }
-    }
-
-    #[test]
     fn ipp_roundtrip_multiref() {
-        let (w, h) = (64, 48);
-        let config = EncoderConfig::new(w, h)
-            .with_qp(24)
-            .with_b_frames(0)
-            .with_num_refs(3);
-        let mut enc = H264Encoder::new(config).expect("h264 encoder: config rejected");
-        let mut dec = H264Decoder::new();
-        let originals: Vec<Frame> = (0..6).map(|i| moving_frame(w, h, i as f64)).collect();
-        let mut packets = Vec::new();
-        for f in &originals {
-            packets.extend(enc.encode(f).expect("h264 encoder: encode failed"));
-        }
-        packets.extend(enc.flush().expect("h264 encoder: flush failed"));
-        let mut decoded = Vec::new();
-        for p in &packets {
-            decoded.extend(dec.decode(&p.data).expect("h264 decoder: packet rejected"));
-        }
-        decoded.extend(dec.flush());
-        assert_eq!(decoded.len(), 6);
+        let (originals, decoded) = roundtrip(24, 3, 6);
         for (o, d) in originals.iter().zip(&decoded) {
             let mut acc = SequencePsnr::new();
             acc.add(o, d);
@@ -967,23 +875,14 @@ mod tests {
             f
         };
         let bits_with = |refs: u8| -> u64 {
-            let mut enc = H264Encoder::new(
-                EncoderConfig::new(w, h)
-                    .with_b_frames(0)
-                    .with_num_refs(refs),
-            )
-            .expect("h264 encoder: config rejected");
-            let mut total = 0;
-            for t in 0..8 {
-                let f = scene(t % 2 == 1, t);
-                for p in enc.encode(&f).expect("h264 encoder: encode failed") {
-                    total += p.bits();
-                }
-            }
-            for p in enc.flush().expect("h264 encoder: flush failed") {
-                total += p.bits();
-            }
-            total
+            let mut enc = encoder(w, h, 26, refs);
+            (0..8)
+                .map(|t| {
+                    let kind = if t == 0 { PacketKind::I } else { PacketKind::P };
+                    enc.encode_picture(&scene(t % 2 == 1, t), kind, t as u32)
+                        .bits()
+                })
+                .sum()
         };
         let single = bits_with(1);
         let multi = bits_with(3);
@@ -996,7 +895,7 @@ mod tests {
     #[test]
     fn lower_qp_is_higher_quality() {
         let q = |qp: u8| {
-            let (orig, dec) = roundtrip(qp, 4, 2);
+            let (orig, dec) = roundtrip(qp, 3, 4);
             let mut acc = SequencePsnr::new();
             for (o, d) in orig.iter().zip(&dec) {
                 acc.add(o, d);
@@ -1009,92 +908,59 @@ mod tests {
     #[test]
     fn decode_is_simd_level_independent() {
         let (w, h) = (64, 48);
-        let mut enc =
-            H264Encoder::new(EncoderConfig::new(w, h)).expect("h264 encoder: config rejected");
-        let mut packets = Vec::new();
-        for i in 0..5 {
-            packets.extend(
-                enc.encode(&moving_frame(w, h, i as f64))
-                    .expect("h264 encoder: encode failed"),
-            );
+        let mut enc = encoder(w, h, 26, 3);
+        let mut a = H264Decoder::new(SimdLevel::Scalar);
+        let mut b = H264Decoder::new(SimdLevel::Sse2);
+        let order = [
+            (PacketKind::I, 0),
+            (PacketKind::P, 3),
+            (PacketKind::B, 1),
+            (PacketKind::B, 2),
+            (PacketKind::P, 4),
+        ];
+        for (kind, i) in order {
+            let p = enc.encode_picture(&moving_frame(w, h, f64::from(i)), kind, i);
+            let oa = decode(&mut a, &p.data).expect("h264 decoder (scalar): packet rejected");
+            let ob = decode(&mut b, &p.data).expect("h264 decoder (sse2): packet rejected");
+            assert_eq!(oa, ob, "picture {i}");
         }
-        packets.extend(enc.flush().expect("h264 encoder: flush failed"));
-        let mut a = H264Decoder::with_simd(SimdLevel::Scalar);
-        let mut b = H264Decoder::with_simd(SimdLevel::Sse2);
-        let mut oa = Vec::new();
-        let mut ob = Vec::new();
-        for p in &packets {
-            oa.extend(
-                a.decode(&p.data)
-                    .expect("h264 decoder (scalar): packet rejected"),
-            );
-            ob.extend(
-                b.decode(&p.data)
-                    .expect("h264 decoder (sse2): packet rejected"),
-            );
-        }
-        oa.extend(a.flush());
-        ob.extend(b.flush());
-        assert_eq!(oa, ob);
     }
 
     #[test]
     fn corrupt_and_truncated_inputs_error_not_panic() {
         let (w, h) = (64, 48);
-        let mut enc =
-            H264Encoder::new(EncoderConfig::new(w, h)).expect("h264 encoder: config rejected");
-        let packets = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("h264 encoder: encode failed");
-        let data = &packets[0].data;
+        let mut enc = encoder(w, h, 26, 3);
+        let data = enc
+            .encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0)
+            .data;
         for cut in [0, 2, 6, data.len() / 2] {
-            let mut dec = H264Decoder::new();
-            let _ = dec.decode(&data[..cut]);
+            let _ = decode(&mut H264Decoder::new(SimdLevel::detect()), &data[..cut]);
         }
-        let mut dec = H264Decoder::new();
-        assert!(dec.decode(&[0xABu8; 80]).is_err());
+        let mut dec = H264Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec, &[0xABu8; 80]).is_err());
         // P without reference.
-        let mut enc2 = H264Encoder::new(EncoderConfig::new(w, h).with_b_frames(0))
-            .expect("h264 encoder: config rejected");
-        let _ = enc2
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("h264 encoder: encode failed");
-        let p = enc2
-            .encode(&moving_frame(w, h, 1.0))
-            .expect("h264 encoder: encode failed");
-        let mut dec2 = H264Decoder::new();
-        assert!(dec2.decode(&p[0].data).is_err());
+        let p = enc.encode_picture(&moving_frame(w, h, 1.0), PacketKind::P, 1);
+        let mut dec2 = H264Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec2, &p.data).is_err());
     }
 
     #[test]
     fn non_aligned_dimensions_roundtrip() {
         let (w, h) = (60, 44);
-        let mut enc =
-            H264Encoder::new(EncoderConfig::new(w, h)).expect("h264 encoder: config rejected");
-        let mut dec = H264Decoder::new();
-        let f = moving_frame(w, h, 0.0);
-        let mut packets = enc.encode(&f).expect("h264 encoder: encode failed");
-        packets.extend(enc.flush().expect("h264 encoder: flush failed"));
-        let mut out = Vec::new();
-        for p in &packets {
-            out.extend(dec.decode(&p.data).expect("h264 decoder: packet rejected"));
-        }
-        out.extend(dec.flush());
-        assert_eq!(out.len(), 1);
-        assert_eq!((out[0].width(), out[0].height()), (w, h));
+        let mut enc = encoder(w, h, 26, 3);
+        let mut dec = H264Decoder::new(SimdLevel::detect());
+        let p = enc.encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0);
+        let (_, out) = decode(&mut dec, &p.data).expect("h264 decoder: packet rejected");
+        assert_eq!((out.width(), out.height()), (w, h));
     }
 
     #[test]
     fn out_of_window_motion_vector_is_corrupt_not_panic() {
         let (w, h) = (16, 16);
-        let mut enc = H264Encoder::new(EncoderConfig::new(w, h).with_b_frames(0))
-            .expect("h264 encoder: config rejected");
-        let mut dec = H264Decoder::new();
-        let i_pkt = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("h264 encoder: encode failed");
-        dec.decode(&i_pkt[0].data)
-            .expect("h264 decoder: packet rejected");
+        let mut enc = encoder(w, h, 26, 3);
+        let mut dec = H264Decoder::new(SimdLevel::detect());
+        let i_pkt = enc.encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0);
+        decode(&mut dec, &i_pkt.data).expect("h264 decoder: packet rejected");
 
         // Hand-craft a P picture whose single macroblock carries a motion
         // vector far outside the padded reference window.
@@ -1113,7 +979,7 @@ mod tests {
         bw.put_se(0); // mv.y delta
         let crafted = bw.finish();
 
-        match dec.decode(&crafted) {
+        match decode(&mut dec, &crafted) {
             Err(CodecError::Corrupt { kind, .. }) => {
                 assert_eq!(kind, CorruptKind::BadMotionVector);
             }
@@ -1122,33 +988,7 @@ mod tests {
 
         // The failed packet must not poison the decoder: a real P picture
         // decodes fine afterwards.
-        let p_pkt = enc
-            .encode(&moving_frame(w, h, 1.0))
-            .expect("h264 encoder: encode failed");
-        dec.decode(&p_pkt[0].data)
-            .expect("h264 decoder: recovery packet rejected");
-    }
-
-    #[test]
-    fn corrupt_errors_carry_bit_offsets() {
-        // Reserved frame type: detected right after the 18 header bits.
-        let mut bw = BitWriter::new();
-        bw.put_bits(MAGIC, 16);
-        bw.put_bits(3, 2);
-        let mut dec = H264Decoder::new();
-        match dec.decode(&bw.finish()) {
-            Err(CodecError::Corrupt { offset, kind, .. }) => {
-                assert_eq!(kind, CorruptKind::BadHeaderField);
-                assert!(offset >= 16, "offset {offset} should be past the magic");
-            }
-            other => panic!("expected BadHeaderField, got {other:?}"),
-        }
-        // Empty packet: truncation at offset 0 is legitimate.
-        match dec.decode(&[]) {
-            Err(CodecError::Corrupt { kind, .. }) => {
-                assert_eq!(kind, CorruptKind::Truncated);
-            }
-            other => panic!("expected Truncated, got {other:?}"),
-        }
+        let p_pkt = enc.encode_picture(&moving_frame(w, h, 1.0), PacketKind::P, 1);
+        decode(&mut dec, &p_pkt.data).expect("h264 decoder: recovery packet rejected");
     }
 }

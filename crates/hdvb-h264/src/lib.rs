@@ -32,25 +32,30 @@
 //! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
 //! the header fields every packet opens with, the I-P-B-B coding order —
 //! is the benchmark's definition, shared by all three codecs and
-//! re-exported here from `hdvb_bits::picture`; this crate adds its own
-//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//! re-exported here from `hdvb_bits::picture`. So is the stream around
+//! the pictures: `hdvb-core` schedules the GOP, copies the input,
+//! cancels and reorders for display. This crate codes one picture at a
+//! time ([`H264Encoder::encode_picture`],
+//! [`H264Decoder::decode_picture`]) with its packet [`MAGIC`] and the
+//! coding tools.
 //!
 //! # Example
 //!
 //! ```
+//! use hdvb_bits::BitReader;
+//! use hdvb_dsp::SimdLevel;
 //! use hdvb_frame::Frame;
-//! use hdvb_h264::{EncoderConfig, H264Decoder, H264Encoder};
+//! use hdvb_h264::{H264Decoder, H264Encoder, PacketKind};
 //!
-//! let mut enc = H264Encoder::new(EncoderConfig::new(64, 48).with_qp(26))?;
-//! let mut dec = H264Decoder::new();
-//! let mut packets = enc.encode(&Frame::new(64, 48))?;
-//! packets.extend(enc.flush()?);
-//! let mut out = Vec::new();
-//! for p in &packets {
-//!     out.extend(dec.decode(&p.data)?);
+//! let simd = SimdLevel::detect();
+//! // QP 26, three reference pictures, search range 24.
+//! let mut enc = H264Encoder::new(64, 48, 26, 3, 24, simd)?;
+//! let mut dec = H264Decoder::new(simd);
+//! for (kind, index) in [(PacketKind::I, 0), (PacketKind::P, 1)] {
+//!     let packet = enc.encode_picture(&Frame::new(64, 48), kind, index);
+//!     let (got, picture) = dec.decode_picture(&mut BitReader::new(&packet.data))?;
+//!     assert_eq!((got, picture.width()), (kind, 64));
 //! }
-//! out.extend(dec.flush());
-//! assert_eq!(out.len(), 1);
 //! # Ok::<(), hdvb_h264::CodecError>(())
 //! ```
 
@@ -58,7 +63,6 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks4;
-mod config;
 mod deblock;
 mod decoder;
 mod encoder;
@@ -69,7 +73,6 @@ mod quant4;
 mod resid;
 mod tables;
 
-pub use config::EncoderConfig;
 pub use decoder::H264Decoder;
 pub use encoder::H264Encoder;
 pub use encoder::MAGIC;

@@ -5,7 +5,6 @@ use hdvb_bits::{BitReader, CorruptKind};
 use hdvb_dsp::{store_block_clamped, Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
 use hdvb_frame::{align_up, Frame, FramePool};
 use hdvb_me::{reconstruct_inter, Mv, MvField};
-use hdvb_par::CancelToken;
 
 /// Per-packet working storage, reused while the coded geometry stays the
 /// same so steady-state decoding performs no heap allocation. Both
@@ -15,96 +14,44 @@ struct DecScratch {
     mvs: MvField,
 }
 
-/// The MPEG-2-class decoder.
-///
-/// Packets must be fed in coding order (as produced by
-/// [`Mpeg2Encoder`](crate::Mpeg2Encoder)); frames come out in display
-/// order. Call [`flush`](Self::flush) after the last packet to obtain the
-/// final anchor.
+/// The MPEG-2-class picture decoder: parses one packet into its
+/// reconstructed display picture and keeps the anchors later pictures
+/// predict from. Display reordering is `hdvb-core`'s.
 pub struct Mpeg2Decoder {
     dsp: Dsp,
     prev_anchor: Option<RefPicture>,
     last_anchor: Option<RefPicture>,
-    /// The newest anchor's displayable frame, held until the next anchor
-    /// arrives (display reordering).
-    pending: Option<Frame>,
     /// Reusable per-packet working storage.
     scratch: Option<DecScratch>,
-    /// Cooperative cancellation, checkpointed at each packet boundary.
-    cancel: CancelToken,
-}
-
-impl Default for Mpeg2Decoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Mpeg2Decoder {
-    /// Creates a decoder at the CPU's best SIMD level.
-    pub fn new() -> Self {
-        Self::with_simd(SimdLevel::detect())
-    }
-
     /// Creates a decoder at an explicit SIMD level (the Figure-1 axis).
-    pub fn with_simd(simd: SimdLevel) -> Self {
+    pub fn new(simd: SimdLevel) -> Self {
         Mpeg2Decoder {
             dsp: Dsp::new(simd),
             prev_anchor: None,
             last_anchor: None,
-            pending: None,
             scratch: None,
-            cancel: CancelToken::never(),
         }
     }
 
-    /// Installs a cancellation token checked at each packet boundary,
-    /// so a deadline or shutdown stops the decoder before the next
-    /// packet with [`CodecError::Cancelled`].
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Decodes one packet; returns zero or more display-order frames.
+    /// Decodes the picture `r` holds and returns its type and its
+    /// display picture, taken from the global [`FramePool`]. I and P
+    /// pictures become the newest anchor. Per-packet working state is
+    /// reused while the coded geometry stays constant, so a
+    /// steady-state packet allocates nothing but the pooled output.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Corrupt`] on malformed or truncated input, carrying
-    /// the bit offset the parse stopped at and a [`CorruptKind`]
-    /// classification. A failed packet leaves the decoder's reference
-    /// state untouched, so subsequent packets can still decode (the
-    /// container-level resync in `hdvb-core` relies on this).
-    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<Frame>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free form of [`decode`](Self::decode): appends decoded
-    /// display-order frames to `out`. Output frames come from the global
-    /// [`FramePool`] (return them with `FramePool::global().put(..)` to
-    /// close the recycling loop), and per-packet working state is reused
-    /// while the coded geometry stays constant — at steady state a
-    /// decoded packet performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`decode`](Self::decode); nothing is appended on error.
-    pub fn decode_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), CodecError> {
-        if self.cancel.is_cancelled() {
-            return Err(CodecError::Cancelled);
-        }
-        let mut r = BitReader::new(data);
-        let result = self.decode_inner(&mut r, out);
-        let pos = r.bit_pos();
-        result.map_err(|e| e.at_bit(pos))
-    }
-
-    fn decode_inner(
+    /// [`CodecError::Corrupt`] on malformed or truncated input, with a
+    /// [`CorruptKind`]; its offset is left for the caller to stamp from
+    /// `r`. A failed packet leaves the reference state untouched, so
+    /// later packets can still decode.
+    pub fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<(PacketKind, Frame), CodecError> {
         let prefix = read_picture_prefix(r, MAGIC)?;
         let qscale = r.get_ue()?;
         prefix.check_dims()?;
@@ -133,17 +80,15 @@ impl Mpeg2Decoder {
                 }
             }
         };
-        let result = self.decode_picture(r, kind, qscale, width, height, &mut scratch, out);
+        let result = self.decode_body(r, kind, qscale, width, height, &mut scratch);
         self.scratch = Some(scratch);
-        result
+        result.map(|display| (kind, display))
     }
 
-    /// Decodes the picture body into `scratch.recon` and performs display
-    /// reordering and anchor rotation. `out` is only appended to after
-    /// the whole picture decoded successfully, so a failed packet leaves
-    /// the decoder state untouched.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_picture(
+    /// Decodes the picture body into `scratch.recon`, crops the display
+    /// picture out of it and rotates the anchors. Nothing changes
+    /// unless the whole picture decoded.
+    fn decode_body(
         &mut self,
         r: &mut BitReader<'_>,
         kind: PacketKind,
@@ -151,8 +96,7 @@ impl Mpeg2Decoder {
         width: usize,
         height: usize,
         scratch: &mut DecScratch,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Frame, CodecError> {
         let DecScratch { recon, mvs } = scratch;
         let (aw, ah) = (recon.width(), recon.height());
         let (mbs_x, mbs_y) = (aw / 16, ah / 16);
@@ -172,13 +116,7 @@ impl Mpeg2Decoder {
             d.crop_from(recon);
             d
         };
-        if kind == PacketKind::B {
-            out.push(display);
-        } else {
-            if let Some(prev) = self.pending.take() {
-                out.push(prev);
-            }
-            self.pending = Some(display);
+        if kind != PacketKind::B {
             let recycled = self.prev_anchor.take();
             self.prev_anchor = self.last_anchor.take();
             self.last_anchor = Some(match recycled {
@@ -192,21 +130,7 @@ impl Mpeg2Decoder {
                 ),
             });
         }
-        Ok(())
-    }
-
-    /// Returns the final buffered anchor at end of stream.
-    pub fn flush(&mut self) -> Vec<Frame> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`flush`](Self::flush).
-    pub fn flush_into(&mut self, out: &mut Vec<Frame>) {
-        if let Some(p) = self.pending.take() {
-            out.push(p);
-        }
+        Ok(display)
     }
 
     fn decode_i(
@@ -548,7 +472,6 @@ fn check_b_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EncoderConfig;
     use crate::encoder::Mpeg2Encoder;
     use hdvb_frame::SequencePsnr;
 
@@ -572,66 +495,47 @@ mod tests {
         f
     }
 
-    fn roundtrip(qscale: u16, frames: usize, b_frames: u8) -> (Vec<Frame>, Vec<Frame>) {
+    fn encoder(w: usize, h: usize, qscale: u16, simd: SimdLevel) -> Mpeg2Encoder {
+        Mpeg2Encoder::new(w, h, qscale, 24, simd).expect("mpeg2 encoder: config rejected")
+    }
+
+    fn decode(dec: &mut Mpeg2Decoder, data: &[u8]) -> Result<(PacketKind, Frame), CodecError> {
+        dec.decode_picture(&mut BitReader::new(data))
+    }
+
+    /// Codes `frames` pictures as I P P … and decodes each packet as it
+    /// comes (coding order is display order without B pictures).
+    fn roundtrip(qscale: u16, frames: usize) -> (Vec<Frame>, Vec<Frame>) {
         let (w, h) = (64, 48);
-        let config = EncoderConfig::new(w, h)
-            .with_qscale(qscale)
-            .with_b_frames(b_frames);
-        let mut enc = Mpeg2Encoder::new(config).expect("mpeg2 encoder: config rejected");
-        let mut dec = Mpeg2Decoder::new();
+        let mut enc = encoder(w, h, qscale, SimdLevel::detect());
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
         let originals: Vec<Frame> = (0..frames).map(|i| moving_frame(w, h, i as f64)).collect();
-        let mut packets = Vec::new();
-        for f in &originals {
-            packets.extend(enc.encode(f).expect("mpeg2 encoder: encode failed"));
-        }
-        packets.extend(enc.flush().expect("mpeg2 encoder: flush failed"));
-        let mut decoded = Vec::new();
-        for p in &packets {
-            decoded.extend(dec.decode(&p.data).expect("mpeg2 decoder: packet rejected"));
-        }
-        decoded.extend(dec.flush());
+        let decoded = originals
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let kind = if i == 0 { PacketKind::I } else { PacketKind::P };
+                let p = enc.encode_picture(f, kind, i as u32);
+                let (got, frame) = decode(&mut dec, &p.data).expect("mpeg2 decoder: rejected");
+                assert_eq!(got, kind);
+                frame
+            })
+            .collect();
         (originals, decoded)
     }
 
     #[test]
     fn single_intra_roundtrip_quality() {
-        let (orig, dec) = roundtrip(4, 1, 2);
-        assert_eq!(dec.len(), 1);
+        let (orig, dec) = roundtrip(4, 1);
         let mut acc = SequencePsnr::new();
         acc.add(&orig[0], &dec[0]);
         assert!(acc.y_psnr() > 30.0, "I-frame PSNR {}", acc.y_psnr());
     }
 
     #[test]
-    fn ipbb_stream_roundtrips_in_display_order() {
-        let (orig, dec) = roundtrip(4, 7, 2);
-        assert_eq!(dec.len(), 7);
-        for (i, (o, d)) in orig.iter().zip(&dec).enumerate() {
-            let mut acc = SequencePsnr::new();
-            acc.add(o, d);
-            assert!(
-                acc.y_psnr() > 27.0,
-                "frame {i} psnr {:.2} too low",
-                acc.y_psnr()
-            );
-        }
-    }
-
-    #[test]
-    fn ipp_stream_roundtrips() {
-        let (orig, dec) = roundtrip(6, 5, 0);
-        assert_eq!(dec.len(), 5);
-        for (o, d) in orig.iter().zip(&dec) {
-            let mut acc = SequencePsnr::new();
-            acc.add(o, d);
-            assert!(acc.y_psnr() > 26.0);
-        }
-    }
-
-    #[test]
     fn lower_qscale_gives_higher_quality() {
         let quality = |q: u16| {
-            let (orig, dec) = roundtrip(q, 4, 2);
+            let (orig, dec) = roundtrip(q, 4);
             let mut acc = SequencePsnr::new();
             for (o, d) in orig.iter().zip(&dec) {
                 acc.add(o, d);
@@ -646,101 +550,77 @@ mod tests {
     #[test]
     fn non_aligned_dimensions_roundtrip() {
         let (w, h) = (60, 44);
-        let mut enc =
-            Mpeg2Encoder::new(EncoderConfig::new(w, h)).expect("mpeg2 encoder: config rejected");
-        let mut dec = Mpeg2Decoder::new();
-        let f = moving_frame(w, h, 0.0);
-        let mut packets = enc.encode(&f).expect("mpeg2 encoder: encode failed");
-        packets.extend(enc.flush().expect("mpeg2 encoder: flush failed"));
-        let mut out = Vec::new();
-        for p in &packets {
-            out.extend(dec.decode(&p.data).expect("mpeg2 decoder: packet rejected"));
-        }
-        out.extend(dec.flush());
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].width(), w);
-        assert_eq!(out[0].height(), h);
+        let mut enc = encoder(w, h, 5, SimdLevel::detect());
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+        let p = enc.encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0);
+        let (_, out) = decode(&mut dec, &p.data).expect("mpeg2 decoder: packet rejected");
+        assert_eq!(out.width(), w);
+        assert_eq!(out.height(), h);
     }
 
     #[test]
     fn decode_cross_simd_levels_is_identical() {
-        // Encode once, decode with scalar and with SIMD: outputs must be
-        // bit-identical (the property the Figure-1 harness relies on).
+        // Encode once (I P B B P), decode with scalar and with SIMD:
+        // outputs must be bit-identical (the property the Figure-1
+        // harness relies on).
         let (w, h) = (64, 48);
-        let mut enc =
-            Mpeg2Encoder::new(EncoderConfig::new(w, h)).expect("mpeg2 encoder: config rejected");
-        let mut packets = Vec::new();
-        for i in 0..5 {
-            packets.extend(
-                enc.encode(&moving_frame(w, h, i as f64))
-                    .expect("mpeg2 encoder: encode failed"),
-            );
-        }
-        packets.extend(enc.flush().expect("mpeg2 encoder: flush failed"));
-        let mut d_scalar = Mpeg2Decoder::with_simd(SimdLevel::Scalar);
-        let mut d_simd = Mpeg2Decoder::with_simd(SimdLevel::Sse2);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
+        let mut enc = encoder(w, h, 5, SimdLevel::detect());
+        let order = [
+            (PacketKind::I, 0),
+            (PacketKind::P, 3),
+            (PacketKind::B, 1),
+            (PacketKind::B, 2),
+            (PacketKind::P, 4),
+        ];
+        let packets: Vec<_> = order
+            .iter()
+            .map(|&(kind, i)| enc.encode_picture(&moving_frame(w, h, f64::from(i)), kind, i))
+            .collect();
+        let mut d_scalar = Mpeg2Decoder::new(SimdLevel::Scalar);
+        let mut d_simd = Mpeg2Decoder::new(SimdLevel::Sse2);
         for p in &packets {
-            out_a.extend(
-                d_scalar
-                    .decode(&p.data)
-                    .expect("mpeg2 decoder (scalar): packet rejected"),
-            );
-            out_b.extend(
-                d_simd
-                    .decode(&p.data)
-                    .expect("mpeg2 decoder (sse2): packet rejected"),
-            );
+            let a = decode(&mut d_scalar, &p.data).expect("mpeg2 decoder (scalar): rejected");
+            let b = decode(&mut d_simd, &p.data).expect("mpeg2 decoder (sse2): rejected");
+            assert_eq!(a, b, "picture {}", p.display_index);
         }
-        out_a.extend(d_scalar.flush());
-        out_b.extend(d_simd.flush());
-        assert_eq!(out_a, out_b);
     }
 
     #[test]
     fn truncated_and_corrupt_packets_error_not_panic() {
         let (w, h) = (64, 48);
-        let mut enc =
-            Mpeg2Encoder::new(EncoderConfig::new(w, h)).expect("mpeg2 encoder: config rejected");
-        let packets = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("mpeg2 encoder: encode failed");
-        let data = &packets[0].data;
+        let mut enc = encoder(w, h, 5, SimdLevel::detect());
+        let data = enc
+            .encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0)
+            .data;
         for cut in [0, 1, 2, 5, data.len() / 2] {
-            let mut dec = Mpeg2Decoder::new();
-            let _ = dec.decode(&data[..cut]); // must not panic
+            let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+            let _ = decode(&mut dec, &data[..cut]); // must not panic
         }
         let mut corrupt = data.clone();
         if corrupt.len() > 8 {
             corrupt[6] ^= 0xFF;
             corrupt[7] ^= 0xA5;
         }
-        let mut dec = Mpeg2Decoder::new();
-        let _ = dec.decode(&corrupt); // error or garbage frame, no panic
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+        let _ = decode(&mut dec, &corrupt); // error or garbage frame, no panic
     }
 
     #[test]
     fn p_without_reference_is_an_error() {
         // Build a stream then feed the P packet to a fresh decoder.
         let (w, h) = (64, 48);
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(w, h).with_b_frames(0))
-            .expect("mpeg2 encoder: config rejected");
-        let _ = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("mpeg2 encoder: encode failed");
-        let p = enc
-            .encode(&moving_frame(w, h, 1.0))
-            .expect("mpeg2 encoder: encode failed");
-        let mut dec = Mpeg2Decoder::new();
-        assert!(dec.decode(&p[0].data).is_err());
+        let mut enc = encoder(w, h, 5, SimdLevel::detect());
+        let _ = enc.encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0);
+        let p = enc.encode_picture(&moving_frame(w, h, 1.0), PacketKind::P, 1);
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec, &p.data).is_err());
     }
 
     #[test]
     fn garbage_input_is_rejected() {
-        let mut dec = Mpeg2Decoder::new();
-        assert!(dec.decode(&[0xFF; 100]).is_err());
-        assert!(dec.decode(&[]).is_err());
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec, &[0xFF; 100]).is_err());
+        assert!(decode(&mut dec, &[]).is_err());
     }
 
     #[test]
@@ -748,16 +628,10 @@ mod tests {
         // Decode a real I picture, then hand-craft a P packet whose first
         // macroblock carries a vector far outside the padded reference.
         let (w, h) = (16, 16);
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(w, h).with_b_frames(0))
-            .expect("mpeg2 encoder: config rejected");
-        let i_packets = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("mpeg2 encoder: encode failed");
-        let mut dec = Mpeg2Decoder::new();
-        for p in &i_packets {
-            dec.decode(&p.data)
-                .expect("mpeg2 decoder: I packet rejected");
-        }
+        let mut enc = encoder(w, h, 5, SimdLevel::detect());
+        let i_packet = enc.encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0);
+        let mut dec = Mpeg2Decoder::new(SimdLevel::detect());
+        decode(&mut dec, &i_packet.data).expect("mpeg2 decoder: I packet rejected");
         let mut bw = hdvb_bits::BitWriter::new();
         bw.put_bits(MAGIC, 16);
         bw.put_bits(PacketKind::P.to_bits(), 2);
@@ -769,9 +643,7 @@ mod tests {
         bw.put_bits(0, 1); // not intra
         bw.put_se(1000); // mvd_x: within clamp range, far outside window
         bw.put_se(0);
-        let err = dec
-            .decode(&bw.finish())
-            .expect_err("huge mv must be rejected");
+        let err = decode(&mut dec, &bw.finish()).expect_err("huge mv must be rejected");
         assert!(
             matches!(
                 err,
@@ -783,38 +655,7 @@ mod tests {
             "unexpected error: {err}"
         );
         // The decoder survives: the next valid P packet still decodes.
-        let p_packets = enc
-            .encode(&moving_frame(w, h, 1.0))
-            .expect("mpeg2 encoder: encode failed");
-        for p in &p_packets {
-            dec.decode(&p.data)
-                .expect("mpeg2 decoder: recovery packet rejected");
-        }
-    }
-
-    #[test]
-    fn corrupt_errors_carry_bit_offsets() {
-        let mut dec = Mpeg2Decoder::new();
-        // Valid magic, then garbage: the error offset must be past the
-        // 16-bit magic, and truncation must map to Truncated.
-        let mut bw = hdvb_bits::BitWriter::new();
-        bw.put_bits(MAGIC, 16);
-        bw.put_bits(3, 2); // reserved frame type
-        let err = dec.decode(&bw.finish()).expect_err("bad frame type");
-        match err {
-            CodecError::Corrupt { offset, kind, .. } => {
-                assert_eq!(kind, CorruptKind::BadHeaderField);
-                assert!(offset >= 16, "offset {offset} should be past the magic");
-            }
-            other => panic!("unexpected error: {other}"),
-        }
-        let err = dec.decode(&[]).expect_err("empty packet");
-        assert!(matches!(
-            err,
-            CodecError::Corrupt {
-                kind: CorruptKind::Truncated,
-                ..
-            }
-        ));
+        let p_packet = enc.encode_picture(&moving_frame(w, h, 1.0), PacketKind::P, 1);
+        decode(&mut dec, &p_packet.data).expect("mpeg2 decoder: recovery packet rejected");
     }
 }

@@ -1,19 +1,17 @@
 use crate::blocks::write_coeffs;
-use crate::config::EncoderConfig;
 use hdvb_bits::picture::{
-    write_picture_prefix, CodecError, GopScheduler, Packet, PacketKind, PicturePrefix, Scheduled,
+    check_picture_dims, write_picture_prefix, CodecError, Packet, PacketKind, PicturePrefix,
 };
 use hdvb_bits::BitWriter;
 use hdvb_dsp::{
-    load_block, store_block_clamped, Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA,
+    load_block, store_block_clamped, Block8, Dsp, SimdLevel, SubpelWindow, MPEG_DEFAULT_INTRA,
     MPEG_DEFAULT_NONINTRA,
 };
-use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
+use hdvb_frame::{align_up, BufferPool, Frame, PaddedPlane, Plane};
 use hdvb_me::{
     bipred_luma, epzs_search, mb_prefers_intra, mv_bits, reconstruct_inter, refine_hpel, BlockRef,
     EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
 };
-use hdvb_par::CancelToken;
 
 /// Magic number opening every coded picture.
 pub const MAGIC: u32 = 0x4D32; // "M2"
@@ -137,15 +135,16 @@ struct EncScratch {
     b_mvs: MvField,
 }
 
-/// The MPEG-2-class encoder.
-///
-/// Frames are submitted in display order via [`encode`](Self::encode);
-/// packets come back in coding order. Call [`flush`](Self::flush) after
-/// the last frame.
+/// The MPEG-2-class picture encoder: codes one picture of a stated
+/// type per call and keeps the anchors B pictures predict from. The
+/// stream around it (display → coding order, cancellation, the input
+/// copy) is `hdvb-core`'s.
 pub struct Mpeg2Encoder {
-    config: EncoderConfig,
+    width: usize,
+    height: usize,
+    qscale: u16,
+    search_range: u16,
     dsp: Dsp,
-    gop: GopScheduler<Frame>,
     aw: usize,
     ah: usize,
     mbs_x: usize,
@@ -156,26 +155,35 @@ pub struct Mpeg2Encoder {
     last_anchor: Option<RefPicture>,
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
-    /// Reusable coding-order buffer handed to the GOP scheduler.
-    sched: Vec<Scheduled<Frame>>,
-    /// Cooperative cancellation, checkpointed before each coded picture.
-    cancel: CancelToken,
 }
 
 impl Mpeg2Encoder {
-    /// Creates an encoder.
+    /// Creates an encoder for `width`×`height` pictures at constant
+    /// quantiser scale `qscale` (1..=62; the paper uses `vqscale=5`),
+    /// searching motion `search_range` full pels around each predictor.
     ///
     /// # Errors
     ///
     /// [`CodecError::BadConfig`] for invalid geometry or quantiser.
-    pub fn new(config: EncoderConfig) -> Result<Self, CodecError> {
-        config.validate()?;
-        let aw = align_up(config.width, 16);
-        let ah = align_up(config.height, 16);
+    pub fn new(
+        width: usize,
+        height: usize,
+        qscale: u16,
+        search_range: u16,
+        simd: SimdLevel,
+    ) -> Result<Self, CodecError> {
+        check_picture_dims(width, height).map_err(CodecError::BadConfig)?;
+        if qscale == 0 || qscale > 62 {
+            return Err(CodecError::BadConfig("qscale must be in 1..=62"));
+        }
+        let aw = align_up(width, 16);
+        let ah = align_up(height, 16);
         Ok(Mpeg2Encoder {
-            config,
-            dsp: Dsp::new(config.simd),
-            gop: GopScheduler::new(config.b_frames, config.intra_period),
+            width,
+            height,
+            qscale,
+            search_range,
+            dsp: Dsp::new(simd),
             aw,
             ah,
             mbs_x: aw / 16,
@@ -188,113 +196,20 @@ impl Mpeg2Encoder {
                 mvs: MvField::new(aw / 16, ah / 16),
                 b_mvs: MvField::new(aw / 16, ah / 16),
             }),
-            sched: Vec::new(),
-            cancel: CancelToken::never(),
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EncoderConfig {
-        &self.config
-    }
-
-    /// Installs a cancellation token checked before each coded picture,
-    /// so a deadline or shutdown stops the encoder at the next picture
-    /// boundary with [`CodecError::Cancelled`].
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Submits the next display-order frame; returns zero or more coded
-    /// packets (coding order).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::FrameMismatch`] if the frame geometry differs from
-    /// the configuration.
-    pub fn encode(&mut self, frame: &Frame) -> Result<Vec<Packet>, CodecError> {
-        let mut out = Vec::new();
-        self.encode_into(frame, &mut out)?;
-        Ok(out)
-    }
-
-    /// Flushes buffered frames at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors (none in normal operation).
-    pub fn flush(&mut self) -> Result<Vec<Packet>, CodecError> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free form of [`encode`](Self::encode): appends coded
-    /// packets to `out`. The input frame is copied into a pooled frame
-    /// (recycled after coding), packet payloads come from the global
-    /// [`BufferPool`], and all per-picture working state is reused — at
-    /// steady state a submitted frame performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`encode`](Self::encode); packets appended before an error
-    /// stay in `out`.
-    pub fn encode_into(&mut self, frame: &Frame, out: &mut Vec<Packet>) -> Result<(), CodecError> {
-        if frame.width() != self.config.width || frame.height() != self.config.height {
-            return Err(CodecError::FrameMismatch {
-                expected: (self.config.width, self.config.height),
-                actual: (frame.width(), frame.height()),
-            });
-        }
-        let pooled = {
-            let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
-            let mut f = FramePool::global().take(frame.width(), frame.height());
-            f.copy_from(frame);
-            f
-        };
-        let mut sched = std::mem::take(&mut self.sched);
-        self.gop.push_into(pooled, &mut sched);
-        let result = self.encode_scheduled(&mut sched, out);
-        self.sched = sched;
-        result
-    }
-
-    /// Allocation-free form of [`flush`](Self::flush): appends the
-    /// remaining coded packets to `out`.
-    ///
-    /// # Errors
-    ///
-    /// As [`flush`](Self::flush).
-    pub fn flush_into(&mut self, out: &mut Vec<Packet>) -> Result<(), CodecError> {
-        let mut sched = std::mem::take(&mut self.sched);
-        self.gop.finish_into(&mut sched);
-        let result = self.encode_scheduled(&mut sched, out);
-        self.sched = sched;
-        result
-    }
-
-    /// Codes every scheduled picture, recycling each input frame to the
-    /// global pool afterwards (also on error/cancellation).
-    fn encode_scheduled(
+    /// Codes `frame` (`width`×`height`) as one picture of type `kind`
+    /// and returns its packet. I and P pictures become the newest
+    /// anchor; a B picture needs two anchors coded before it. Packet
+    /// payloads come from the global [`BufferPool`] and all working
+    /// state is reused, so a steady-state picture allocates nothing.
+    pub fn encode_picture(
         &mut self,
-        sched: &mut Vec<Scheduled<Frame>>,
-        out: &mut Vec<Packet>,
-    ) -> Result<(), CodecError> {
-        let mut result = Ok(());
-        for s in sched.drain(..) {
-            if result.is_ok() {
-                if self.cancel.is_cancelled() {
-                    result = Err(CodecError::Cancelled);
-                } else {
-                    out.push(self.encode_picture(&s.item, s.kind, s.display_index));
-                }
-            }
-            FramePool::global().put(s.item);
-        }
-        result
-    }
-
-    fn encode_picture(&mut self, frame: &Frame, kind: PacketKind, display_index: u32) -> Packet {
+        frame: &Frame,
+        kind: PacketKind,
+        display_index: u32,
+    ) -> Packet {
         let mut scratch = self.scratch.take().expect("encoder scratch in use");
         let packet = self.encode_picture_inner(frame, kind, display_index, &mut scratch);
         self.scratch = Some(scratch);
@@ -328,11 +243,11 @@ impl Mpeg2Encoder {
             let prefix = PicturePrefix {
                 kind,
                 display_index,
-                width: self.config.width,
-                height: self.config.height,
+                width: self.width,
+                height: self.height,
             };
             write_picture_prefix(&mut w, MAGIC, &prefix);
-            w.put_ue(u32::from(self.config.qscale));
+            w.put_ue(u32::from(self.qscale));
             w
         };
 
@@ -411,7 +326,7 @@ impl Mpeg2Encoder {
                 dc_levels[b] = ((i32::from(block[0]) + 4) >> 3).clamp(0, 255);
                 block[0] = 0;
                 self.dsp
-                    .quant8(block, &MPEG_DEFAULT_INTRA, self.config.qscale, true);
+                    .quant8(block, &MPEG_DEFAULT_INTRA, self.qscale, true);
             }
         }
         {
@@ -429,7 +344,7 @@ impl Mpeg2Encoder {
             let (_, rplane, _, bx, by) = block_geometry(cur, recon, mbx, mby, b);
             let block = &mut blocks[b];
             self.dsp
-                .dequant8(block, &MPEG_DEFAULT_INTRA, self.config.qscale, true);
+                .dequant8(block, &MPEG_DEFAULT_INTRA, self.qscale, true);
             block[0] = (dc_levels[b] * 8) as i16;
             self.dsp.idct8(block);
             store_block_clamped(rplane, bx, by, block);
@@ -468,7 +383,7 @@ impl Mpeg2Encoder {
                     &reference.y,
                     &preds,
                     &EpzsThresholds::default(),
-                    &SearchParams::new(self.config.search_range, lambda)
+                    &SearchParams::new(self.search_range, lambda)
                         .with_pred(Mv::new(row.mv_pred.x >> 1, row.mv_pred.y >> 1)),
                 );
                 // Half-pel refinement against the coding predictor.
@@ -507,7 +422,7 @@ impl Mpeg2Encoder {
                         &pcr,
                         &blocks,
                         0,
-                        self.config.qscale,
+                        self.qscale,
                     );
                     row.dc_pred = [128; 3];
                     row.reset_mv();
@@ -537,7 +452,7 @@ impl Mpeg2Encoder {
                     &pcr,
                     &blocks,
                     cbp,
-                    self.config.qscale,
+                    self.qscale,
                 );
                 row.dc_pred = [128; 3];
             }
@@ -573,7 +488,7 @@ impl Mpeg2Encoder {
                 // from this frame's forward field plus collocated from the
                 // backward anchor's field).
                 let preds = Predictors::gather(cur_mvs, &bwd.mvs, mbx, mby);
-                let params = SearchParams::new(self.config.search_range, lambda)
+                let params = SearchParams::new(self.search_range, lambda)
                     .with_pred(Mv::new(row.mv_pred.x >> 1, row.mv_pred.y >> 1));
                 let f = epzs_search(
                     &self.dsp,
@@ -583,7 +498,7 @@ impl Mpeg2Encoder {
                     &EpzsThresholds::default(),
                     &params,
                 );
-                let params_b = SearchParams::new(self.config.search_range, lambda)
+                let params_b = SearchParams::new(self.search_range, lambda)
                     .with_pred(Mv::new(row.mv_pred_bwd.x >> 1, row.mv_pred_bwd.y >> 1));
                 let b = epzs_search(
                     &self.dsp,
@@ -652,7 +567,7 @@ impl Mpeg2Encoder {
                         &pcr,
                         &blocks,
                         0,
-                        self.config.qscale,
+                        self.qscale,
                     );
                     continue;
                 }
@@ -688,7 +603,7 @@ impl Mpeg2Encoder {
                     &pcr,
                     &blocks,
                     cbp,
-                    self.config.qscale,
+                    self.qscale,
                 );
                 row.dc_pred = [128; 3];
             }
@@ -698,7 +613,7 @@ impl Mpeg2Encoder {
 
     /// λ of the motion cost `J = SAD + λ·R`: the quantiser scale.
     fn lambda(&self) -> u32 {
-        u32::from(self.config.qscale).max(1)
+        u32::from(self.qscale).max(1)
     }
 
     /// SAD-based half-pel refinement of macroblock `block` around
@@ -745,12 +660,9 @@ impl Mpeg2Encoder {
             self.dsp
                 .diff_block8(&mut block, cur_slice, cur_stride, pred_slice, pred_stride);
             self.dsp.fdct8(&mut block);
-            let nz = self.dsp.quant8(
-                &mut block,
-                &MPEG_DEFAULT_NONINTRA,
-                self.config.qscale,
-                false,
-            );
+            let nz = self
+                .dsp
+                .quant8(&mut block, &MPEG_DEFAULT_NONINTRA, self.qscale, false);
             if nz > 0 {
                 cbp |= 1 << (5 - b);
             }
@@ -853,7 +765,6 @@ pub(crate) fn build_b_prediction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdvb_dsp::SimdLevel;
 
     fn textured_frame(w: usize, h: usize, phase: f64) -> Frame {
         let mut f = Frame::new(w, h);
@@ -874,82 +785,55 @@ mod tests {
         f
     }
 
-    #[test]
-    fn first_packet_is_intra() {
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48)).unwrap();
-        let packets = enc.encode(&textured_frame(64, 48, 0.0)).unwrap();
-        assert_eq!(packets.len(), 1);
-        assert_eq!(packets[0].kind, PacketKind::I);
-        assert_eq!(packets[0].display_index, 0);
-        assert!(!packets[0].data.is_empty());
+    fn encoder(qscale: u16, simd: SimdLevel) -> Mpeg2Encoder {
+        Mpeg2Encoder::new(64, 48, qscale, 24, simd).unwrap()
     }
 
     #[test]
-    fn gop_pattern_in_packet_stream() {
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48)).unwrap();
-        let mut all = Vec::new();
-        for i in 0..7 {
-            all.extend(enc.encode(&textured_frame(64, 48, i as f64)).unwrap());
-        }
-        all.extend(enc.flush().unwrap());
-        let types: Vec<PacketKind> = all.iter().map(|p| p.kind).collect();
-        assert_eq!(
-            types,
-            vec![
-                PacketKind::I,
-                PacketKind::P,
-                PacketKind::B,
-                PacketKind::B,
-                PacketKind::P,
-                PacketKind::B,
-                PacketKind::B
-            ]
-        );
-        let display: Vec<u32> = all.iter().map(|p| p.display_index).collect();
-        assert_eq!(display, vec![0, 3, 1, 2, 6, 4, 5]);
+    fn geometry_and_quantiser_are_validated() {
+        let new = |w, h, q| Mpeg2Encoder::new(w, h, q, 24, SimdLevel::Scalar);
+        assert!(new(64, 48, 5).is_ok());
+        assert!(new(15, 48, 5).is_err());
+        assert!(new(64, 47, 5).is_err());
+        assert!(new(64, 48, 0).is_err());
+        assert!(new(64, 48, 63).is_err());
     }
 
     #[test]
     fn higher_qscale_produces_fewer_bits() {
         let frame = textured_frame(64, 48, 0.0);
         let bits = |q: u16| {
-            let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48).with_qscale(q)).unwrap();
-            let p = enc.encode(&frame).unwrap();
-            p[0].bits()
+            let mut enc = encoder(q, SimdLevel::detect());
+            enc.encode_picture(&frame, PacketKind::I, 0).bits()
         };
         assert!(bits(20) < bits(2), "{} !< {}", bits(20), bits(2));
     }
 
     #[test]
-    fn wrong_frame_size_is_rejected() {
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48)).unwrap();
-        assert!(matches!(
-            enc.encode(&Frame::new(32, 32)),
-            Err(CodecError::FrameMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn scalar_and_simd_encoders_produce_identical_streams() {
-        let mut scalar =
-            Mpeg2Encoder::new(EncoderConfig::new(64, 48).with_simd(SimdLevel::Scalar)).unwrap();
-        let mut simd =
-            Mpeg2Encoder::new(EncoderConfig::new(64, 48).with_simd(SimdLevel::Sse2)).unwrap();
-        for i in 0..5 {
-            let f = textured_frame(64, 48, i as f64 * 1.7);
-            let a = scalar.encode(&f).unwrap();
-            let b = simd.encode(&f).unwrap();
-            assert_eq!(a, b, "frame {i}");
+        let mut scalar = encoder(5, SimdLevel::Scalar);
+        let mut simd = encoder(5, SimdLevel::Sse2);
+        let order = [
+            (PacketKind::I, 0),
+            (PacketKind::P, 3),
+            (PacketKind::B, 1),
+            (PacketKind::B, 2),
+            (PacketKind::P, 4),
+        ];
+        for (kind, i) in order {
+            let f = textured_frame(64, 48, f64::from(i) * 1.7);
+            let a = scalar.encode_picture(&f, kind, i);
+            let b = simd.encode_picture(&f, kind, i);
+            assert_eq!(a, b, "picture {i}");
         }
-        assert_eq!(scalar.flush().unwrap(), simd.flush().unwrap());
     }
 
     #[test]
     fn static_scene_p_frames_are_tiny() {
-        let mut enc = Mpeg2Encoder::new(EncoderConfig::new(64, 48).with_b_frames(0)).unwrap();
+        let mut enc = encoder(5, SimdLevel::detect());
         let f = textured_frame(64, 48, 0.0);
-        let i_bits = enc.encode(&f).unwrap()[0].bits();
-        let p_bits = enc.encode(&f).unwrap()[0].bits();
+        let i_bits = enc.encode_picture(&f, PacketKind::I, 0).bits();
+        let p_bits = enc.encode_picture(&f, PacketKind::P, 1).bits();
         // An identical frame codes as skips plus small refinements of the
         // lossy I reconstruction.
         assert!(p_bits * 5 < i_bits, "P {p_bits} vs I {i_bits}");

@@ -12,28 +12,29 @@
 //! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
 //! the header fields every packet opens with, the I-P-B-B coding order —
 //! is the benchmark's definition, shared by all three codecs and
-//! re-exported here from `hdvb_bits::picture`; this crate adds its own
-//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//! re-exported here from `hdvb_bits::picture`. So is the stream around
+//! the pictures: `hdvb-core` schedules the GOP, copies the input,
+//! cancels and reorders for display. This crate codes one picture at a
+//! time ([`Mpeg2Encoder::encode_picture`],
+//! [`Mpeg2Decoder::decode_picture`]) with its packet [`MAGIC`] and the
+//! coding tools.
 //!
 //! # Example
 //!
 //! ```
+//! use hdvb_bits::BitReader;
+//! use hdvb_dsp::SimdLevel;
 //! use hdvb_frame::Frame;
-//! use hdvb_mpeg2::{EncoderConfig, Mpeg2Decoder, Mpeg2Encoder};
+//! use hdvb_mpeg2::{Mpeg2Decoder, Mpeg2Encoder, PacketKind};
 //!
-//! let config = EncoderConfig::new(64, 48).with_qscale(5);
-//! let mut enc = Mpeg2Encoder::new(config)?;
-//! let mut dec = Mpeg2Decoder::new();
+//! let simd = SimdLevel::detect();
+//! let mut enc = Mpeg2Encoder::new(64, 48, 5, 24, simd)?;
+//! let mut dec = Mpeg2Decoder::new(simd);
 //!
-//! let frame = Frame::new(64, 48);
-//! let mut packets = enc.encode(&frame)?;
-//! packets.extend(enc.flush()?);
-//! let mut decoded = Vec::new();
-//! for p in &packets {
-//!     decoded.extend(dec.decode(&p.data)?);
-//! }
-//! decoded.extend(dec.flush());
-//! assert_eq!(decoded.len(), 1);
+//! let packet = enc.encode_picture(&Frame::new(64, 48), PacketKind::I, 0);
+//! let (kind, picture) = dec.decode_picture(&mut BitReader::new(&packet.data))?;
+//! assert_eq!(kind, PacketKind::I);
+//! assert_eq!((picture.width(), picture.height()), (64, 48));
 //! # Ok::<(), hdvb_mpeg2::CodecError>(())
 //! ```
 
@@ -41,12 +42,10 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks;
-mod config;
 mod decoder;
 mod encoder;
 mod tables;
 
-pub use config::EncoderConfig;
 pub use decoder::Mpeg2Decoder;
 pub use encoder::Mpeg2Encoder;
 pub use encoder::MAGIC;

@@ -7,7 +7,6 @@ use hdvb_bits::{BitReader, CorruptKind};
 use hdvb_dsp::{store_block_clamped, Dsp, SimdLevel, MPEG_DEFAULT_INTRA};
 use hdvb_frame::{align_up, Frame, FramePool};
 use hdvb_me::{reconstruct_inter, Mv, MvField};
-use hdvb_par::CancelToken;
 
 /// Per-packet working storage, reused while the coded geometry stays the
 /// same so steady-state decoding performs no heap allocation. All
@@ -19,87 +18,43 @@ struct DecScratch {
     dc: DcStores,
 }
 
-/// The MPEG-4-ASP-class decoder (mirror of
-/// [`Mpeg4Encoder`](crate::Mpeg4Encoder)).
+/// The MPEG-4-ASP-class picture decoder (mirror of
+/// [`Mpeg4Encoder`](crate::Mpeg4Encoder)): parses one packet into its
+/// display picture and keeps the anchors. Display reordering is
+/// `hdvb-core`'s.
 pub struct Mpeg4Decoder {
     dsp: Dsp,
     prev_anchor: Option<RefPicture>,
     last_anchor: Option<RefPicture>,
-    pending: Option<Frame>,
     /// Reusable per-packet working storage.
     scratch: Option<DecScratch>,
-    /// Cooperative cancellation, checkpointed at each packet boundary.
-    cancel: CancelToken,
-}
-
-impl Default for Mpeg4Decoder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Mpeg4Decoder {
-    /// Creates a decoder at the CPU's best SIMD level.
-    pub fn new() -> Self {
-        Self::with_simd(SimdLevel::detect())
-    }
-
     /// Creates a decoder at an explicit SIMD level.
-    pub fn with_simd(simd: SimdLevel) -> Self {
+    pub fn new(simd: SimdLevel) -> Self {
         Mpeg4Decoder {
             dsp: Dsp::new(simd),
             prev_anchor: None,
             last_anchor: None,
-            pending: None,
             scratch: None,
-            cancel: CancelToken::never(),
         }
     }
 
-    /// Installs a cancellation token checked at each packet boundary,
-    /// so a deadline or shutdown stops the decoder before the next
-    /// packet with [`CodecError::Cancelled`].
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Decodes one packet; returns display-order frames.
+    /// Decodes the picture `r` holds and returns its type and its
+    /// display picture, taken from the global [`FramePool`]. I and P
+    /// pictures become the newest anchor. Per-packet working state is
+    /// reused while the coded geometry stays constant.
     ///
     /// # Errors
     ///
-    /// [`CodecError::Corrupt`] on malformed input, carrying the bit
-    /// offset the parse stopped at and a [`CorruptKind`] classification.
-    /// A failed packet leaves the decoder's reference state untouched.
-    pub fn decode(&mut self, data: &[u8]) -> Result<Vec<Frame>, CodecError> {
-        let mut out = Vec::new();
-        self.decode_into(data, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free form of [`decode`](Self::decode): appends
-    /// display-order frames to `out`. Output frames come from the
-    /// global [`FramePool`]; return them with `FramePool::global().put`
-    /// to make steady-state decoding allocation-free.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`decode`](Self::decode); on error nothing is
-    /// appended to `out`.
-    pub fn decode_into(&mut self, data: &[u8], out: &mut Vec<Frame>) -> Result<(), CodecError> {
-        if self.cancel.is_cancelled() {
-            return Err(CodecError::Cancelled);
-        }
-        let mut r = BitReader::new(data);
-        let result = self.decode_inner(&mut r, out);
-        let pos = r.bit_pos();
-        result.map_err(|e| e.at_bit(pos))
-    }
-
-    fn decode_inner(
+    /// [`CodecError::Corrupt`] on malformed input, with a
+    /// [`CorruptKind`]; its offset is left for the caller to stamp from
+    /// `r`. A failed packet leaves the reference state untouched.
+    pub fn decode_picture(
         &mut self,
         r: &mut BitReader<'_>,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<(PacketKind, Frame), CodecError> {
         let prefix = read_picture_prefix(r, MAGIC)?;
         let qscale = r.get_ue()?;
         prefix.check_dims()?;
@@ -135,22 +90,16 @@ impl Mpeg4Decoder {
                 }
             }
         };
-        let result = self.decode_picture(
-            r,
-            kind,
-            display_index,
-            qscale,
-            width,
-            height,
-            &mut scratch,
-            out,
-        );
+        let result = self.decode_body(r, kind, display_index, qscale, width, height, &mut scratch);
         self.scratch = Some(scratch);
-        result
+        result.map(|display| (kind, display))
     }
 
+    /// Decodes the picture body, crops the display picture out of the
+    /// reconstruction and rotates the anchors. Nothing changes unless
+    /// the whole picture decoded.
     #[allow(clippy::too_many_arguments)]
-    fn decode_picture(
+    fn decode_body(
         &mut self,
         r: &mut BitReader<'_>,
         kind: PacketKind,
@@ -159,8 +108,7 @@ impl Mpeg4Decoder {
         width: usize,
         height: usize,
         scratch: &mut DecScratch,
-        out: &mut Vec<Frame>,
-    ) -> Result<(), CodecError> {
+    ) -> Result<Frame, CodecError> {
         let DecScratch {
             recon,
             mvs_full,
@@ -191,13 +139,7 @@ impl Mpeg4Decoder {
             d.crop_from(recon);
             d
         };
-        if kind == PacketKind::B {
-            out.push(display);
-        } else {
-            if let Some(prev) = self.pending.take() {
-                out.push(prev);
-            }
-            self.pending = Some(display);
+        if kind != PacketKind::B {
             let recycled = self.prev_anchor.take();
             self.prev_anchor = self.last_anchor.take();
             self.last_anchor = Some(match recycled {
@@ -213,21 +155,7 @@ impl Mpeg4Decoder {
                 ),
             });
         }
-        Ok(())
-    }
-
-    /// Returns the final buffered anchor at end of stream.
-    pub fn flush(&mut self) -> Vec<Frame> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out);
-        out
-    }
-
-    /// Allocation-free form of [`flush`](Self::flush).
-    pub fn flush_into(&mut self, out: &mut Vec<Frame>) {
-        if let Some(prev) = self.pending.take() {
-            out.push(prev);
-        }
+        Ok(display)
     }
 
     fn decode_i(
@@ -644,7 +572,6 @@ fn check_b_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EncoderConfig;
     use crate::encoder::Mpeg4Encoder;
     use hdvb_frame::SequencePsnr;
 
@@ -668,56 +595,37 @@ mod tests {
         f
     }
 
-    fn roundtrip(qscale: u16, frames: usize, b_frames: u8) -> (Vec<Frame>, Vec<Frame>) {
-        let (w, h) = (64, 48);
-        let config = EncoderConfig::new(w, h)
-            .with_qscale(qscale)
-            .with_b_frames(b_frames);
-        let mut enc = Mpeg4Encoder::new(config).expect("mpeg4 encoder: config rejected");
-        let mut dec = Mpeg4Decoder::new();
-        let originals: Vec<Frame> = (0..frames).map(|i| moving_frame(w, h, i as f64)).collect();
-        let mut packets = Vec::new();
-        for f in &originals {
-            packets.extend(enc.encode(f).expect("mpeg4 encoder: encode failed"));
+    fn encoder(w: usize, h: usize) -> Mpeg4Encoder {
+        Mpeg4Encoder::new(w, h, 5, 24, SimdLevel::detect()).expect("mpeg4 encoder: config rejected")
+    }
+
+    fn decode(dec: &mut Mpeg4Decoder, data: &[u8]) -> Result<(PacketKind, Frame), CodecError> {
+        dec.decode_picture(&mut BitReader::new(data))
+    }
+
+    /// The paper's I-P-B-B coding order over `n` = 1 + 3k pictures.
+    fn ipbb(n: u32) -> Vec<(PacketKind, u32)> {
+        let mut order = vec![(PacketKind::I, 0)];
+        for a in (3..n).step_by(3) {
+            order.extend([
+                (PacketKind::P, a),
+                (PacketKind::B, a - 2),
+                (PacketKind::B, a - 1),
+            ]);
         }
-        packets.extend(enc.flush().expect("mpeg4 encoder: flush failed"));
-        let mut decoded = Vec::new();
-        for p in &packets {
-            decoded.extend(dec.decode(&p.data).expect("mpeg4 decoder: packet rejected"));
-        }
-        decoded.extend(dec.flush());
-        (originals, decoded)
+        order
     }
 
     #[test]
     fn intra_roundtrip_quality() {
-        let (orig, dec) = roundtrip(4, 1, 2);
-        assert_eq!(dec.len(), 1);
+        let (w, h) = (64, 48);
+        let mut enc = Mpeg4Encoder::new(w, h, 4, 24, SimdLevel::detect()).unwrap();
+        let orig = moving_frame(w, h, 0.0);
+        let p = enc.encode_picture(&orig, PacketKind::I, 0);
+        let (_, dec) = decode(&mut Mpeg4Decoder::new(SimdLevel::detect()), &p.data).unwrap();
         let mut acc = SequencePsnr::new();
-        acc.add(&orig[0], &dec[0]);
+        acc.add(&orig, &dec);
         assert!(acc.y_psnr() > 30.0, "psnr {}", acc.y_psnr());
-    }
-
-    #[test]
-    fn ipbb_roundtrip_in_display_order() {
-        let (orig, dec) = roundtrip(4, 7, 2);
-        assert_eq!(dec.len(), 7);
-        for (i, (o, d)) in orig.iter().zip(&dec).enumerate() {
-            let mut acc = SequencePsnr::new();
-            acc.add(o, d);
-            assert!(acc.y_psnr() > 27.0, "frame {i}: {:.2}", acc.y_psnr());
-        }
-    }
-
-    #[test]
-    fn ipp_roundtrip() {
-        let (orig, dec) = roundtrip(6, 5, 0);
-        assert_eq!(dec.len(), 5);
-        for (o, d) in orig.iter().zip(&dec) {
-            let mut acc = SequencePsnr::new();
-            acc.add(o, d);
-            assert!(acc.y_psnr() > 26.0);
-        }
     }
 
     #[test]
@@ -726,34 +634,22 @@ mod tests {
         // frames well (bidirectional averaging + direct-mode skips), so
         // B pictures must be clearly cheaper than P pictures.
         let (w, h) = (96, 80);
-        let mut enc =
-            Mpeg4Encoder::new(EncoderConfig::new(w, h)).expect("mpeg4 encoder: config rejected");
-        let mut p_bits = 0u64;
-        let mut p_count = 0u64;
-        let mut b_bits = 0u64;
-        let mut b_count = 0u64;
-        let mut tally = |packets: Vec<crate::Packet>| {
-            for p in packets {
-                match p.kind {
-                    PacketKind::P => {
-                        p_bits += p.bits();
-                        p_count += 1;
-                    }
-                    PacketKind::B => {
-                        b_bits += p.bits();
-                        b_count += 1;
-                    }
-                    PacketKind::I => {}
+        let mut enc = encoder(w, h);
+        let (mut p_bits, mut p_count, mut b_bits, mut b_count) = (0u64, 0u64, 0u64, 0u64);
+        for (kind, t) in ipbb(13) {
+            let p = enc.encode_picture(&moving_frame(w, h, f64::from(t)), kind, t);
+            match p.kind {
+                PacketKind::P => {
+                    p_bits += p.bits();
+                    p_count += 1;
                 }
+                PacketKind::B => {
+                    b_bits += p.bits();
+                    b_count += 1;
+                }
+                PacketKind::I => {}
             }
-        };
-        for t in 0..13 {
-            tally(
-                enc.encode(&moving_frame(w, h, t as f64))
-                    .expect("mpeg4 encoder: encode failed"),
-            );
         }
-        tally(enc.flush().expect("mpeg4 encoder: flush failed"));
         assert!(p_count >= 3 && b_count >= 6);
         let p_avg = p_bits / p_count;
         let b_avg = b_bits / b_count;
@@ -766,70 +662,44 @@ mod tests {
     #[test]
     fn decode_is_simd_level_independent() {
         let (w, h) = (64, 48);
-        let mut enc =
-            Mpeg4Encoder::new(EncoderConfig::new(w, h)).expect("mpeg4 encoder: config rejected");
-        let mut packets = Vec::new();
-        for i in 0..5 {
-            packets.extend(
-                enc.encode(&moving_frame(w, h, i as f64))
-                    .expect("mpeg4 encoder: encode failed"),
-            );
+        let mut enc = encoder(w, h);
+        let mut a = Mpeg4Decoder::new(SimdLevel::Scalar);
+        let mut b = Mpeg4Decoder::new(SimdLevel::Sse2);
+        for (kind, i) in ipbb(7) {
+            let p = enc.encode_picture(&moving_frame(w, h, f64::from(i)), kind, i);
+            let oa = decode(&mut a, &p.data).expect("mpeg4 decoder (scalar): packet rejected");
+            let ob = decode(&mut b, &p.data).expect("mpeg4 decoder (sse2): packet rejected");
+            assert_eq!(oa, ob, "picture {i}");
         }
-        packets.extend(enc.flush().expect("mpeg4 encoder: flush failed"));
-        let mut a = Mpeg4Decoder::with_simd(SimdLevel::Scalar);
-        let mut b = Mpeg4Decoder::with_simd(SimdLevel::Sse2);
-        let mut oa = Vec::new();
-        let mut ob = Vec::new();
-        for p in &packets {
-            oa.extend(
-                a.decode(&p.data)
-                    .expect("mpeg4 decoder (scalar): packet rejected"),
-            );
-            ob.extend(
-                b.decode(&p.data)
-                    .expect("mpeg4 decoder (sse2): packet rejected"),
-            );
-        }
-        oa.extend(a.flush());
-        ob.extend(b.flush());
-        assert_eq!(oa, ob);
     }
 
     #[test]
     fn corrupt_and_truncated_inputs_error_not_panic() {
         let (w, h) = (64, 48);
-        let mut enc =
-            Mpeg4Encoder::new(EncoderConfig::new(w, h)).expect("mpeg4 encoder: config rejected");
-        let packets = enc
-            .encode(&moving_frame(w, h, 0.0))
-            .expect("mpeg4 encoder: encode failed");
-        let data = &packets[0].data;
+        let mut enc = encoder(w, h);
+        let data = enc
+            .encode_picture(&moving_frame(w, h, 0.0), PacketKind::I, 0)
+            .data;
         for cut in [0, 3, 7, data.len() / 3, data.len() - 1] {
-            let mut dec = Mpeg4Decoder::new();
-            let _ = dec.decode(&data[..cut]);
+            let _ = decode(&mut Mpeg4Decoder::new(SimdLevel::detect()), &data[..cut]);
         }
-        let mut dec = Mpeg4Decoder::new();
-        assert!(dec.decode(&[0u8; 64]).is_err());
+        let mut dec = Mpeg4Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec, &[0u8; 64]).is_err());
     }
 
     #[test]
     fn b_without_anchors_is_error() {
         let (w, h) = (64, 48);
-        let mut enc =
-            Mpeg4Encoder::new(EncoderConfig::new(w, h)).expect("mpeg4 encoder: config rejected");
-        let mut packets = Vec::new();
-        for i in 0..4 {
-            packets.extend(
-                enc.encode(&moving_frame(w, h, i as f64))
-                    .expect("mpeg4 encoder: encode failed"),
-            );
+        let mut enc = encoder(w, h);
+        let mut b_packet = None;
+        for (kind, i) in ipbb(4) {
+            let p = enc.encode_picture(&moving_frame(w, h, f64::from(i)), kind, i);
+            if kind == PacketKind::B {
+                b_packet = Some(p);
+            }
         }
-        packets.extend(enc.flush().expect("mpeg4 encoder: flush failed"));
-        let b_packet = packets
-            .iter()
-            .find(|p| p.kind == PacketKind::B)
-            .expect("mpeg4 encoder: stream contains no B packet");
-        let mut dec = Mpeg4Decoder::new();
-        assert!(dec.decode(&b_packet.data).is_err());
+        let b_packet = b_packet.expect("mpeg4 encoder: stream contains no B packet");
+        let mut dec = Mpeg4Decoder::new(SimdLevel::detect());
+        assert!(decode(&mut dec, &b_packet.data).is_err());
     }
 }

@@ -1,19 +1,17 @@
 use crate::blocks::write_coeffs;
-use crate::config::EncoderConfig;
 use hdvb_bits::picture::{
-    write_picture_prefix, CodecError, GopScheduler, Packet, PacketKind, PicturePrefix, Scheduled,
+    check_picture_dims, write_picture_prefix, CodecError, Packet, PacketKind, PicturePrefix,
 };
 use hdvb_bits::BitWriter;
 use hdvb_dsp::{
-    load_block, store_block_clamped, Block8, Dsp, SubpelWindow, MPEG_DEFAULT_INTRA,
+    load_block, store_block_clamped, Block8, Dsp, SimdLevel, SubpelWindow, MPEG_DEFAULT_INTRA,
     MPEG_DEFAULT_NONINTRA,
 };
-use hdvb_frame::{align_up, BufferPool, Frame, FramePool, PaddedPlane, Plane};
+use hdvb_frame::{align_up, BufferPool, Frame, PaddedPlane, Plane};
 use hdvb_me::{
     bipred_luma, diamond_search, epzs_search, mb_prefers_intra, mv_bits, reconstruct_inter,
     refine_qpel, BlockRef, EpzsThresholds, Mv, MvField, Predictors, SearchParams, SubpelTarget,
 };
-use hdvb_par::CancelToken;
 
 /// Magic number opening every coded picture.
 pub const MAGIC: u32 = 0x4D34; // "M4"
@@ -336,11 +334,16 @@ struct EncScratch {
     dc: DcStores,
 }
 
-/// The MPEG-4-ASP-class encoder. See the crate docs for the toolset.
+/// The MPEG-4-ASP-class picture encoder (see the crate docs for the
+/// toolset): codes one picture of a stated type per call and keeps the
+/// anchors B pictures predict from. The stream around it is
+/// `hdvb-core`'s.
 pub struct Mpeg4Encoder {
-    config: EncoderConfig,
+    width: usize,
+    height: usize,
+    qscale: u16,
+    search_range: u16,
     dsp: Dsp,
-    gop: GopScheduler<Frame>,
     aw: usize,
     ah: usize,
     mbs_x: usize,
@@ -349,26 +352,35 @@ pub struct Mpeg4Encoder {
     last_anchor: Option<RefPicture>,
     /// Reusable per-picture working storage.
     scratch: Option<EncScratch>,
-    /// Reusable coding-order buffer handed to the GOP scheduler.
-    sched: Vec<Scheduled<Frame>>,
-    /// Cooperative cancellation, checkpointed before each coded picture.
-    cancel: CancelToken,
 }
 
 impl Mpeg4Encoder {
-    /// Creates an encoder.
+    /// Creates an encoder for `width`×`height` pictures at constant
+    /// quantiser scale `qscale` (1..=62), searching motion
+    /// `search_range` full pels around each predictor.
     ///
     /// # Errors
     ///
     /// [`CodecError::BadConfig`] for invalid geometry or quantiser.
-    pub fn new(config: EncoderConfig) -> Result<Self, CodecError> {
-        config.validate()?;
-        let aw = align_up(config.width, 16);
-        let ah = align_up(config.height, 16);
+    pub fn new(
+        width: usize,
+        height: usize,
+        qscale: u16,
+        search_range: u16,
+        simd: SimdLevel,
+    ) -> Result<Self, CodecError> {
+        check_picture_dims(width, height).map_err(CodecError::BadConfig)?;
+        if qscale == 0 || qscale > 62 {
+            return Err(CodecError::BadConfig("qscale must be in 1..=62"));
+        }
+        let aw = align_up(width, 16);
+        let ah = align_up(height, 16);
         Ok(Mpeg4Encoder {
-            config,
-            dsp: Dsp::new(config.simd),
-            gop: GopScheduler::new(config.b_frames, config.intra_period),
+            width,
+            height,
+            qscale,
+            search_range,
+            dsp: Dsp::new(simd),
             aw,
             ah,
             mbs_x: aw / 16,
@@ -383,111 +395,20 @@ impl Mpeg4Encoder {
                 b_full: MvField::new(aw / 16, ah / 16),
                 dc: DcStores::new(aw / 16, ah / 16),
             }),
-            sched: Vec::new(),
-            cancel: CancelToken::never(),
         })
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &EncoderConfig {
-        &self.config
-    }
-
-    /// Installs a cancellation token checked before each coded picture,
-    /// so a deadline or shutdown stops the encoder at the next picture
-    /// boundary with [`CodecError::Cancelled`].
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// Submits the next display-order frame.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::FrameMismatch`] on geometry mismatch.
-    pub fn encode(&mut self, frame: &Frame) -> Result<Vec<Packet>, CodecError> {
-        let mut out = Vec::new();
-        self.encode_into(frame, &mut out)?;
-        Ok(out)
-    }
-
-    /// Flushes buffered frames.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors (none in normal operation).
-    pub fn flush(&mut self) -> Result<Vec<Packet>, CodecError> {
-        let mut out = Vec::new();
-        self.flush_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free form of [`encode`](Self::encode): appends coded
-    /// packets to `out`. The input frame is copied into a pooled frame
-    /// (recycled after coding), packet payloads come from the global
-    /// [`BufferPool`], and all per-picture working state is reused — at
-    /// steady state a submitted frame performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// As [`encode`](Self::encode); packets appended before an error
-    /// stay in `out`.
-    pub fn encode_into(&mut self, frame: &Frame, out: &mut Vec<Packet>) -> Result<(), CodecError> {
-        if frame.width() != self.config.width || frame.height() != self.config.height {
-            return Err(CodecError::FrameMismatch {
-                expected: (self.config.width, self.config.height),
-                actual: (frame.width(), frame.height()),
-            });
-        }
-        let pooled = {
-            let _z = hdvb_trace::zone!(hdvb_trace::Stage::Reconstruct);
-            let mut f = FramePool::global().take(frame.width(), frame.height());
-            f.copy_from(frame);
-            f
-        };
-        let mut sched = std::mem::take(&mut self.sched);
-        self.gop.push_into(pooled, &mut sched);
-        let result = self.encode_scheduled(&mut sched, out);
-        self.sched = sched;
-        result
-    }
-
-    /// Allocation-free form of [`flush`](Self::flush): appends the
-    /// remaining coded packets to `out`.
-    ///
-    /// # Errors
-    ///
-    /// As [`flush`](Self::flush).
-    pub fn flush_into(&mut self, out: &mut Vec<Packet>) -> Result<(), CodecError> {
-        let mut sched = std::mem::take(&mut self.sched);
-        self.gop.finish_into(&mut sched);
-        let result = self.encode_scheduled(&mut sched, out);
-        self.sched = sched;
-        result
-    }
-
-    /// Codes every scheduled picture, recycling each input frame to the
-    /// global pool afterwards (also on error/cancellation).
-    fn encode_scheduled(
+    /// Codes `frame` (`width`×`height`) as one picture of type `kind`
+    /// and returns its packet. I and P pictures become the newest
+    /// anchor; a B picture needs two anchors coded before it. Packet
+    /// payloads come from the global [`BufferPool`] and all working
+    /// state is reused, so a steady-state picture allocates nothing.
+    pub fn encode_picture(
         &mut self,
-        sched: &mut Vec<Scheduled<Frame>>,
-        out: &mut Vec<Packet>,
-    ) -> Result<(), CodecError> {
-        let mut result = Ok(());
-        for s in sched.drain(..) {
-            if result.is_ok() {
-                if self.cancel.is_cancelled() {
-                    result = Err(CodecError::Cancelled);
-                } else {
-                    out.push(self.encode_picture(&s.item, s.kind, s.display_index));
-                }
-            }
-            FramePool::global().put(s.item);
-        }
-        result
-    }
-
-    fn encode_picture(&mut self, frame: &Frame, kind: PacketKind, display_index: u32) -> Packet {
+        frame: &Frame,
+        kind: PacketKind,
+        display_index: u32,
+    ) -> Packet {
         let mut scratch = self.scratch.take().expect("encoder scratch in use");
         let packet = self.encode_picture_inner(frame, kind, display_index, &mut scratch);
         self.scratch = Some(scratch);
@@ -523,11 +444,11 @@ impl Mpeg4Encoder {
             let prefix = PicturePrefix {
                 kind,
                 display_index,
-                width: self.config.width,
-                height: self.config.height,
+                width: self.width,
+                height: self.height,
             };
             write_picture_prefix(&mut w, MAGIC, &prefix);
-            w.put_ue(u32::from(self.config.qscale));
+            w.put_ue(u32::from(self.qscale));
             w
         };
 
@@ -607,7 +528,7 @@ impl Mpeg4Encoder {
                 block[0] = 0;
                 let nz = self
                     .dsp
-                    .quant8(&mut block, &MPEG_DEFAULT_INTRA, self.config.qscale, true);
+                    .quant8(&mut block, &MPEG_DEFAULT_INTRA, self.qscale, true);
                 if nz > 0 {
                     cbp |= 1 << (5 - b);
                 }
@@ -639,7 +560,7 @@ impl Mpeg4Encoder {
             for b in 0..6 {
                 let mut block = coded[b];
                 self.dsp
-                    .dequant8(&mut block, &MPEG_DEFAULT_INTRA, self.config.qscale, true);
+                    .dequant8(&mut block, &MPEG_DEFAULT_INTRA, self.qscale, true);
                 block[0] = (dcs[b] * 8) as i16;
                 self.dsp.idct8(&mut block);
                 let (_, rplane, bx, by) = intra_recon_geometry(recon, mbx, mby, b);
@@ -684,7 +605,7 @@ impl Mpeg4Encoder {
                     &reference.y,
                     &preds,
                     &EpzsThresholds::default(),
-                    &SearchParams::new(self.config.search_range, lambda)
+                    &SearchParams::new(self.search_range, lambda)
                         .with_pred(Mv::new(median.x >> 2, median.y >> 2)),
                 );
                 // Quarter-pel refinement (half-pel lattice, then quarter).
@@ -710,7 +631,7 @@ impl Mpeg4Encoder {
                         sub,
                         &reference.y,
                         Mv::new(mv16.x >> 2, mv16.y >> 2),
-                        &SearchParams::new(self.config.search_range, lambda)
+                        &SearchParams::new(self.search_range, lambda)
                             .with_pred(Mv::new(sub_pred.x >> 2, sub_pred.y >> 2)),
                     );
                     let (smv, scost) =
@@ -754,7 +675,7 @@ impl Mpeg4Encoder {
                         &pcr,
                         &blocks,
                         0,
-                        self.config.qscale,
+                        self.qscale,
                     );
                     qfield.set(mbx, mby, Mv::ZERO);
                     continue;
@@ -798,7 +719,7 @@ impl Mpeg4Encoder {
                     &pcr,
                     &blocks,
                     cbp,
-                    self.config.qscale,
+                    self.qscale,
                 );
             }
             w.byte_align();
@@ -839,7 +760,7 @@ impl Mpeg4Encoder {
                     h: 16,
                 };
                 let preds = Predictors::gather(cur_full, &bwd.mvs_fullpel, mbx, mby);
-                let pf = SearchParams::new(self.config.search_range, lambda)
+                let pf = SearchParams::new(self.search_range, lambda)
                     .with_pred(Mv::new(row.mv_pred.x >> 2, row.mv_pred.y >> 2));
                 let f = epzs_search(
                     &self.dsp,
@@ -849,7 +770,7 @@ impl Mpeg4Encoder {
                     &EpzsThresholds::default(),
                     &pf,
                 );
-                let pb = SearchParams::new(self.config.search_range, lambda)
+                let pb = SearchParams::new(self.search_range, lambda)
                     .with_pred(Mv::new(row.mv_pred_bwd.x >> 2, row.mv_pred_bwd.y >> 2));
                 let b = epzs_search(
                     &self.dsp,
@@ -920,7 +841,7 @@ impl Mpeg4Encoder {
                         &dcr,
                         &dblocks,
                         0,
-                        self.config.qscale,
+                        self.qscale,
                     );
                     continue;
                 }
@@ -955,7 +876,7 @@ impl Mpeg4Encoder {
                     &pcr,
                     &blocks,
                     cbp,
-                    self.config.qscale,
+                    self.qscale,
                 );
             }
             w.byte_align();
@@ -964,7 +885,7 @@ impl Mpeg4Encoder {
 
     /// λ of the motion cost `J = SAD + λ·R`: the quantiser scale.
     fn lambda(&self) -> u32 {
-        u32::from(self.config.qscale).max(1)
+        u32::from(self.qscale).max(1)
     }
 
     /// SAD-based quarter-pel refinement (half-pel lattice, then quarter)
@@ -1035,12 +956,9 @@ impl Mpeg4Encoder {
             self.dsp
                 .diff_block8(&mut block, cur_slice, cur_stride, pred_slice, pred_stride);
             self.dsp.fdct8(&mut block);
-            let nz = self.dsp.quant8(
-                &mut block,
-                &MPEG_DEFAULT_NONINTRA,
-                self.config.qscale,
-                false,
-            );
+            let nz = self
+                .dsp
+                .quant8(&mut block, &MPEG_DEFAULT_NONINTRA, self.qscale, false);
             if nz > 0 {
                 cbp |= 1 << (5 - b);
             }
@@ -1089,7 +1007,6 @@ fn intra_recon_geometry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdvb_dsp::SimdLevel;
 
     fn textured_frame(w: usize, h: usize, phase: f64) -> Frame {
         let mut f = Frame::new(w, h);
@@ -1110,27 +1027,18 @@ mod tests {
         f
     }
 
+    fn encoder(qscale: u16, simd: SimdLevel) -> Mpeg4Encoder {
+        Mpeg4Encoder::new(64, 48, qscale, 24, simd).unwrap()
+    }
+
     #[test]
-    fn gop_pattern_matches_paper() {
-        let mut enc = Mpeg4Encoder::new(EncoderConfig::new(64, 48)).unwrap();
-        let mut all = Vec::new();
-        for i in 0..7 {
-            all.extend(enc.encode(&textured_frame(64, 48, i as f64)).unwrap());
-        }
-        all.extend(enc.flush().unwrap());
-        let types: Vec<PacketKind> = all.iter().map(|p| p.kind).collect();
-        assert_eq!(
-            types,
-            vec![
-                PacketKind::I,
-                PacketKind::P,
-                PacketKind::B,
-                PacketKind::B,
-                PacketKind::P,
-                PacketKind::B,
-                PacketKind::B
-            ]
-        );
+    fn geometry_and_quantiser_are_validated() {
+        let new = |w, h, q| Mpeg4Encoder::new(w, h, q, 24, SimdLevel::Scalar);
+        assert!(new(64, 48, 5).is_ok());
+        assert!(new(15, 48, 5).is_err());
+        assert!(new(64, 47, 5).is_err());
+        assert!(new(64, 48, 0).is_err());
+        assert!(new(64, 48, 63).is_err());
     }
 
     #[test]
@@ -1152,22 +1060,27 @@ mod tests {
     fn higher_qscale_means_fewer_bits() {
         let frame = textured_frame(64, 48, 0.0);
         let bits = |q: u16| {
-            let mut enc = Mpeg4Encoder::new(EncoderConfig::new(64, 48).with_qscale(q)).unwrap();
-            enc.encode(&frame).unwrap()[0].bits()
+            let mut enc = encoder(q, SimdLevel::detect());
+            enc.encode_picture(&frame, PacketKind::I, 0).bits()
         };
         assert!(bits(20) < bits(2));
     }
 
     #[test]
     fn scalar_and_simd_streams_are_identical() {
-        let mut scalar =
-            Mpeg4Encoder::new(EncoderConfig::new(64, 48).with_simd(SimdLevel::Scalar)).unwrap();
-        let mut simd =
-            Mpeg4Encoder::new(EncoderConfig::new(64, 48).with_simd(SimdLevel::Sse2)).unwrap();
-        for i in 0..5 {
-            let f = textured_frame(64, 48, i as f64 * 1.3);
-            assert_eq!(scalar.encode(&f).unwrap(), simd.encode(&f).unwrap());
+        let mut scalar = encoder(5, SimdLevel::Scalar);
+        let mut simd = encoder(5, SimdLevel::Sse2);
+        let order = [
+            (PacketKind::I, 0),
+            (PacketKind::P, 3),
+            (PacketKind::B, 1),
+            (PacketKind::B, 2),
+            (PacketKind::P, 4),
+        ];
+        for (kind, i) in order {
+            let f = textured_frame(64, 48, f64::from(i) * 1.3);
+            let a = scalar.encode_picture(&f, kind, i);
+            assert_eq!(a, simd.encode_picture(&f, kind, i), "picture {i}");
         }
-        assert_eq!(scalar.flush().unwrap(), simd.flush().unwrap());
     }
 }

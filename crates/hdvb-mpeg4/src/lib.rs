@@ -21,25 +21,31 @@
 //! What a coded picture *is* — [`PacketKind`], [`Packet`], [`CodecError`],
 //! the header fields every packet opens with, the I-P-B-B coding order —
 //! is the benchmark's definition, shared by all three codecs and
-//! re-exported here from `hdvb_bits::picture`; this crate adds its own
-//! [`EncoderConfig`], its packet [`MAGIC`] and the coding tools.
+//! re-exported here from `hdvb_bits::picture`. So is the stream around
+//! the pictures: `hdvb-core` schedules the GOP, copies the input,
+//! cancels and reorders for display. This crate codes one picture at a
+//! time ([`Mpeg4Encoder::encode_picture`],
+//! [`Mpeg4Decoder::decode_picture`]) with its packet [`MAGIC`] and the
+//! coding tools.
 //!
 //! # Example
 //!
 //! ```
+//! use hdvb_bits::BitReader;
+//! use hdvb_dsp::SimdLevel;
 //! use hdvb_frame::Frame;
-//! use hdvb_mpeg4::{EncoderConfig, Mpeg4Decoder, Mpeg4Encoder};
+//! use hdvb_mpeg4::{Mpeg4Decoder, Mpeg4Encoder, PacketKind};
 //!
-//! let mut enc = Mpeg4Encoder::new(EncoderConfig::new(64, 48))?;
-//! let mut dec = Mpeg4Decoder::new();
-//! let mut packets = enc.encode(&Frame::new(64, 48))?;
-//! packets.extend(enc.flush()?);
-//! let mut out = Vec::new();
-//! for p in &packets {
-//!     out.extend(dec.decode(&p.data)?);
+//! let simd = SimdLevel::detect();
+//! let mut enc = Mpeg4Encoder::new(64, 48, 5, 24, simd)?;
+//! let mut dec = Mpeg4Decoder::new(simd);
+//! let mut decoded = Vec::new();
+//! // Coding order I0 P2 B1: the B picture predicts from both anchors.
+//! for (kind, index) in [(PacketKind::I, 0), (PacketKind::P, 2), (PacketKind::B, 1)] {
+//!     let packet = enc.encode_picture(&Frame::new(64, 48), kind, index);
+//!     decoded.push(dec.decode_picture(&mut BitReader::new(&packet.data))?.0);
 //! }
-//! out.extend(dec.flush());
-//! assert_eq!(out.len(), 1);
+//! assert_eq!(decoded, [PacketKind::I, PacketKind::P, PacketKind::B]);
 //! # Ok::<(), hdvb_mpeg4::CodecError>(())
 //! ```
 
@@ -47,12 +53,10 @@
 #![warn(rust_2018_idioms)]
 
 mod blocks;
-mod config;
 mod decoder;
 mod encoder;
 mod tables;
 
-pub use config::EncoderConfig;
 pub use decoder::Mpeg4Decoder;
 pub use encoder::Mpeg4Encoder;
 pub use encoder::MAGIC;

@@ -141,8 +141,13 @@ const TWO_POW_52: f64 = (1u64 << 52) as f64;
 /// for negative non-integers; `copysign` keeps `-0.0`'s sign. From 2^52
 /// up every finite `f64` is already an integer, so those values, the
 /// infinities and NaN take `f64::floor`.
+///
+/// For finite `x >= 0`, `x - floor(x)` is `x.fract()` bit for bit (both
+/// subtract the truncation, and the floor is the truncation there), so
+/// the renderers take fractional parts that way: `fract` is a call into
+/// software `trunc` on the same target.
 #[inline]
-fn floor(x: f64) -> f64 {
+pub(crate) fn floor(x: f64) -> f64 {
     if x.abs() < TWO_POW_52 {
         let t = (x as i64 as f64).copysign(x);
         if t > x {

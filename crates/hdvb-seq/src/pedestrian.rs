@@ -2,7 +2,7 @@
 //! camera; people pass very close to the camera; high depth of field
 //! (paper Table III).
 
-use crate::noise::{FbmCursor, ValueNoise};
+use crate::noise::{floor, FbmCursor, ValueNoise};
 use crate::paint::{fill_ellipse, fill_with, Ycc};
 use hdvb_frame::{Frame, Resolution};
 
@@ -85,13 +85,15 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
     // Static background: building facades above, cobbled pavement below.
     // "High depth of field" = sharp detail everywhere, no blur.
     let horizon = 0.45 * h as f64;
+    // `x.fract()` for the x >= 0 below (see `floor`).
+    let fract = |x: f64| x - floor(x);
     fill_with(&mut frame, |px, py, _| {
         let u = px as f64 / h as f64;
         let v = py as f64 / h as f64;
         if (py as f64) < horizon {
             // Facade: window grid + texture.
-            let wx = (u * 9.0).fract();
-            let wy = (v * 7.0).fract();
+            let wx = fract(u * 9.0);
+            let wy = fract(v * 7.0);
             let window = wx > 0.25 && wx < 0.8 && wy > 0.3 && wy < 0.85;
             let base = if window { 62.0 } else { 148.0 };
             let tex = 14.0 * facade.at(u * 40.0, v * 40.0);

@@ -1,7 +1,7 @@
 //! "Rush hour": rush-hour traffic in Munich — many cars moving slowly,
 //! high depth of focus, fixed camera, summer haze (paper Table III).
 
-use crate::noise::{FbmCursor, ValueNoise};
+use crate::noise::{floor, FbmCursor, ValueNoise};
 use crate::paint::{fill_rect, fill_with, Ycc};
 use crate::SplitMix;
 use hdvb_frame::{Frame, Resolution};
@@ -52,14 +52,16 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
     // Static scene: buildings at the top, road below, haze lifting
     // contrast toward the top ("summer haze").
     let road_top = 0.40 * h as f64;
+    // `x.fract()` for the x >= 0 below (see `floor`).
+    let fract = |x: f64| x - floor(x);
     fill_with(&mut frame, |px, py, _| {
         let u = px as f64 / h as f64;
         let v = py as f64 / h as f64;
         let haze = ((road_top / h as f64 - v).max(0.0) * 60.0).min(45.0);
         if (py as f64) < road_top {
             // Building band with window detail, washed out by haze.
-            let wx = (u * 14.0).fract();
-            let wy = (v * 10.0).fract();
+            let wx = fract(u * 14.0);
+            let wy = fract(v * 10.0);
             let window = wx > 0.2 && wx < 0.75 && wy > 0.25 && wy < 0.8;
             let base = if window { 88.0 } else { 128.0 };
             let t = 8.0 * building_tex.at(u * 30.0, v * 30.0);
@@ -67,8 +69,8 @@ pub(crate) fn render(resolution: Resolution, index: u32) -> Frame {
         } else {
             // Asphalt with lane markings.
             let lane_h = (h as f64 - road_top) / LANES as f64;
-            let in_lane = ((py as f64 - road_top) / lane_h).fract();
-            let dash = ((u * 20.0).fract() < 0.5) && in_lane < 0.06;
+            let in_lane = fract((py as f64 - road_top) / lane_h);
+            let dash = (fract(u * 20.0) < 0.5) && in_lane < 0.06;
             let base = if dash { 190.0 } else { 92.0 };
             let t = 7.0 * asphalt_tex.at(u * 50.0, v * 50.0 + 9.0);
             Ycc::new((base + t).clamp(30.0, 220.0) as u8, 127, 129)

@@ -18,9 +18,9 @@ fn encode(
     let mut enc = create_encoder(codec, resolution, options)?;
     let mut packets = Vec::new();
     for f in frames {
-        packets.extend(enc.encode_frame(f)?);
+        enc.encode_frame_into(f, &mut packets)?;
     }
-    packets.extend(enc.finish()?);
+    enc.finish_into(&mut packets)?;
     Ok(packets)
 }
 
@@ -28,9 +28,9 @@ fn decode(codec: CodecId, packets: &[Packet]) -> Result<Vec<Frame>, Box<dyn std:
     let mut dec = create_decoder(codec, hd_videobench::dsp::SimdLevel::detect());
     let mut out = Vec::new();
     for p in packets {
-        out.extend(dec.decode_packet(&p.data)?);
+        dec.decode_packet_into(&p.data, &mut out)?;
     }
-    out.extend(dec.finish());
+    dec.finish_into(&mut out);
     Ok(out)
 }
 

@@ -23,9 +23,9 @@ HDVB_SIMD=scalar cargo test -q --workspace
 echo "==> cargo test (HDVB_SIMD=auto)"
 HDVB_SIMD=auto cargo test -q --workspace
 
-echo "==> coded-stream digests and decode error pins on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
+echo "==> coded-stream digests, decode error pins and the display-order contract on the SSE2 tier (auto picks AVX2 on an AVX2 host)"
 HDVB_SIMD=sse2 cargo test -q --release --test stream_digests --test simd_invariance \
-    --test decoder_robustness --test pooled_identity
+    --test decoder_robustness --test pooled_identity --test cross_codec
 
 echo "==> kernel tier equivalence and the bit reader and writer, optimised (the unsafe kernels, the reader's window, the writer's accumulator)"
 cargo test -q --release --test simd_equivalence --test dct_reference --test bit_serial_oracle

@@ -54,14 +54,14 @@ proptest! {
                 .collect();
             let mut packets = Vec::new();
             for f in &frames {
-                packets.extend(enc.encode_frame(f).unwrap());
+                enc.encode_frame_into(f, &mut packets).unwrap();
             }
-            packets.extend(enc.finish().unwrap());
+            enc.finish_into(&mut packets).unwrap();
             let mut out = Vec::new();
             for p in &packets {
-                out.extend(dec.decode_packet(&p.data).unwrap());
+                dec.decode_packet_into(&p.data, &mut out).unwrap();
             }
-            out.extend(dec.finish());
+            dec.finish_into(&mut out);
             prop_assert_eq!(out.len(), 4, "{} lost frames", codec);
             let mut acc = SequencePsnr::new();
             for (o, d) in frames.iter().zip(&out) {
@@ -78,7 +78,7 @@ proptest! {
     fn random_garbage_never_panics_decoders(data in proptest::collection::vec(any::<u8>(), 0..600)) {
         for codec in CodecId::ALL {
             let mut dec = create_decoder(codec, SimdLevel::detect());
-            let _ = dec.decode_packet(&data); // error or empty, never panic
+            let _ = dec.decode_packet_into(&data, &mut Vec::new()); // error or empty, never panic
         }
     }
 
@@ -94,9 +94,9 @@ proptest! {
             let mut packets = Vec::new();
             for i in 0..3u64 {
                 let f = arbitrary_frame(48, 32, seed.wrapping_add(i), 30);
-                packets.extend(enc.encode_frame(&f).unwrap());
+                enc.encode_frame_into(&f, &mut packets).unwrap();
             }
-            packets.extend(enc.finish().unwrap());
+            enc.finish_into(&mut packets).unwrap();
             let mut dec = create_decoder(codec, SimdLevel::detect());
             for p in &mut packets {
                 if !p.data.is_empty() {
@@ -105,7 +105,7 @@ proptest! {
                 }
                 // Corrupt packets may decode to garbage frames or error;
                 // either is acceptable, panicking is not.
-                let _ = dec.decode_packet(&p.data);
+                let _ = dec.decode_packet_into(&p.data, &mut Vec::new());
             }
         }
     }

@@ -3,13 +3,49 @@
 //! (Section VI) at reduced geometry.
 
 use hd_videobench::bench::{
-    decode_sequence, encode_sequence, measure_rd_point, CodecId, CodingOptions, PacketKind,
+    create_decoder, create_encoder, decode_sequence, encode_sequence, measure_rd_point, BenchError,
+    CodecId, CodingOptions, PacketKind,
 };
-use hd_videobench::frame::Resolution;
+use hd_videobench::frame::{Resolution, SequencePsnr};
 use hd_videobench::seq::{Sequence, SequenceId};
 
 fn small(id: SequenceId) -> Sequence {
     Sequence::new(id, Resolution::new(96, 80))
+}
+
+/// The GOP grid every codec runs under: B pictures between anchors ×
+/// periodic intra interval (`None` is the paper's only-the-first).
+fn gop_grid() -> impl Iterator<Item = CodingOptions> {
+    [0, 1, 2, 4].into_iter().flat_map(|b| {
+        [None, Some(2)].map(|intra_period| CodingOptions {
+            intra_period,
+            ..CodingOptions::default().with_b_frames(b)
+        })
+    })
+}
+
+/// The coding order `(kind, display index)` of `frames` display-order
+/// pictures under `options`' GOP, derived from the GOP rules alone: the
+/// first picture is an I anchor; each later group of up to `b_frames + 1`
+/// pictures codes its last as an anchor, then the rest as B pictures;
+/// anchor `n` is intra when `n` is 0 or a multiple of the intra period.
+fn expected_coding_order(frames: u32, options: &CodingOptions) -> Vec<(PacketKind, u32)> {
+    let b = u32::from(options.b_frames);
+    let mut order = Vec::new();
+    let (mut next, mut anchors) = (0, 0);
+    while next < frames {
+        let anchor = if next == 0 {
+            0
+        } else {
+            (next + b).min(frames - 1)
+        };
+        let intra = anchors == 0 || options.intra_period.is_some_and(|p| anchors % p == 0);
+        order.push((if intra { PacketKind::I } else { PacketKind::P }, anchor));
+        order.extend((next..anchor).map(|i| (PacketKind::B, i)));
+        anchors += 1;
+        next = anchor + 1;
+    }
+    order
 }
 
 #[test]
@@ -32,8 +68,22 @@ fn all_codecs_roundtrip_all_sequences() {
 
 #[test]
 fn gop_structure_is_ipbb_with_single_intra() {
-    let options = CodingOptions::default();
     for codec in CodecId::ALL {
+        for options in gop_grid() {
+            let enc = encode_sequence(codec, small(SequenceId::RushHour), 10, &options).unwrap();
+            let order: Vec<_> = enc
+                .packets
+                .iter()
+                .map(|p| (p.kind, p.display_index))
+                .collect();
+            let what = format!(
+                "{codec}, {} b, intra {:?}",
+                options.b_frames, options.intra_period
+            );
+            assert_eq!(order, expected_coding_order(10, &options), "{what}");
+        }
+        // The paper's own GOP, spelled out.
+        let options = CodingOptions::default();
         let enc = encode_sequence(codec, small(SequenceId::RushHour), 10, &options).unwrap();
         let kinds: Vec<PacketKind> = enc.packets.iter().map(|p| p.kind).collect();
         assert_eq!(
@@ -45,31 +95,96 @@ fn gop_structure_is_ipbb_with_single_intra() {
         // Two B pictures per anchor group.
         let bs = kinds.iter().filter(|&&k| k == PacketKind::B).count();
         assert_eq!(bs, 6, "{codec}: {kinds:?}");
+        // More B pictures than that is rejected before any picture.
+        let five = options.with_b_frames(5);
+        match create_encoder(codec, Resolution::new(96, 80), &five) {
+            Err(BenchError::Codec(msg)) => assert!(
+                msg.contains("bad encoder configuration: at most 4 b-frames supported"),
+                "{codec}: {msg}"
+            ),
+            Err(e) => panic!("{codec}: 5 b-frames rejected as {e}"),
+            Ok(_) => panic!("{codec}: 5 b-frames accepted"),
+        }
     }
 }
 
 #[test]
 fn decoded_frames_come_back_in_display_order() {
-    let options = CodingOptions::default();
+    let seq = small(SequenceId::PedestrianArea);
     for codec in CodecId::ALL {
-        let seq = small(SequenceId::PedestrianArea);
-        let enc = encode_sequence(codec, seq, 7, &options).unwrap();
-        let dec = decode_sequence(codec, &enc.packets, options.simd).unwrap();
-        assert_eq!(dec.frames.len(), 7, "{codec}");
-        // Display order: each decoded frame must be closest (in PSNR) to
-        // its own original, not to a neighbour.
-        for (i, frame) in dec.frames.iter().enumerate() {
-            let own = seq.frame(i as u32).y().sad(frame.y());
-            for j in [i.wrapping_sub(1), i + 1] {
-                if j < 7 && j != i {
-                    let other = seq.frame(j as u32).y().sad(frame.y());
-                    assert!(
-                        own <= other,
-                        "{codec}: decoded frame {i} matches original {j} better"
-                    );
+        for options in gop_grid() {
+            let what = format!(
+                "{codec}, {} b, intra {:?}",
+                options.b_frames, options.intra_period
+            );
+            let enc = encode_sequence(codec, seq, 7, &options).unwrap();
+            let dec = decode_sequence(codec, &enc.packets, options.simd).unwrap();
+            assert_eq!(dec.frames.len(), 7, "{what}");
+            // Display order: each decoded frame must be closest (in SAD)
+            // to its own original, not to a neighbour, and a faithful
+            // copy of it.
+            for (i, frame) in dec.frames.iter().enumerate() {
+                let original = seq.frame(i as u32);
+                let own = original.y().sad(frame.y());
+                for j in [i.wrapping_sub(1), i + 1] {
+                    if j < 7 && j != i {
+                        let other = seq.frame(j as u32).y().sad(frame.y());
+                        assert!(
+                            own <= other,
+                            "{what}: decoded frame {i} matches original {j} better"
+                        );
+                    }
                 }
+                let mut psnr = SequencePsnr::new();
+                psnr.add(&original, frame);
+                assert!(
+                    psnr.y_psnr() > 25.0,
+                    "{what}: frame {i} psnr {:.2}",
+                    psnr.y_psnr()
+                );
             }
         }
+    }
+}
+
+/// A packet the decoder rejects must leave the stream where it was: a
+/// foreign packet (wrong magic) and a P picture cut in half, spliced
+/// into a clean I-P-B-B stream, each fail, and everything else decodes
+/// to exactly the clean stream's frames, the held-back last anchor
+/// included.
+#[test]
+fn a_rejected_packet_leaves_the_stream_untouched() {
+    let seq = small(SequenceId::RushHour);
+    let options = CodingOptions::default();
+    for codec in CodecId::ALL {
+        let clean = encode_sequence(codec, seq, 7, &options).unwrap().packets;
+        let expected = decode_sequence(codec, &clean, options.simd).unwrap().frames;
+        let p = clean
+            .iter()
+            .position(|p| p.kind == PacketKind::P)
+            .expect("an I-P-B-B stream has a P picture");
+        let mut foreign = clean[p].data.clone();
+        foreign[0] ^= 0xFF;
+        let cut = clean[p].data[..clean[p].data.len() / 2].to_vec();
+        // Coding order I, cut P, P, B, foreign, B, ...: the cut copy fails
+        // while the P picture's reference is in use, the foreign packet
+        // while a B picture is due.
+        let mut spliced: Vec<(Vec<u8>, bool)> =
+            clean.iter().map(|p| (p.data.clone(), true)).collect();
+        spliced.insert(p + 2, (foreign, false));
+        spliced.insert(p, (cut, false));
+
+        let mut dec = create_decoder(codec, options.simd);
+        let mut frames = Vec::new();
+        for (i, (data, valid)) in spliced.iter().enumerate() {
+            let result = dec.decode_packet_into(data, &mut frames);
+            assert_eq!(result.is_ok(), *valid, "{codec}: packet {i}: {result:?}");
+        }
+        dec.finish_into(&mut frames);
+        assert!(
+            frames == expected,
+            "{codec}: output differs from the clean stream"
+        );
     }
 }
 

@@ -63,7 +63,9 @@ fn decode_vector(data: &[u8], simd: SimdLevel) -> Result<(), String> {
     };
     let mut dec = create_decoder(header.codec, simd);
     for (i, p) in packets.iter().enumerate() {
-        let result = catch_unwind(AssertUnwindSafe(|| dec.decode_packet(&p.data)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            dec.decode_packet_into(&p.data, &mut Vec::new())
+        }));
         match result {
             Ok(_) => {}
             Err(_) => return Err(format!("packet {i} panicked under {simd:?}")),
@@ -92,9 +94,10 @@ fn corrupt_vectors_fail_with_typed_errors() {
                 let (header, packets) =
                     read_stream(&data[..]).unwrap_or_else(|e| panic!("{name}: {e}"));
                 let mut dec = create_decoder(header.codec, SimdLevel::Scalar);
-                let saw_corrupt = packets
-                    .iter()
-                    .any(|p| matches!(dec.decode_packet(&p.data), Err(BenchError::Corrupt { .. })));
+                let saw_corrupt = packets.iter().any(|p| {
+                    let result = dec.decode_packet_into(&p.data, &mut Vec::new());
+                    matches!(result, Err(BenchError::Corrupt { .. }))
+                });
                 assert!(saw_corrupt, "{name}: no packet raised Corrupt");
             }
             Expectation::NoPanic => {} // covered by the panic sweep above
@@ -139,7 +142,7 @@ fn corrupt_vectors_fail_at_the_pinned_kind_and_offset() {
             let mut dec = create_decoder(codec, SimdLevel::Scalar);
             let first_error = packets
                 .iter()
-                .find_map(|p| dec.decode_packet(&p.data).err())
+                .find_map(|p| dec.decode_packet_into(&p.data, &mut Vec::new()).err())
                 .unwrap_or_else(|| panic!("{name}: every packet decoded"));
             match first_error {
                 BenchError::Corrupt {
@@ -184,7 +187,7 @@ fn bad_dimensions_are_rejected_after_the_codec_specific_header_fields() {
         w.put_ue(32); // height (11 bits)
         w.put_bits(0xFFFF, 16); // every following field reads as 0 / true
         let err = create_decoder(codec, SimdLevel::Scalar)
-            .decode_packet(&w.finish())
+            .decode_packet_into(&w.finish(), &mut Vec::new())
             .expect_err("odd width must be rejected");
         match err {
             BenchError::Corrupt {

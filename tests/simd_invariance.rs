@@ -15,9 +15,9 @@ fn encode_all(codec: CodecId, seq: Sequence, frames: u32, simd: SimdLevel) -> Ve
     let mut enc = create_encoder(codec, seq.resolution(), &options).unwrap();
     let mut packets = Vec::new();
     for i in 0..frames {
-        packets.extend(enc.encode_frame(&seq.frame(i)).unwrap());
+        enc.encode_frame_into(&seq.frame(i), &mut packets).unwrap();
     }
-    packets.extend(enc.finish().unwrap());
+    enc.finish_into(&mut packets).unwrap();
     packets
 }
 
@@ -25,9 +25,9 @@ fn decode_all(codec: CodecId, packets: &[Packet], simd: SimdLevel) -> Vec<Frame>
     let mut dec = create_decoder(codec, simd);
     let mut out = Vec::new();
     for p in packets {
-        out.extend(dec.decode_packet(&p.data).unwrap());
+        dec.decode_packet_into(&p.data, &mut out).unwrap();
     }
-    out.extend(dec.finish());
+    dec.finish_into(&mut out);
     out
 }
 
