@@ -7,7 +7,7 @@
 //! other sessions. [`CodecSession`] is that incremental surface — one
 //! state machine per session that accepts inputs as they arrive,
 //! returns whatever outputs the codec can emit so far, and flushes the
-//! rest on [`finish`](CodecSession::finish).
+//! rest on [`finish_into`](CodecSession::finish_into).
 //!
 //! The session calls exactly the same [`Encoder`]/[`Decoder`] in exactly
 //! the same order as the batch path, so a
@@ -32,8 +32,8 @@ pub enum SessionInput {
     Packet(Vec<u8>),
 }
 
-/// Outputs produced by one [`CodecSession::push`] or
-/// [`CodecSession::finish`] call. Either side may be empty: codecs
+/// Outputs appended by [`CodecSession::push_into`] and
+/// [`CodecSession::finish_into`]. Either side may be empty: codecs
 /// buffer B-frame lookahead and emit bursts at anchor boundaries.
 #[derive(Clone, Debug, Default)]
 pub struct SessionOutput {
@@ -84,8 +84,9 @@ enum Engine {
 
 /// An incremental encode, decode or transcode state machine.
 ///
-/// Inputs go in one at a time with [`push`](Self::push); buffered
-/// lookahead is flushed by [`finish`](Self::finish), after which the
+/// Inputs go in one at a time with [`push_into`](Self::push_into);
+/// buffered lookahead is flushed by [`finish_into`](Self::finish_into),
+/// after which the
 /// session accepts no more input. Sessions are `Send` so a serving
 /// front end can migrate them between pool workers (one worker at a
 /// time — the codec state is serial).
@@ -196,38 +197,26 @@ impl CodecSession {
         self.dropped
     }
 
-    /// Whether [`finish`](Self::finish) has run.
+    /// Whether [`finish_into`](Self::finish_into) has run.
     pub fn is_finished(&self) -> bool {
         self.finished
     }
 
-    /// Feeds one input and returns whatever the codec emits for it.
-    ///
-    /// # Errors
-    ///
-    /// [`BenchError::BadRequest`] on an input of the wrong kind for the
-    /// session or after [`finish`](Self::finish); codec errors
-    /// otherwise ([`BenchError::Corrupt`] is swallowed and counted by
-    /// resilient sessions).
-    pub fn push(&mut self, input: SessionInput) -> Result<SessionOutput, BenchError> {
-        let mut out = SessionOutput::default();
-        self.push_into(input, &mut out)?;
-        Ok(out)
-    }
-
     /// Feeds one input, appending whatever the codec emits to `out`.
     ///
-    /// This is the allocation-free form of [`push`](Self::push): input
-    /// buffers are returned to the global pools once consumed, output
-    /// packets and frames carry pooled buffers, and the caller closes
-    /// the loop with [`SessionOutput::recycle`] after consuming them.
-    /// In steady state (warm pools, reused `out`) a push allocates
+    /// Input buffers are returned to the global pools once consumed,
+    /// output packets and frames carry pooled buffers, and the caller
+    /// closes the loop with [`SessionOutput::recycle`] after consuming
+    /// them. In steady state (warm pools, reused `out`) a push allocates
     /// nothing.
     ///
     /// # Errors
     ///
-    /// As [`push`](Self::push). `out` keeps anything appended before
-    /// the failure.
+    /// [`BenchError::BadRequest`] on an input of the wrong kind for the
+    /// session or after [`finish_into`](Self::finish_into); codec errors
+    /// otherwise ([`BenchError::Corrupt`] is swallowed and counted by
+    /// resilient sessions). `out` keeps anything appended before the
+    /// failure.
     pub fn push_into(
         &mut self,
         input: SessionInput,
@@ -281,20 +270,8 @@ impl CodecSession {
         }
     }
 
-    /// Flushes buffered lookahead at end of stream. The session accepts
-    /// no further input afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Codec errors; [`BenchError::BadRequest`] on a second call.
-    pub fn finish(&mut self) -> Result<SessionOutput, BenchError> {
-        let mut out = SessionOutput::default();
-        self.finish_into(&mut out)?;
-        Ok(out)
-    }
-
-    /// Flushes buffered lookahead into `out`; the allocation-free form
-    /// of [`finish`](Self::finish).
+    /// Flushes buffered lookahead at end of stream into `out`. The
+    /// session accepts no further input afterwards.
     ///
     /// # Errors
     ///
@@ -383,14 +360,15 @@ mod tests {
         for codec in CodecId::ALL {
             let batch = encode_sequence(codec, seq, 6, &options).unwrap();
             let mut session = CodecSession::encoder(codec, seq.resolution(), &options).unwrap();
-            let mut packets = Vec::new();
+            let mut out = SessionOutput::new();
             for i in 0..6 {
-                let out = session.push(SessionInput::Frame(seq.frame(i))).unwrap();
-                assert!(out.frames.is_empty(), "{codec}: encoder emitted frames");
-                packets.extend(out.packets);
+                session
+                    .push_into(SessionInput::Frame(seq.frame(i)), &mut out)
+                    .unwrap();
             }
-            packets.extend(session.finish().unwrap().packets);
-            assert_eq!(packets, batch.packets, "{codec}");
+            session.finish_into(&mut out).unwrap();
+            assert!(out.frames.is_empty(), "{codec}: encoder emitted frames");
+            assert_eq!(out.packets, batch.packets, "{codec}");
         }
     }
 
@@ -402,17 +380,14 @@ mod tests {
             let encoded = encode_sequence(codec, seq, 6, &options).unwrap();
             let batch = decode_sequence(codec, &encoded.packets, options.simd).unwrap();
             let mut session = CodecSession::decoder(codec, options.simd);
-            let mut frames = Vec::new();
+            let mut out = SessionOutput::new();
             for p in &encoded.packets {
-                frames.extend(
-                    session
-                        .push(SessionInput::Packet(p.data.clone()))
-                        .unwrap()
-                        .frames,
-                );
+                session
+                    .push_into(SessionInput::Packet(p.data.clone()), &mut out)
+                    .unwrap();
             }
-            frames.extend(session.finish().unwrap().frames);
-            assert_eq!(frames, batch.frames, "{codec}");
+            session.finish_into(&mut out).unwrap();
+            assert_eq!(out.frames, batch.frames, "{codec}");
         }
     }
 
@@ -424,17 +399,14 @@ mod tests {
         let mut session =
             CodecSession::transcoder(CodecId::Mpeg2, CodecId::H264, seq.resolution(), &options)
                 .unwrap();
-        let mut packets = Vec::new();
+        let mut out = SessionOutput::new();
         for p in &encoded.packets {
-            packets.extend(
-                session
-                    .push(SessionInput::Packet(p.data.clone()))
-                    .unwrap()
-                    .packets,
-            );
+            session
+                .push_into(SessionInput::Packet(p.data.clone()), &mut out)
+                .unwrap();
         }
-        packets.extend(session.finish().unwrap().packets);
-        let decoded = decode_sequence(CodecId::H264, &packets, options.simd).unwrap();
+        session.finish_into(&mut out).unwrap();
+        let decoded = decode_sequence(CodecId::H264, &out.packets, options.simd).unwrap();
         assert_eq!(decoded.frames.len(), 6);
     }
 
@@ -445,18 +417,20 @@ mod tests {
         for codec in CodecId::ALL {
             let encoded = encode_sequence(codec, seq, 4, &options).unwrap();
             let mut session = CodecSession::decoder(codec, options.simd).with_resilience();
-            let mut frames = Vec::new();
+            let mut out = SessionOutput::new();
             for (i, p) in encoded.packets.iter().enumerate() {
                 let data = if i == 1 {
                     vec![0xFF; 40]
                 } else {
                     p.data.clone()
                 };
-                frames.extend(session.push(SessionInput::Packet(data)).unwrap().frames);
+                session
+                    .push_into(SessionInput::Packet(data), &mut out)
+                    .unwrap();
             }
-            frames.extend(session.finish().unwrap().frames);
+            session.finish_into(&mut out).unwrap();
             assert!(session.dropped() >= 1, "{codec}");
-            assert!(!frames.is_empty(), "{codec}: stream died");
+            assert!(!out.frames.is_empty(), "{codec}: stream died");
         }
     }
 
@@ -464,7 +438,10 @@ mod tests {
     fn strict_session_fails_on_corrupt_packet() {
         let mut session = CodecSession::decoder(CodecId::H264, SimdLevel::Scalar);
         assert!(matches!(
-            session.push(SessionInput::Packet(vec![0xFF; 40])),
+            session.push_into(
+                SessionInput::Packet(vec![0xFF; 40]),
+                &mut SessionOutput::new()
+            ),
             Err(BenchError::Corrupt { .. })
         ));
     }
@@ -473,21 +450,25 @@ mod tests {
     fn wrong_input_kind_and_push_after_finish_are_rejected() {
         let seq = small_seq();
         let options = CodingOptions::default();
+        let out = &mut SessionOutput::new();
         let mut enc = CodecSession::encoder(CodecId::Mpeg2, seq.resolution(), &options).unwrap();
         assert!(matches!(
-            enc.push(SessionInput::Packet(vec![0; 4])),
+            enc.push_into(SessionInput::Packet(vec![0; 4]), out),
             Err(BenchError::BadRequest(_))
         ));
-        enc.finish().unwrap();
+        enc.finish_into(out).unwrap();
         assert!(matches!(
-            enc.push(SessionInput::Frame(seq.frame(0))),
+            enc.push_into(SessionInput::Frame(seq.frame(0)), out),
             Err(BenchError::BadRequest(_))
         ));
-        assert!(matches!(enc.finish(), Err(BenchError::BadRequest(_))));
+        assert!(matches!(
+            enc.finish_into(out),
+            Err(BenchError::BadRequest(_))
+        ));
 
         let mut dec = CodecSession::decoder(CodecId::Mpeg2, options.simd);
         assert!(matches!(
-            dec.push(SessionInput::Frame(seq.frame(0))),
+            dec.push_into(SessionInput::Frame(seq.frame(0)), out),
             Err(BenchError::BadRequest(_))
         ));
     }
@@ -497,12 +478,15 @@ mod tests {
         let seq = small_seq();
         let options = CodingOptions::default();
         let cancel = CancelToken::new();
+        let out = &mut SessionOutput::new();
         let mut session = CodecSession::encoder(CodecId::H264, seq.resolution(), &options).unwrap();
         session.set_cancel(cancel.clone());
-        session.push(SessionInput::Frame(seq.frame(0))).unwrap();
+        session
+            .push_into(SessionInput::Frame(seq.frame(0)), out)
+            .unwrap();
         cancel.cancel();
         assert!(matches!(
-            session.push(SessionInput::Frame(seq.frame(1))),
+            session.push_into(SessionInput::Frame(seq.frame(1)), out),
             Err(BenchError::Cancelled)
         ));
     }

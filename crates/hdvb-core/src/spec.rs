@@ -239,7 +239,7 @@ impl SessionSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SessionInput;
+    use crate::{SessionInput, SessionOutput};
     use hdvb_frame::Frame;
 
     #[test]
@@ -273,24 +273,18 @@ mod tests {
         for (i, b) in frame.y_mut().data_mut().iter_mut().enumerate() {
             *b = (i % 251) as u8;
         }
-        let mut a = Vec::new();
-        let mut b = Vec::new();
+        let (mut a, mut b) = (SessionOutput::new(), SessionOutput::new());
         for _ in 0..4 {
-            a.extend(
-                from_spec
-                    .push(SessionInput::Frame(frame.clone()))
-                    .expect("push")
-                    .packets,
-            );
-            b.extend(
-                by_hand
-                    .push(SessionInput::Frame(frame.clone()))
-                    .expect("push")
-                    .packets,
-            );
+            from_spec
+                .push_into(SessionInput::Frame(frame.clone()), &mut a)
+                .expect("push");
+            by_hand
+                .push_into(SessionInput::Frame(frame.clone()), &mut b)
+                .expect("push");
         }
-        a.extend(from_spec.finish().expect("finish").packets);
-        b.extend(by_hand.finish().expect("finish").packets);
+        from_spec.finish_into(&mut a).expect("finish");
+        by_hand.finish_into(&mut b).expect("finish");
+        let (a, b) = (a.packets, b.packets);
         assert!(!a.is_empty());
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
