@@ -142,10 +142,6 @@ pub enum CodecError {
         /// Human-readable detail for diagnostics.
         detail: String,
     },
-    /// The operation was cancelled via a `hdvb_par::CancelToken`
-    /// (cooperative deadline or shutdown) at a picture boundary. The
-    /// codec state is unchanged since the last completed picture.
-    Cancelled,
 }
 
 impl CodecError {
@@ -186,7 +182,6 @@ impl fmt::Display for CodecError {
                 kind,
                 detail,
             } => write!(f, "corrupt bitstream at bit {offset} ({kind}): {detail}"),
-            CodecError::Cancelled => f.write_str("cancelled at a picture boundary"),
         }
     }
 }

@@ -64,12 +64,9 @@ impl std::error::Error for BenchError {}
 
 impl From<CodecError> for BenchError {
     /// The encode-side lift: the encoders have no corrupt input to
-    /// attribute, so everything but a cancellation is a codec error.
+    /// attribute, so every error is a codec error.
     fn from(e: CodecError) -> Self {
-        match e {
-            CodecError::Cancelled => BenchError::Cancelled,
-            other => BenchError::Codec(other.to_string()),
-        }
+        BenchError::Codec(e.to_string())
     }
 }
 
@@ -87,7 +84,6 @@ impl BenchError {
                 kind,
                 detail,
             },
-            CodecError::Cancelled => BenchError::Cancelled,
             other => BenchError::Bitstream(other.to_string()),
         }
     }
