@@ -132,18 +132,6 @@ impl H264Decoder {
         recon.cb_mut().fill(128);
         recon.cr_mut().fill(128);
         ctx.reset();
-        if kind == PacketKind::I {
-            // A geometry change can only enter a stream at an intra
-            // picture (an ABR splice / rung switch). References at the
-            // old geometry can never be legally used again — retire
-            // them now instead of failing the next inter picture's
-            // reference-geometry check.
-            while let Some(pos) = self.refs.iter().position(|rp| !rp.matches(aw, ah)) {
-                if let Some(old) = self.refs.remove(pos) {
-                    self.retired.push(old);
-                }
-            }
-        }
         match kind {
             PacketKind::I => self.decode_i(r, recon, ctx, qp, mbs_x, mbs_y)?,
             PacketKind::P => self.decode_p(r, recon, ctx, qp, num_refs, mbs_x, mbs_y)?,
@@ -160,6 +148,19 @@ impl H264Decoder {
             d
         };
         if kind != PacketKind::B {
+            if kind == PacketKind::I {
+                // A geometry change can only enter a stream at an intra
+                // picture (an ABR splice / rung switch). References at
+                // the old geometry can never be legally used again —
+                // retire them, once the picture has decoded (a rejected
+                // one changes nothing), instead of failing the next
+                // inter picture's reference-geometry check.
+                while let Some(pos) = self.refs.iter().position(|rp| !rp.matches(aw, ah)) {
+                    if let Some(old) = self.refs.remove(pos) {
+                        self.retired.push(old);
+                    }
+                }
+            }
             let keep = (num_refs as usize).max(2);
             while self.refs.len() + 1 > keep {
                 match self.refs.pop_back() {

@@ -148,10 +148,10 @@ fn decoded_frames_come_back_in_display_order() {
 }
 
 /// A packet the decoder rejects must leave the stream where it was: a
-/// foreign packet (wrong magic) and a P picture cut in half, spliced
-/// into a clean I-P-B-B stream, each fail, and everything else decodes
-/// to exactly the clean stream's frames, the held-back last anchor
-/// included.
+/// foreign packet (wrong magic), a P picture cut in half and an I
+/// picture of another size cut in half, spliced into a clean I-P-B-B
+/// stream, each fail, and everything else decodes to exactly the clean
+/// stream's frames, the held-back last anchor included.
 #[test]
 fn a_rejected_packet_leaves_the_stream_untouched() {
     let seq = small(SequenceId::RushHour);
@@ -165,14 +165,28 @@ fn a_rejected_packet_leaves_the_stream_untouched() {
             .expect("an I-P-B-B stream has a P picture");
         let mut foreign = clean[p].data.clone();
         foreign[0] ^= 0xFF;
-        let cut = clean[p].data[..clean[p].data.len() / 2].to_vec();
-        // Coding order I, cut P, P, B, foreign, B, ...: the cut copy fails
-        // while the P picture's reference is in use, the foreign packet
-        // while a B picture is due.
-        let mut spliced: Vec<(Vec<u8>, bool)> =
-            clean.iter().map(|p| (p.data.clone(), true)).collect();
-        spliced.insert(p + 2, (foreign, false));
-        spliced.insert(p, (cut, false));
+        let half = |data: &[u8]| data[..data.len() / 2].to_vec();
+        let resized = Sequence::new(SequenceId::RushHour, Resolution::new(64, 48));
+        let resized_i = encode_sequence(codec, resized, 1, &options)
+            .unwrap()
+            .packets;
+        // Coding order I, cut P, P, cut resized I, B, foreign, B, …: the
+        // cut P fails while the P picture's reference is in use, the cut
+        // I where a new size would retire the references, the foreign
+        // packet while a B picture is due.
+        let mut spliced = Vec::new();
+        for (i, packet) in clean.iter().enumerate() {
+            if i == p {
+                spliced.push((half(&packet.data), false));
+            }
+            spliced.push((packet.data.clone(), true));
+            if i == p {
+                spliced.push((half(&resized_i[0].data), false));
+            }
+            if i == p + 1 {
+                spliced.push((foreign.clone(), false));
+            }
+        }
 
         let mut dec = create_decoder(codec, options.simd);
         let mut frames = Vec::new();
